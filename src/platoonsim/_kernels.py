@@ -1,18 +1,29 @@
-"""Array kernels for the simulator's hot loop.
+"""Flat-state kernel for the simulator's hot loop.
 
 The scheduling recurrence is inherently sequential (every insertion
-depends on all prior state), so the fast path is a compiled scalar loop,
-not vectorized numpy. With numba present the kernel is @njit-compiled
-(nogil, cached); setting PLATOONSIM_NO_NUMBA=1 runs the identical code as
-plain Python over the same numpy arrays. Both paths execute the same
-float operations in the same order and produce bit-identical schedules,
-which the test suite verifies against the object-level reference in pfa.
+depends on all prior state), so the fast path is a scalar loop, not
+vectorized numpy. One kernel body runs two ways, chosen at import:
+
+- with numba present the kernel is @njit-compiled (nogil, cached) and
+  its buffers and inputs are 1-D float64/int64 numpy arrays;
+- without numba, or with PLATOONSIM_NO_NUMBA=1, it runs as plain Python
+  over Python lists of floats and ints, because indexing a numpy array
+  from Python boxes a numpy scalar per element and routes every
+  operation through numpy's scalar arithmetic.
+
+_buf allocates every buffer and to_kernel converts the inputs for the
+chosen path. IEEE-754 + - *, comparisons and abs give the same bits on
+Python floats as on float64, so both paths produce bit-identical
+schedules, which the test suite verifies against the object-level
+reference in pfa.
 
 Scheduling state is flat:
   cs/ln/ai    crossing time, lane, arrival index per slot; live slots are
               [head, tail), sorted by crossing time
   lastsched   per lane, slot of the lane's last scheduled vehicle or -1
-  gf/gt/gcnt  per-lane rings of platoon (start, end, size), ascending
+  gf/gt/gcnt  per-lane rings of platoon (start, end, size), ascending;
+              one 1-D buffer for all lanes, entry idx of lane at
+              lane * _PCAP + idx
 Status codes returned instead of exceptions (numba-safe); the wrapper in
 sim raises.
 """
@@ -42,9 +53,26 @@ USE_NUMBA = HAS_NUMBA and not _env_flag("PLATOONSIM_NO_NUMBA")
 if USE_NUMBA:
     def _jit(fn):
         return numba.njit(cache=True, nogil=True)(fn)
+
+    @_jit
+    def _buf(size, fill):
+        """Buffer of size copies of fill (dtype from fill: float64 or int64)."""
+        return np.full(size, fill)
+
+    def to_kernel(values, dtype):
+        """A kernel input: a contiguous 1-D array of dtype."""
+        return np.ascontiguousarray(values, dtype)
 else:
     def _jit(fn):
         return fn
+
+    def _buf(size, fill):
+        """Buffer of size copies of fill."""
+        return [fill] * size
+
+    def to_kernel(values, dtype):
+        """A kernel input: a list of Python floats or ints of dtype's kind."""
+        return np.asarray(values, dtype).tolist()
 
 # Kernel status codes.
 OK = 0
@@ -86,10 +114,10 @@ def _gshift_after(gf, gt, gh, glen, n, mask, anchor, delta):
     for lane in range(n):
         k = glen[lane] - 1
         while k >= 0:  # entries ascend by start; walk the suffix only
-            idx = (gh[lane] + k) & mask
-            if gf[lane, idx] > anchor:
-                gf[lane, idx] += delta
-                gt[lane, idx] += delta
+            idx = lane * _PCAP + ((gh[lane] + k) & mask)
+            if gf[idx] > anchor:
+                gf[idx] += delta
+                gt[idx] += delta
                 k -= 1
             else:
                 break
@@ -100,7 +128,7 @@ def _lands_on_start(gf, gh, glen, n, mask, c):
     """True if some live platoon starts exactly (within TIE_TOL) at c."""
     for lane in range(n):
         for k in range(glen[lane]):
-            f = gf[lane, (gh[lane] + k) & mask]
+            f = gf[lane * _PCAP + ((gh[lane] + k) & mask)]
             if abs(f - c) <= TIE_TOL:
                 return True
             if f > c + TIE_TOL:
@@ -112,48 +140,46 @@ def _lands_on_start(gf, gh, glen, n, mask, c):
 def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
     """Run one full arrival stream through a scheduling discipline.
 
-    arr_a: float64[N], ascending earliest crossing times (vertical queue:
-    these are also the event times). arr_lane: int64[N], 0-based lanes.
-    B, S: float64[n] per-lane headway / clearance. kind: 0 exhaustive,
-    1 gated, 2 batch (cap applies). warm_start: first arrival index that
-    counts toward the fairness sums. check: verify the schedule and
-    bookkeeping invariants after every arrival (slow, for tests).
+    Inputs come through to_kernel. arr_a: float64[N], ascending earliest
+    crossing times (vertical queue: these are also the event times).
+    arr_lane: int64[N], 0-based lanes. B, S: float64[n] per-lane headway /
+    clearance. kind: 0 exhaustive, 1 gated, 2 batch (cap applies).
+    warm_start: first arrival index that counts toward the fairness sums.
+    check: verify the schedule and bookkeeping invariants after every
+    arrival (slow, for tests).
 
     Returns (final_c, sum_ahead, sum_total, max_queue, fallback_count,
-    departed, status, status_arrival).
+    departed, status, status_arrival); final_c is a float64 numpy array.
     """
-    N = arr_a.shape[0]
+    N = len(arr_a)
     final_c = np.full(N, np.nan)
 
-    cs = np.empty(N + 1, np.float64)
-    ln = np.empty(N + 1, np.int64)
-    ai = np.empty(N + 1, np.int64)
+    cs = _buf(N + 1, 0.0)
+    ln = _buf(N + 1, 0)
+    ai = _buf(N + 1, 0)
     head = 0
     tail = 0
-    lastsched = np.full(n, -1, np.int64)
+    lastsched = _buf(n, -1)
 
     ld_c = 0.0
     ld_lane = -1  # -1: nothing has ever departed
 
     mask = _PCAP - 1
     if kind == KIND_EXHAUSTIVE:
-        gf = np.empty((1, 1), np.float64)  # unused placeholders keep types stable
-        gt = np.empty((1, 1), np.float64)
-        gcnt = np.empty((1, 1), np.int64)
-        gh = np.zeros(1, np.int64)
-        glen = np.zeros(1, np.int64)
+        ring = 1  # exhaustive keeps no platoons; a placeholder keeps types stable
     else:
-        gf = np.empty((n, _PCAP), np.float64)
-        gt = np.empty((n, _PCAP), np.float64)
-        gcnt = np.empty((n, _PCAP), np.int64)
-        gh = np.zeros(n, np.int64)
-        glen = np.zeros(n, np.int64)
+        ring = n * _PCAP
+    gf = _buf(ring, 0.0)
+    gt = _buf(ring, 0.0)
+    gcnt = _buf(ring, 0)
+    gh = _buf(n, 0)
+    glen = _buf(n, 0)
 
-    order = np.empty(n, np.int64)  # reverse-cyclic lane scan order (n-1 used)
+    order = _buf(n, 0)  # reverse-cyclic lane scan order (n-1 used)
 
     snap_n = N + 1 if check else 1
-    prev_cs = np.empty(snap_n, np.float64)
-    prev_ai = np.empty(snap_n, np.int64)
+    prev_cs = _buf(snap_n, 0.0)
+    prev_ai = _buf(snap_n, 0)
 
     sum_ahead = 0
     sum_total = 0
@@ -176,10 +202,10 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
                 if kind != KIND_EXHAUSTIVE:
                     if glen[d0] == 0:
                         return final_c, sum_ahead, sum_total, max_queue, fallback_count, departed, ERR_GATE_BOOKKEEPING, k
-                    idx = gh[d0] & mask
-                    if cs[head] > gt[d0, idx] + TIE_TOL:
+                    idx = d0 * _PCAP + (gh[d0] & mask)
+                    if cs[head] > gt[idx] + TIE_TOL:
                         return final_c, sum_ahead, sum_total, max_queue, fallback_count, departed, ERR_GATE_BOOKKEEPING, k
-                    if abs(cs[head] - gt[d0, idx]) <= TIE_TOL:
+                    if abs(cs[head] - gt[idx]) <= TIE_TOL:
                         gh[d0] = (gh[d0] + 1) & mask
                         glen[d0] -= 1
                 if lastsched[d0] == head:
@@ -276,16 +302,16 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
             # Join: earliest own-lane platoon whose start is still ahead.
             any_joinable = False
             for k2 in range(glen[d]):
-                idx = (gh[d] + k2) & mask
-                if gf[d, idx] > a:
+                idx = d * _PCAP + ((gh[d] + k2) & mask)
+                if gf[idx] > a:
                     any_joinable = True
-                    if kind == KIND_GATED or gcnt[d, idx] < cap:
-                        anchor = gt[d, idx]
+                    if kind == KIND_GATED or gcnt[idx] < cap:
+                        anchor = gt[idx]
                         _vshift_after(cs, head, tail, anchor, b_d)
                         _gshift_after(gf, gt, gh, glen, n, mask, anchor, b_d)
                         c0 = anchor + b_d
-                        gt[d, idx] = c0
-                        gcnt[d, idx] += 1
+                        gt[idx] = c0
+                        gcnt[idx] += 1
                         done = True
                         break
 
@@ -293,8 +319,8 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
                 # Every joinable platoon is full: open a fresh platoon
                 # behind the lane's last one (forced switch, full
                 # occupation-plus-clearance).
-                idx = (gh[d] + glen[d] - 1) & mask
-                anchor = gt[d, idx]
+                idx = d * _PCAP + ((gh[d] + glen[d] - 1) & mask)
+                anchor = gt[idx]
                 unit = b_d + s_d
                 gap = B[d] + s_d
                 c0 = anchor + gap
@@ -321,8 +347,8 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
                     lane = order[oi]
                     gap = B[lane] + s_d
                     for k2 in range(glen[lane]):
-                        idx = (gh[lane] + k2) & mask
-                        te = gt[lane, idx]
+                        idx = lane * _PCAP + ((gh[lane] + k2) & mask)
+                        te = gt[idx]
                         if te + gap > a:
                             p = _bisect_gt(cs, head, tail, te)
                             if p == tail or cs[p] >= te + gap - TIE_TOL:
@@ -352,13 +378,13 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
             if glen[d] == _PCAP:
                 return final_c, sum_ahead, sum_total, max_queue, fallback_count, departed, ERR_GATE_OVERFLOW, k
             if glen[d] > 0:
-                last_idx = (gh[d] + glen[d] - 1) & mask
-                if c0 <= gt[d, last_idx]:
+                last_idx = d * _PCAP + ((gh[d] + glen[d] - 1) & mask)
+                if c0 <= gt[last_idx]:
                     return final_c, sum_ahead, sum_total, max_queue, fallback_count, departed, ERR_GATE_BOOKKEEPING, k
-            idx = (gh[d] + glen[d]) & mask
-            gf[d, idx] = c0
-            gt[d, idx] = c0
-            gcnt[d, idx] = 1
+            idx = d * _PCAP + ((gh[d] + glen[d]) & mask)
+            gf[idx] = c0
+            gt[idx] = c0
+            gcnt[idx] = 1
             glen[d] += 1
 
         # ----- insert the new vehicle -----
@@ -423,16 +449,16 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
                 for lane in range(n):
                     prev_t = -np.inf
                     for k2 in range(glen[lane]):
-                        idx = (gh[lane] + k2) & mask
-                        if gf[lane, idx] > gt[lane, idx]:
+                        idx = lane * _PCAP + ((gh[lane] + k2) & mask)
+                        if gf[idx] > gt[idx]:
                             ok = False
-                        if gf[lane, idx] <= prev_t:
+                        if gf[idx] <= prev_t:
                             ok = False
-                        if gcnt[lane, idx] < 1:
+                        if gcnt[idx] < 1:
                             ok = False
-                        if kind == KIND_BATCH and gcnt[lane, idx] > cap:
+                        if kind == KIND_BATCH and gcnt[idx] > cap:
                             ok = False
-                        prev_t = gt[lane, idx]
+                        prev_t = gt[idx]
             if not ok:
                 return final_c, sum_ahead, sum_total, max_queue, fallback_count, departed, ERR_INVARIANT, k
 

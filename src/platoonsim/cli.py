@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 from typing import Dict, List, Optional, Sequence
@@ -187,10 +186,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         )
     _write_csv(os.path.join(args.out, "results.csv"), sim.RUN_CSV_HEADER, rows)
 
-    log_lines = [json.dumps(rec) for rec in res.vehicle_records()]
-    _atomic_write_text(
-        os.path.join(args.out, "vehicles.jsonl"), "\n".join(log_lines) + "\n"
-    )
+    _atomic_write_text(os.path.join(args.out, "vehicles.jsonl"), res.vehicles_jsonl())
     print(
         f"run: {cfg.pfa} rho={rho:.6g} mean_delay={res.mean:.6g} "
         f"fairness={res.fairness:.6g} -> {args.out}/results.csv, vehicles.jsonl"

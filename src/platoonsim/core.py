@@ -361,9 +361,15 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError(f"batch_cap must be >= 1, got {cap}")
         cfg.batch_cap = cap
     if "horizon_vehicles" in data:
-        cfg.horizon_vehicles = int(data["horizon_vehicles"])
+        horizon = int(data["horizon_vehicles"])
+        if horizon < 1:
+            raise ConfigError(f"horizon_vehicles must be >= 1, got {horizon}")
+        cfg.horizon_vehicles = horizon
     if "warmup_vehicles" in data:
-        cfg.warmup_vehicles = int(data["warmup_vehicles"])
+        warmup = int(data["warmup_vehicles"])
+        if warmup < 0:
+            raise ConfigError(f"warmup_vehicles must be >= 0, got {warmup}")
+        cfg.warmup_vehicles = warmup
     if "seed" in data:
         cfg.seed = int(data["seed"])
     if "arrivals" in data:
@@ -372,7 +378,11 @@ def parse_config(data: dict) -> RunConfig:
             lane, entry_t = int(item[0]), float(item[1])
             if not 1 <= lane <= params.n:
                 raise ConfigError(f"arrival lane {lane} outside 1..{params.n}")
+            if not math.isfinite(entry_t):
+                raise ConfigError(f"arrival entry time must be finite, got {entry_t}")
             arr.append((lane, entry_t))
+        if not arr:
+            raise ConfigError("scripted arrivals must list at least one vehicle")
         if arr != sorted(arr, key=lambda x: x[1]):
             raise ConfigError("scripted arrivals must be sorted by entry time")
         cfg.arrivals = arr

@@ -5,7 +5,7 @@ can reach the stop line no earlier than a = e + free_flow_offset, and every
 vehicle shares the same offset, so delays (c - a) are unaffected by it. The
 simulator therefore works directly on the earliest-crossing times a.
 
-Two execution paths produce bit-identical results: the array kernel in
+Two execution paths produce bit-identical results: the flat-state kernel in
 _kernels (numba-compiled unless PLATOONSIM_NO_NUMBA=1) and the object-level
 reference runner built on the pfa module. The kernel is the fast path for
 sweeps; the reference is the semantic anchor the tests compare against.
@@ -152,20 +152,26 @@ class RunResult:
     def delay(self) -> np.ndarray:
         return self.c - self.a
 
-    def vehicle_records(self) -> List[dict]:
-        """Per-vehicle log records: {id, lane, entry_t, a, c, delay}."""
-        d = self.delay
-        return [
-            {
-                "id": int(i),
-                "lane": int(self.lane0[i]) + 1,
-                "entry_t": float(self.entry[i]),
-                "a": float(self.a[i]),
-                "c": float(self.c[i]),
-                "delay": float(d[i]),
-            }
-            for i in range(self.a.size)
-        ]
+    def vehicles_jsonl(self) -> str:
+        """Per-vehicle log: one JSON object {id, lane, entry_t, a, c, delay} per line.
+
+        Formatted by columns, with the bytes json.dumps writes per record:
+        json writes floats with float.__repr__, and every value is finite
+        (parse_config rejects non-finite entry times, _summarize non-finite
+        crossing times).
+        """
+        columns = zip(
+            (self.lane0 + 1).tolist(),
+            self.entry.tolist(),
+            self.a.tolist(),
+            self.c.tolist(),
+            self.delay.tolist(),
+        )
+        return "\n".join(
+            f'{{"id": {i}, "lane": {lane}, "entry_t": {e!r}, "a": {a!r}, '
+            f'"c": {c!r}, "delay": {d!r}}}'
+            for i, (lane, e, a, c, d) in enumerate(columns)
+        ) + "\n"
 
 
 def batch_means_ci(x: np.ndarray, n_batches: int = N_BATCHES) -> float:
@@ -249,22 +255,21 @@ def _prepare(config: RunConfig, steady_state: bool) -> Tuple[np.ndarray, np.ndar
 # ===================== kernel path =====================
 
 def run(config: RunConfig, check: bool = False, steady_state: bool = True) -> RunResult:
-    """Simulate one run through the array kernel.
+    """Simulate one run through the flat-state kernel.
 
     check=True re-verifies every scheduling invariant after each arrival
     inside the kernel (slow; used by tests and the invariant sweep).
     """
     entry, a, lane0, warmup = _prepare(config, steady_state)
     params = config.params
-    b = np.asarray(params.B, np.float64)
-    s = np.asarray(params.S, np.float64)
+    to_kernel = _kernels.to_kernel
     final_c, sum_ahead, sum_total, max_queue, fallback_count, _departed, status, status_arrival = (
         _kernels.simulate_arrivals(
-            a,
-            lane0,
+            to_kernel(a, np.float64),
+            to_kernel(lane0, np.int64),
             params.n,
-            b,
-            s,
+            to_kernel(params.B, np.float64),
+            to_kernel(params.S, np.float64),
             _KIND_CODE[config.pfa],
             config.batch_cap,
             warmup,
@@ -368,11 +373,16 @@ def run_reference(config: RunConfig, check: bool = False, steady_state: bool = T
 # ===================== sweeps =====================
 
 def _thread_count(requested: Optional[int], n_tasks: int) -> int:
+    """Sweep workers: the request, else PLATOONSIM_THREADS, else one per CPU
+    for the compiled kernel and 1 for the pure-Python one (threads holding
+    the GIL only slow it down)."""
     if requested is not None:
         return max(1, requested)
     env = os.environ.get("PLATOONSIM_THREADS", "").strip()
     if env:
         return max(1, int(env))
+    if not _kernels.USE_NUMBA:
+        return 1
     return max(1, min(n_tasks, os.cpu_count() or 1))
 
 
@@ -462,9 +472,10 @@ def sweep_rows(
     """Run a load sweep; returns run-CSV rows sorted by (rho, discipline, lane).
 
     Grid point i uses seed base_seed + i, and all disciplines at a point see
-    exactly the same arrivals. Points run in a thread pool (the compiled
-    kernel releases the GIL); row order is fixed by sorting, independent of
-    scheduling.
+    exactly the same arrivals. Points run in a thread pool when the kernel
+    is compiled (it releases the GIL) and serially otherwise, unless threads
+    or PLATOONSIM_THREADS asks for a pool; row order is fixed by sorting,
+    independent of scheduling.
     """
     for d in disciplines:
         if d not in _KIND_CODE:

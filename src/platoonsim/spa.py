@@ -219,18 +219,17 @@ def _sample_x(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     return x
 
 
-def verify_separation(leader: Trajectory, follower: Trajectory, l_min: float,
-                      tol: float = SEP_TOL, grid_dt: float = SEP_GRID_DT) -> List[str]:
-    """Spacing violations between two same-lane trajectories (empty if clean).
+def _separation_shortfalls(leader: Trajectory, follower: Trajectory, l_min: float,
+                           tol: float, grid_dt: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Times and gaps of the samples where leader.x - follower.x < l_min - tol.
 
-    Checks leader.x - follower.x >= l_min on a fixed grid plus at every
-    segment breakpoint of both trajectories, from the later entry until
-    the leader crosses.
+    Samples a fixed grid plus every segment breakpoint of both
+    trajectories, from the later entry until the leader crosses.
     """
     t_lo = max(leader.t0, follower.t0)
     t_hi = leader.t_f
     if t_hi <= t_lo:
-        return []
+        return np.empty(0), np.empty(0)
     extra = [t_hi]
     for traj in (leader, follower):
         for s in traj.segments:
@@ -239,19 +238,33 @@ def verify_separation(leader: Trajectory, follower: Trajectory, l_min: float,
                     extra.append(t)
     ts = np.unique(np.concatenate([np.arange(t_lo, t_hi, grid_dt), np.asarray(extra)]))
     gap = _sample_x(leader, ts) - _sample_x(follower, ts)
-    bad = np.nonzero(gap < l_min - tol)[0]
-    return [
-        f"separation {gap[i]:.9f} m < {l_min} m at t={ts[i]:.6f}" for i in bad
-    ]
+    bad = gap < l_min - tol
+    return ts[bad], gap[bad]
+
+
+def _separation_message(t: float, gap: float, l_min: float) -> str:
+    return f"separation {gap:.9f} m < {l_min} m at t={t:.6f}"
+
+
+def verify_separation(leader: Trajectory, follower: Trajectory, l_min: float,
+                      tol: float = SEP_TOL, grid_dt: float = SEP_GRID_DT) -> List[str]:
+    """Spacing violations between two same-lane trajectories (empty if clean).
+
+    Checks leader.x - follower.x >= l_min on a fixed grid plus at every
+    segment breakpoint of both trajectories, from the later entry until
+    the leader crosses.
+    """
+    ts, gaps = _separation_shortfalls(leader, follower, l_min, tol, grid_dt)
+    return [_separation_message(t, g, l_min) for t, g in zip(ts, gaps)]
 
 
 def _check_pred(traj: Trajectory, pred: Optional[Trajectory], params: SimParams) -> Trajectory:
     if pred is not None:
-        violations = verify_separation(pred, traj, params.l_min)
-        if violations:
+        ts, gaps = _separation_shortfalls(pred, traj, params.l_min, SEP_TOL, SEP_GRID_DT)
+        if ts.size:
             raise SeparationViolation(
-                f"vehicle {traj.vehicle_id}: {violations[0]}"
-                + (f" (+{len(violations) - 1} more)" if len(violations) > 1 else "")
+                f"vehicle {traj.vehicle_id}: {_separation_message(ts[0], gaps[0], params.l_min)}"
+                + (f" (+{ts.size - 1} more)" if ts.size > 1 else "")
             )
     return traj
 

@@ -88,6 +88,21 @@ def test_run_unstable_load_exit_code(tmp_path):
         assert cli.main(["run", "--config", str(path), "--out", out, "--transient"]) == 0
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("warmup_vehicles", -3), ("horizon_vehicles", 0), ("horizon_vehicles", -5)],
+)
+def test_run_rejects_bad_vehicle_counts(tmp_path, capsys, key, value):
+    with open(SYM) as fh:
+        cfg = json.load(fh)
+    cfg[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and key in err
+
+
 # ===================== sweep =====================
 
 def test_sweep_grid_and_reruns_are_byte_identical(tmp_path):

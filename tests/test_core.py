@@ -197,6 +197,10 @@ def test_parse_config_rejects_bad_batch_cap():
 def test_parse_config_arrivals():
     cfg = parse_config({"arrivals": [[1, 0.0], [2, 0.5], [1, 1.5]]})
     assert cfg.arrivals == [(1, 0.0), (2, 0.5), (1, 1.5)]
+    with pytest.raises(ConfigError, match="finite"):
+        parse_config({"arrivals": [[1, 0.0], [2, float("nan")]]})
+    with pytest.raises(ConfigError, match="at least one"):
+        parse_config({"arrivals": []})
     with pytest.raises(ConfigError, match="sorted"):
         parse_config({"arrivals": [[1, 1.0], [2, 0.5]]})
     with pytest.raises(ConfigError, match="lane"):

@@ -40,10 +40,12 @@ def test_paths_agree_on_heterogeneous_lanes(pfa, params_het):
     assert 0.0 <= fast.fairness <= 1.0
 
 
-@pytest.mark.parametrize("pfa", ["exhaustive", "gated"])
+@pytest.mark.parametrize("pfa", ["exhaustive", "gated", "batch"])
 def test_paths_agree_under_heavy_symmetric_load(pfa):
     params = SimParams().with_rho(0.85)
-    config = RunConfig(params=params, pfa=pfa, horizon_vehicles=6000, seed=11)
+    config = RunConfig(
+        params=params, pfa=pfa, batch_cap=8, horizon_vehicles=6000, seed=11
+    )
     assert_same_result(run(config, check=True), run_reference(config, check=True))
 
 

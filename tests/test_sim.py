@@ -7,11 +7,13 @@ third vehicle slot in behind its own-lane predecessor (0.1 s delay);
 gated has already closed that gate, so the same vehicle waits out the
 whole cross-lane platoon (7.85 s).
 """
+import json
 import math
 
 import numpy as np
 import pytest
 
+from platoonsim import _kernels
 from platoonsim.core import (
     PlatoonError,
     RunConfig,
@@ -80,7 +82,11 @@ def test_scripted_entry_offset(params):
 
 def test_vehicle_records_schema(params):
     config = RunConfig(params=params, pfa="exhaustive", arrivals=SCRIPT, seed=1)
-    recs = run(config).vehicle_records()
+    text = run(config).vehicles_jsonl()
+    assert text.endswith("\n")
+    lines = text.splitlines()
+    recs = [json.loads(line) for line in lines]
+    assert lines == [json.dumps(r) for r in recs]  # the bytes json.dumps writes
     assert len(recs) == 5
     assert set(recs[0]) == {"id", "lane", "entry_t", "a", "c", "delay"}
     assert [r["lane"] for r in recs] == [1, 2, 1, 2, 2]
@@ -215,4 +221,11 @@ def test_thread_count_resolution(monkeypatch):
     monkeypatch.setenv("PLATOONSIM_THREADS", "2")
     assert _thread_count(None, 10) == 2
     monkeypatch.delenv("PLATOONSIM_THREADS")
+    monkeypatch.setattr(_kernels, "USE_NUMBA", True)
     assert 1 <= _thread_count(None, 4) <= 4
+    # Threads only slow the pure-Python kernel: serial unless asked for.
+    monkeypatch.setattr(_kernels, "USE_NUMBA", False)
+    assert _thread_count(None, 10) == 1
+    assert _thread_count(3, 10) == 3
+    monkeypatch.setenv("PLATOONSIM_THREADS", "2")
+    assert _thread_count(None, 10) == 2
