@@ -51,7 +51,7 @@ from .polling import (
     light_traffic_delay,
     mean_queue_length,
 )
-from .sim import LaneStats, RunResult, make_arrivals, run, run_reference, sweep
+from .sim import LaneStats, RunResult, make_arrivals, run, run_reference, sweep_rows
 from .spa import (
     InfeasibleCrossingTime,
     NegativeDiscriminant,
@@ -116,7 +116,7 @@ __all__ = [
     "make_arrivals",
     "run",
     "run_reference",
-    "sweep",
+    "sweep_rows",
     # spa
     "InfeasibleCrossingTime",
     "NegativeDiscriminant",

@@ -23,7 +23,8 @@ Scheduling state is flat:
   lastsched   per lane, slot of the lane's last scheduled vehicle or -1
   gf/gt/gcnt  per-lane rings of platoon (start, end, size), ascending;
               one 1-D buffer for all lanes, entry idx of lane at
-              lane * _PCAP + idx
+              lane * pcap + idx, where pcap (a power of two) covers
+              the run's arrivals up to _PCAP
 Status codes returned instead of exceptions (numba-safe); the wrapper in
 sim raises.
 """
@@ -84,7 +85,7 @@ KIND_EXHAUSTIVE = 0
 KIND_GATED = 1
 KIND_BATCH = 2
 
-_PCAP = 1 << 14  # per-lane platoon ring capacity (power of two)
+_PCAP = 1 << 14  # largest per-lane platoon ring capacity (power of two)
 
 
 @_jit
@@ -109,12 +110,13 @@ def _vshift_after(cs, head, tail, anchor, delta):
 
 
 @_jit
-def _gshift_after(gf, gt, gh, glen, n, mask, anchor, delta):
+def _gshift_after(gf, gt, gh, glen, n, pcap, anchor, delta):
     """Shift every platoon whose start is strictly after the anchor."""
+    mask = pcap - 1
     for lane in range(n):
         k = glen[lane] - 1
         while k >= 0:  # entries ascend by start; walk the suffix only
-            idx = lane * _PCAP + ((gh[lane] + k) & mask)
+            idx = lane * pcap + ((gh[lane] + k) & mask)
             if gf[idx] > anchor:
                 gf[idx] += delta
                 gt[idx] += delta
@@ -124,11 +126,12 @@ def _gshift_after(gf, gt, gh, glen, n, mask, anchor, delta):
 
 
 @_jit
-def _lands_on_start(gf, gh, glen, n, mask, c):
+def _lands_on_start(gf, gh, glen, n, pcap, c):
     """True if some live platoon starts exactly (within TIE_TOL) at c."""
+    mask = pcap - 1
     for lane in range(n):
         for k in range(glen[lane]):
-            f = gf[lane * _PCAP + ((gh[lane] + k) & mask)]
+            f = gf[lane * pcap + ((gh[lane] + k) & mask)]
             if abs(f - c) <= TIE_TOL:
                 return True
             if f > c + TIE_TOL:
@@ -164,11 +167,17 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
     ld_c = 0.0
     ld_lane = -1  # -1: nothing has ever departed
 
-    mask = _PCAP - 1
+    # A lane never holds more live platoons than the run has arrivals, so
+    # each ring needs at most min(N, _PCAP) slots, rounded up to a power
+    # of two for the index mask.
+    pcap = 1
+    while pcap < N and pcap < _PCAP:
+        pcap *= 2
+    mask = pcap - 1
     if kind == KIND_EXHAUSTIVE:
         ring = 1  # exhaustive keeps no platoons; a placeholder keeps types stable
     else:
-        ring = n * _PCAP
+        ring = n * pcap
     gf = _buf(ring, 0.0)
     gt = _buf(ring, 0.0)
     gcnt = _buf(ring, 0)
@@ -202,7 +211,7 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
                 if kind != KIND_EXHAUSTIVE:
                     if glen[d0] == 0:
                         return final_c, sum_ahead, sum_total, max_queue, fallback_count, departed, ERR_GATE_BOOKKEEPING, k
-                    idx = d0 * _PCAP + (gh[d0] & mask)
+                    idx = d0 * pcap + (gh[d0] & mask)
                     if cs[head] > gt[idx] + TIE_TOL:
                         return final_c, sum_ahead, sum_total, max_queue, fallback_count, departed, ERR_GATE_BOOKKEEPING, k
                     if abs(cs[head] - gt[idx]) <= TIE_TOL:
@@ -302,13 +311,13 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
             # Join: earliest own-lane platoon whose start is still ahead.
             any_joinable = False
             for k2 in range(glen[d]):
-                idx = d * _PCAP + ((gh[d] + k2) & mask)
+                idx = d * pcap + ((gh[d] + k2) & mask)
                 if gf[idx] > a:
                     any_joinable = True
                     if kind == KIND_GATED or gcnt[idx] < cap:
                         anchor = gt[idx]
                         _vshift_after(cs, head, tail, anchor, b_d)
-                        _gshift_after(gf, gt, gh, glen, n, mask, anchor, b_d)
+                        _gshift_after(gf, gt, gh, glen, n, pcap, anchor, b_d)
                         c0 = anchor + b_d
                         gt[idx] = c0
                         gcnt[idx] += 1
@@ -319,16 +328,16 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
                 # Every joinable platoon is full: open a fresh platoon
                 # behind the lane's last one (forced switch, full
                 # occupation-plus-clearance).
-                idx = d * _PCAP + ((gh[d] + glen[d] - 1) & mask)
+                idx = d * pcap + ((gh[d] + glen[d] - 1) & mask)
                 anchor = gt[idx]
                 unit = b_d + s_d
                 gap = B[d] + s_d
                 c0 = anchor + gap
                 delta = unit
-                if _lands_on_start(gf, gh, glen, n, mask, c0):
+                if _lands_on_start(gf, gh, glen, n, pcap, c0):
                     delta = 2.0 * unit
                 _vshift_after(cs, head, tail, anchor, delta)
-                _gshift_after(gf, gt, gh, glen, n, mask, anchor, delta)
+                _gshift_after(gf, gt, gh, glen, n, pcap, anchor, delta)
                 newp = True
                 done = True
 
@@ -347,7 +356,7 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
                     lane = order[oi]
                     gap = B[lane] + s_d
                     for k2 in range(glen[lane]):
-                        idx = lane * _PCAP + ((gh[lane] + k2) & mask)
+                        idx = lane * pcap + ((gh[lane] + k2) & mask)
                         te = gt[idx]
                         if te + gap > a:
                             p = _bisect_gt(cs, head, tail, te)
@@ -355,10 +364,10 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
                                 unit = b_d + s_d
                                 c0 = te + gap
                                 delta = unit
-                                if _lands_on_start(gf, gh, glen, n, mask, c0):
+                                if _lands_on_start(gf, gh, glen, n, pcap, c0):
                                     delta = 2.0 * unit
                                 _vshift_after(cs, head, tail, te, delta)
-                                _gshift_after(gf, gt, gh, glen, n, mask, te, delta)
+                                _gshift_after(gf, gt, gh, glen, n, pcap, te, delta)
                                 newp = True
                                 done = True
                                 break
@@ -375,13 +384,13 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
                 done = True
 
         if newp and kind != KIND_EXHAUSTIVE:
-            if glen[d] == _PCAP:
+            if glen[d] == pcap:
                 return final_c, sum_ahead, sum_total, max_queue, fallback_count, departed, ERR_GATE_OVERFLOW, k
             if glen[d] > 0:
-                last_idx = d * _PCAP + ((gh[d] + glen[d] - 1) & mask)
+                last_idx = d * pcap + ((gh[d] + glen[d] - 1) & mask)
                 if c0 <= gt[last_idx]:
                     return final_c, sum_ahead, sum_total, max_queue, fallback_count, departed, ERR_GATE_BOOKKEEPING, k
-            idx = d * _PCAP + ((gh[d] + glen[d]) & mask)
+            idx = d * pcap + ((gh[d] + glen[d]) & mask)
             gf[idx] = c0
             gt[idx] = c0
             gcnt[idx] = 1
@@ -449,7 +458,7 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
                 for lane in range(n):
                     prev_t = -np.inf
                     for k2 in range(glen[lane]):
-                        idx = lane * _PCAP + ((gh[lane] + k2) & mask)
+                        idx = lane * pcap + ((gh[lane] + k2) & mask)
                         if gf[idx] > gt[idx]:
                             ok = False
                         if gf[idx] <= prev_t:

@@ -10,8 +10,10 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import math
 import os
 import sys
+from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from .core import (
@@ -80,8 +82,10 @@ def _parse_rho_grid(text: str) -> List[float]:
         lo, hi, step = (float(p) for p in parts)
     except ValueError as exc:
         raise ConfigError(f"--rho must be numeric A:B:STEP: {exc}") from exc
-    if step <= 0 or hi < lo:
-        raise ConfigError(f"--rho needs STEP > 0 and B >= A, got {text!r}")
+    if not all(math.isfinite(x) for x in (lo, hi, step)):
+        raise ConfigError(f"--rho must be finite, got {text!r}")
+    if step <= 0 or hi < lo or lo <= 0:
+        raise ConfigError(f"--rho needs A > 0, B >= A and STEP > 0, got {text!r}")
     count = int((hi - lo) / step + 1e-9) + 1
     return [round(lo + i * step, 10) for i in range(count)]
 
@@ -108,22 +112,14 @@ def _apply_asymmetric(params: SimParams) -> SimParams:
     total = params.rho
     lam1 = 3.0 * total / (4.0 * params.B[0])
     lam2 = total / (4.0 * params.B[1])
-    return SimParams(
-        n=params.n,
-        lam=(lam1, lam2),
-        B=params.B,
-        S=params.S,
-        v_max=params.v_max,
-        a_max=params.a_max,
-        l_min=params.l_min,
-        region_pfa_m=params.region_pfa_m,
-        region_spa_m=params.region_spa_m,
-    )
+    return replace(params, lam=(lam1, lam2))
 
 
 def _load(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config)
     if args.seed is not None:
+        if args.seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
         cfg.seed = args.seed
     if getattr(args, "asymmetric", False):
         cfg.params = _apply_asymmetric(cfg.params)

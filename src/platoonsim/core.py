@@ -12,7 +12,7 @@ import bisect
 import json
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import List, Optional, Sequence, Tuple, Union
 
 __all__ = [
@@ -138,17 +138,7 @@ class SimParams:
         if cur <= 0.0:
             raise NonPositiveParameter("cannot rescale arrival rates from zero load")
         scale = rho / cur
-        return SimParams(
-            n=self.n,
-            lam=tuple(l * scale for l in self.lam),
-            B=self.B,
-            S=self.S,
-            v_max=self.v_max,
-            a_max=self.a_max,
-            l_min=self.l_min,
-            region_pfa_m=self.region_pfa_m,
-            region_spa_m=self.region_spa_m,
-        )
+        return replace(self, lam=tuple(l * scale for l in self.lam))
 
 
 def validate_params(params: SimParams, steady_state: bool = True) -> SimParams:
@@ -329,26 +319,62 @@ _CONFIG_KEYS = {
 }
 
 
+def _number(value: object, name: str) -> float:
+    """A JSON number as a float; bools, strings and nulls are refused."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        return float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} is out of range: {exc}") from exc
+
+
+def _integer(value: object, name: str) -> int:
+    """A JSON integer; an integral float (1e5) counts, 2.7 and true do not."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
+def _numbers(value: object, name: str) -> Tuple[float, ...]:
+    """A JSON list of numbers as a tuple of floats."""
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_number(x, f"{name} entry") for x in value)
+
+
 def parse_config(data: dict) -> RunConfig:
-    """Build a RunConfig from a decoded JSON object (strict about keys)."""
+    """Build a RunConfig from a decoded JSON object (strict about keys and types).
+
+    Every malformed value raises ConfigError.
+    """
+    if not isinstance(data, dict):
+        raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    params_kwargs = {}
-    if "n" in data:
-        params_kwargs["n"] = int(data["n"])
+    params_kwargs: dict = {}
+    n = _integer(data["n"], "n") if "n" in data else SimParams.n
+    if n < 1:
+        raise ConfigError(f"n must be >= 1, got {n}")
+    params_kwargs["n"] = n
     if "lambda" in data:
-        params_kwargs["lam"] = tuple(float(x) for x in data["lambda"])
+        params_kwargs["lam"] = _numbers(data["lambda"], "lambda")
+    lam = params_kwargs.get("lam", SimParams.lam)
+    if len(lam) != n:
+        raise ConfigError(f"lambda must have n={n} entries, got {len(lam)}")
     for key in ("B", "S"):
         if key in data:
-            params_kwargs[key] = data[key]
+            value = data[key]
+            params_kwargs[key] = (
+                _numbers(value, key) if isinstance(value, (list, tuple)) else _number(value, key)
+            )
     for key in ("v_max", "a_max", "l_min", "region_pfa_m", "region_spa_m"):
         if key in data:
-            params_kwargs[key] = float(data[key])
-    try:
-        params = SimParams(**params_kwargs)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad parameter value: {exc}") from exc
+            params_kwargs[key] = _number(data[key], key)
+    params = SimParams(**params_kwargs)
 
     cfg = RunConfig(params=params)
     if "pfa" in data:
@@ -356,26 +382,35 @@ def parse_config(data: dict) -> RunConfig:
             raise ConfigError(f"pfa must be one of {_PFA_KINDS}, got {data['pfa']!r}")
         cfg.pfa = data["pfa"]
     if "batch_cap" in data:
-        cap = int(data["batch_cap"])
+        cap = _integer(data["batch_cap"], "batch_cap")
         if cap < 1:
             raise ConfigError(f"batch_cap must be >= 1, got {cap}")
         cfg.batch_cap = cap
     if "horizon_vehicles" in data:
-        horizon = int(data["horizon_vehicles"])
+        horizon = _integer(data["horizon_vehicles"], "horizon_vehicles")
         if horizon < 1:
             raise ConfigError(f"horizon_vehicles must be >= 1, got {horizon}")
         cfg.horizon_vehicles = horizon
     if "warmup_vehicles" in data:
-        warmup = int(data["warmup_vehicles"])
+        warmup = _integer(data["warmup_vehicles"], "warmup_vehicles")
         if warmup < 0:
             raise ConfigError(f"warmup_vehicles must be >= 0, got {warmup}")
         cfg.warmup_vehicles = warmup
     if "seed" in data:
-        cfg.seed = int(data["seed"])
+        seed = _integer(data["seed"], "seed")
+        if seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {seed}")
+        cfg.seed = seed
     if "arrivals" in data:
+        items = data["arrivals"]
+        if not isinstance(items, (list, tuple)):
+            raise ConfigError(f"arrivals must be a list of [lane, entry time] pairs, got {items!r}")
         arr = []
-        for item in data["arrivals"]:
-            lane, entry_t = int(item[0]), float(item[1])
+        for item in items:
+            if not (isinstance(item, (list, tuple)) and len(item) == 2):
+                raise ConfigError(f"arrival must be a [lane, entry time] pair, got {item!r}")
+            lane = _integer(item[0], "arrival lane")
+            entry_t = _number(item[1], "arrival entry time")
             if not 1 <= lane <= params.n:
                 raise ConfigError(f"arrival lane {lane} outside 1..{params.n}")
             if not math.isfinite(entry_t):

@@ -42,7 +42,6 @@ __all__ = [
     "batch_means_ci",
     "run",
     "run_reference",
-    "sweep",
     "sweep_rows",
     "RUN_CSV_HEADER",
 ]
@@ -500,15 +499,3 @@ def sweep_rows(
     rows.sort(key=lambda r: (r["rho"], r["discipline"], _lane_sort_key(r["lane"])))
     return rows
 
-
-def sweep(
-    base: SimParams,
-    rhos: Sequence[float],
-    disciplines: Sequence[str] = ("exhaustive", "gated", "batch"),
-    horizon: int = 100_000,
-    base_seed: int = 1,
-    batch_cap: int = 100,
-    threads: Optional[int] = None,
-) -> List[Dict[str, object]]:
-    """Alias of sweep_rows with the shipped experiment defaults."""
-    return sweep_rows(base, rhos, disciplines, horizon, base_seed, batch_cap, threads)

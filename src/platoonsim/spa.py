@@ -18,6 +18,12 @@ crossing gap matches B.
 
 oracle_min is a brute-force discretized search over the same profile
 family, used by the tests to confirm the closed forms are optimal.
+
+write_segments_csv exports the exact segments of a plan, and
+write_sampled_csv samples it at a fixed step for plotting. The sampler
+works on one trajectory at a time with numpy (running-sum sample times,
+a sorted segment lookup, evaluate's formulas on arrays) and writes the
+same bytes as calling evaluate per sample and csv.writer per row.
 """
 from __future__ import annotations
 
@@ -685,16 +691,79 @@ def write_segments_csv(trajectories: Sequence[Trajectory], path: str) -> None:
                             f"{s.x_start:.10g}", f"{s.v_start:.10g}"])
 
 
+def _sample_times(t0: float, t_f: float, dt: float) -> np.ndarray:
+    """t0, t0 + dt, ... while below t_f - 1e-12, then t_f itself.
+
+    The times are running sums (t += dt, in order), not t0 + k * dt, so
+    each one has the bits a scalar loop would give.
+    """
+    stop = t_f - 1e-12
+    n = max(int((stop - t0) / dt), 0) + 3  # the estimate plus rounding slack
+    ts = np.full(n, dt, dtype=np.float64)
+    ts[0] = t0
+    np.cumsum(ts, out=ts)
+    while ts[-1] < stop:  # rounding drift outran the estimate: sum on
+        more = np.full(n + 1, dt, dtype=np.float64)
+        more[0] = ts[-1]
+        np.cumsum(more, out=more)
+        if more[-1] == ts[-1]:
+            raise ValueError(f"step dt={dt} does not advance t={ts[-1]}")
+        ts = np.concatenate((ts, more[1:]))
+    k = int(ts.searchsorted(stop))  # ts ascends: the count of ts < stop
+    ts = ts[:k + 1]
+    ts[k] = t_f
+    return ts
+
+
+def _sampled_rows(traj: Trajectory, dt: float) -> str:
+    """One trajectory's rows of the sampled table, as evaluate gives them."""
+    if traj.t_f < traj.t0 - FEAS_TOL:
+        raise OutOfDomain(f"t={traj.t_f} outside [{traj.t0}, {traj.t_f}]")
+    segs = traj.segments
+    ts = _sample_times(traj.t0, traj.t_f, dt)
+    table = np.array(
+        [(s.t_start, s.duration, s.accel, s.x_start, s.v_start) for s in segs], dtype=np.float64
+    )
+    # evaluate's choice: segment j takes the times from its start up to the
+    # next segment's start; the first also takes any time before its start.
+    bounds = np.concatenate(([0], ts.searchsorted(table[1:, 0]), [ts.size]))
+    t_start, duration, accel, x_start, v_start = table.repeat(np.diff(bounds), axis=0).T
+    # min(max(t - t_start, 0), duration) with Python's tie and NaN rules.
+    d = ts - t_start
+    d = np.where(0.0 > d, 0.0, d)
+    d = np.where(duration < d, duration, d)
+    x = x_start + v_start * d + 0.5 * accel * d * d
+    v = v_start + accel * d
+    # A segment's rows share its acceleration cell, and its speed cell too
+    # when the speed keeps its bits (no acceleration): both formatted once.
+    t_l, x_l, v_l = ts.tolist(), x.tolist(), v.tolist()
+    v_bits = v.view(np.int64)
+    head = f"{traj.vehicle_id},%.10g,%.10g,"
+    parts: List[str] = []
+    cuts = bounds.tolist()
+    for seg, lo, hi in zip(segs, cuts, cuts[1:]):
+        if lo == hi:
+            continue
+        tail = f",{seg.accel:.10g}\r\n"
+        if (v_bits[lo:hi] == v_bits[lo]).all():
+            rows = map(f"{head}{v_l[lo]:.10g}{tail}".__mod__, zip(t_l[lo:hi], x_l[lo:hi]))
+        else:
+            rows = map(f"{head}%.10g{tail}".__mod__, zip(t_l[lo:hi], x_l[lo:hi], v_l[lo:hi]))
+        parts.extend(rows)
+    return "".join(parts)
+
+
 def write_sampled_csv(trajectories: Sequence[Trajectory], path: str, dt: float = 0.1) -> None:
-    """Sampled table for plotting: vehicle_id, t, x, v, a at a fixed step."""
+    """Sampled table for plotting: vehicle_id, t, x, v, a at a fixed step.
+
+    Per trajectory the rows are the times t0, t0 + dt, ... below t_f, then
+    t_f, each with evaluate's (x, v, a); cells are 10-significant-digit
+    floats and rows end in \\r\\n, as csv.writer writes them. The rows are
+    computed with numpy and written one trajectory at a time.
+    """
+    if not dt > 0.0:
+        raise ValueError(f"dt must be > 0, got {dt}")
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vehicle_id", "t", "x", "v", "a"])
+        fh.write("vehicle_id,t,x,v,a\r\n")
         for traj in trajectories:
-            t = traj.t0
-            while t < traj.t_f - 1e-12:
-                x, v, a = evaluate(traj, t)
-                w.writerow([traj.vehicle_id, f"{t:.10g}", f"{x:.10g}", f"{v:.10g}", f"{a:.10g}"])
-                t += dt
-            x, v, a = evaluate(traj, traj.t_f)
-            w.writerow([traj.vehicle_id, f"{traj.t_f:.10g}", f"{x:.10g}", f"{v:.10g}", f"{a:.10g}"])
+            fh.write(_sampled_rows(traj, dt))

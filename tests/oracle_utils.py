@@ -1,16 +1,19 @@
 """Shared audit helpers for the trajectory planners.
 
-Two jobs, both reused by the acceptance suite:
+Three jobs:
 
 * draw random feasible planning instances and compare the closed-form
   planners against the brute-force grid search,
 * audit planned trajectories for boundary conditions, speed and
   acceleration bounds, distance closure, and pairwise separation,
   using exact per-segment checks instead of dense sampling wherever
-  the piecewise form allows it.
+  the piecewise form allows it,
+* write the sampled trajectory table one evaluate call and one
+  csv.writer row per sample, the reference for spa.write_sampled_csv.
 """
 from __future__ import annotations
 
+import csv
 import math
 from typing import Dict, List, Sequence, Tuple
 
@@ -23,6 +26,7 @@ from platoonsim.spa import (
     TrajectoryError,
     accel_cost,
     area,
+    evaluate,
     oracle_min,
     plan_min_accel,
     plan_min_distance,
@@ -250,3 +254,22 @@ def audit_separation(
                     )
         last_in_lane[lane] = traj
     return bad
+
+
+def write_sampled_csv_reference(
+    trajectories: Sequence[Trajectory], path: str, dt: float = 0.1
+) -> None:
+    """The sampled table by a scalar loop: t += dt below t_f, then t_f."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["vehicle_id", "t", "x", "v", "a"])
+        for traj in trajectories:
+            t = traj.t0
+            while t < traj.t_f - 1e-12:
+                x, v, a = evaluate(traj, t)
+                w.writerow([traj.vehicle_id, f"{t:.10g}", f"{x:.10g}", f"{v:.10g}", f"{a:.10g}"])
+                t += dt
+            x, v, a = evaluate(traj, traj.t_f)
+            w.writerow(
+                [traj.vehicle_id, f"{traj.t_f:.10g}", f"{x:.10g}", f"{v:.10g}", f"{a:.10g}"]
+            )

@@ -103,6 +103,33 @@ def test_run_rejects_bad_vehicle_counts(tmp_path, capsys, key, value):
     assert err.count("\n") == 1 and key in err
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("n", True, "n must be an integer"),
+        ("n", 2.7, "n must be an integer"),
+        ("lambda", ["x", 0.1], "lambda entry must be a number"),
+        ("arrivals", [[1]], "[lane, entry time] pair"),
+        ("arrivals", [["a", 1.0]], "arrival lane must be an integer"),
+        ("seed", -1, "seed must be >= 0"),
+    ],
+)
+def test_run_rejects_malformed_config_values(tmp_path, capsys, key, value, message):
+    with open(SYM) as fh:
+        cfg = json.load(fh)
+    cfg[key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and message in err
+
+
+def test_negative_seed_override_is_usage_error(tmp_path, capsys):
+    assert cli.main(["run", "--config", SYM, "--out", str(tmp_path), "--seed", "-4"]) == 2
+    assert capsys.readouterr().err == "error: --seed must be >= 0, got -4\n"
+
+
 # ===================== sweep =====================
 
 def test_sweep_grid_and_reruns_are_byte_identical(tmp_path):
@@ -141,9 +168,14 @@ def test_sweep_asymmetric_split(tmp_path):
     assert float(lane["1"]["approx_delay"]) < float(lane["2"]["approx_delay"])
 
 
-@pytest.mark.parametrize("grid", ["0.5", "0.5:0.4:0.1", "0.2:0.4:0", "a:b:c"])
-def test_bad_rho_grid_is_usage_error(tmp_path, grid):
-    assert cli.main(["sweep", "--config", SYM, "--out", str(tmp_path), "--rho", grid]) == 2
+@pytest.mark.parametrize(
+    "grid", ["0.5", "0.5:0.4:0.1", "0.2:0.4:0", "a:b:c", "0:0.5:0.1", "-0.1:0.5:0.1",
+             "nan:0.5:0.1", "0.1:inf:0.1"]
+)
+def test_bad_rho_grid_is_usage_error(tmp_path, capsys, grid):
+    for command in ("sweep", "approx"):
+        assert cli.main([command, "--config", SYM, "--out", str(tmp_path), f"--rho={grid}"]) == 2
+        assert capsys.readouterr().err.count("\n") == 1
 
 
 # ===================== approx =====================

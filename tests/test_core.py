@@ -3,13 +3,16 @@ import json
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from platoonsim.core import (
+    _CONFIG_KEYS,
     ConfigError,
     GateBook,
     InconsistentGateBook,
     NonPositiveParameter,
     PlatoonEntry,
+    RunConfig,
     SClearanceBelowB,
     Schedule,
     SimParams,
@@ -205,6 +208,71 @@ def test_parse_config_arrivals():
         parse_config({"arrivals": [[1, 1.0], [2, 0.5]]})
     with pytest.raises(ConfigError, match="lane"):
         parse_config({"arrivals": [[3, 0.0]]})
+
+
+@pytest.mark.parametrize(
+    "data,message",
+    [
+        ({"n": True}, "n must be an integer"),
+        ({"n": 2.7}, "n must be an integer"),
+        ({"n": 0, "lambda": []}, "n must be >= 1"),
+        ({"n": 3}, "lambda must have n=3 entries"),
+        ({"lambda": ["x", 0.1]}, "lambda entry must be a number"),
+        ({"lambda": 0.5}, "lambda must be a list"),
+        ({"B": [1.0, None]}, "B entry must be a number"),
+        ({"S": "wide"}, "S must be a number"),
+        ({"v_max": "fast"}, "v_max must be a number"),
+        ({"a_max": 10 ** 400}, "a_max is out of range"),
+        ({"batch_cap": 2.5}, "batch_cap must be an integer"),
+        ({"horizon_vehicles": None}, "horizon_vehicles must be an integer"),
+        ({"seed": -1}, "seed must be >= 0"),
+        ({"seed": "7"}, "seed must be an integer"),
+        ({"arrivals": 5}, "arrivals must be a list"),
+        ({"arrivals": [[1]]}, "[lane, entry time] pair"),
+        ({"arrivals": [[1, 0.0, 2]]}, "[lane, entry time] pair"),
+        ({"arrivals": [["a", 1.0]]}, "arrival lane must be an integer"),
+        ({"arrivals": [[1, "soon"]]}, "arrival entry time must be a number"),
+    ],
+)
+def test_parse_config_rejects_malformed_values(data, message):
+    with pytest.raises(ConfigError) as info:
+        parse_config(data)
+    assert message in str(info.value)
+
+
+def test_parse_config_accepts_integral_floats():
+    cfg = parse_config({"n": 2.0, "horizon_vehicles": 1e5, "seed": 0, "arrivals": [[2.0, 1.5]]})
+    assert cfg.params.n == 2 and isinstance(cfg.params.n, int)
+    assert cfg.horizon_vehicles == 100_000 and isinstance(cfg.horizon_vehicles, int)
+    assert cfg.seed == 0
+    assert cfg.arrivals == [(2, 1.5)]
+
+
+_json_scalars = st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=10,
+)
+_config_values = (
+    _json_values
+    | st.integers(min_value=-2, max_value=4)
+    | st.lists(st.floats(min_value=-1.0, max_value=3.0) | st.integers(-1, 3), max_size=4)
+    | st.lists(st.lists(st.integers(0, 3) | st.floats(-1.0, 50.0), min_size=1, max_size=3),
+               max_size=4)
+)
+
+
+@given(st.dictionaries(st.sampled_from(sorted(_CONFIG_KEYS)) | st.text(max_size=3),
+                       _config_values, max_size=6))
+@settings(max_examples=400, deadline=None)
+def test_parse_config_parses_or_raises_config_error(data):
+    data = json.loads(json.dumps(data))  # exactly what a config file decodes to
+    try:
+        cfg = parse_config(data)
+    except ConfigError:
+        return
+    assert isinstance(cfg, RunConfig)
 
 
 def test_load_config_roundtrip(tmp_path):

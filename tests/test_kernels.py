@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from platoonsim import _kernels
-from platoonsim.core import RunConfig, SimParams
+from platoonsim.core import InconsistentGateBook, RunConfig, SimParams
 from platoonsim.sim import make_arrivals, run, run_reference
 
 
@@ -53,6 +53,22 @@ def test_paths_agree_on_scripted_arrivals(params):
     arrivals = [[1, 0.0], [2, 0.3], [1, 0.9], [2, 2.0], [2, 2.5], [1, 2.6], [2, 9.0]]
     config = RunConfig(params=params, pfa="gated", arrivals=arrivals, seed=1)
     assert_same_result(run(config, check=True), run_reference(config, check=True))
+
+
+def test_platoon_rings_fill_to_capacity(monkeypatch, params):
+    # batch_cap=1 makes every vehicle its own platoon, so k arrivals 0.1 s
+    # apart in one lane hold k live platoons at once.
+    def queue(k):
+        arrivals = [[1, 0.1 * i] for i in range(k)]
+        return RunConfig(params=params, pfa="batch", batch_cap=1, arrivals=arrivals, seed=1)
+
+    # Four arrivals get rings of four slots per lane, filled exactly.
+    assert_same_result(run(queue(4), check=True), run_reference(queue(4), check=True))
+    if _kernels.USE_NUMBA:
+        pytest.skip("the compiled kernel fixed _PCAP when it was compiled")
+    monkeypatch.setattr(_kernels, "_PCAP", 4)  # rings of four platoons at most
+    with pytest.raises(InconsistentGateBook, match="ring overflow at arrival 4"):
+        run(queue(5))
 
 
 def test_pure_python_twin_is_bitwise_identical(params):

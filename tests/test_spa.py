@@ -19,7 +19,8 @@ import math
 
 import pytest
 
-from platoonsim.core import SimParams, Vehicle
+from platoonsim.core import RunConfig, SimParams, Vehicle
+from platoonsim.sim import run_reference
 from platoonsim.spa import (
     InfeasibleCrossingTime,
     NegativeDiscriminant,
@@ -27,6 +28,8 @@ from platoonsim.spa import (
     OvercrowdingViolation,
     SeparationViolation,
     SingleDipViolation,
+    Trajectory,
+    _build_segments,
     accel_cost,
     area,
     check_overcrowding,
@@ -38,6 +41,8 @@ from platoonsim.spa import (
     write_sampled_csv,
     write_segments_csv,
 )
+
+from oracle_utils import make_physical_arrivals, write_sampled_csv_reference
 
 T_TILDE = math.sqrt(12.5)
 
@@ -307,3 +312,76 @@ def test_sampled_export_shape(tmp_path, params):
         assert ts[-1] == pytest.approx(traj.t_f)
         xs = [float(r["x"]) for r in rows if int(r["vehicle_id"]) == vid]
         assert xs[-1] == pytest.approx(0.0, abs=1e-6)
+
+
+# ===================== sampled export against the scalar reference =====================
+
+def sampled_bytes(write, trajectories, tmp_path, dt):
+    path = tmp_path / f"{write.__name__}.csv"
+    write(trajectories, str(path), dt)
+    return path.read_bytes()
+
+
+def assert_sampled_matches_reference(trajectories, tmp_path, dt):
+    got = sampled_bytes(write_sampled_csv, trajectories, tmp_path, dt)
+    assert got == sampled_bytes(write_sampled_csv_reference, trajectories, tmp_path, dt)
+    return got
+
+
+def gated_schedule():
+    """300 physically spaced gated crossings at rho 0.4 (seed 77)."""
+    params = SimParams().with_rho(0.4)
+    arrivals = make_physical_arrivals(params, 300, seed=77)
+    res = run_reference(RunConfig(params=params, pfa="gated", arrivals=arrivals, seed=1))
+    vehicles = [
+        Vehicle(id=i, lane=int(res.lane0[i]) + 1, a=float(res.a[i]), c=float(res.c[i]))
+        for i in range(res.a.size)
+    ]
+    return vehicles, params
+
+
+@pytest.mark.parametrize("kind", ["min-distance", "min-accel"])
+@pytest.mark.parametrize("dt", [0.1, 0.5])
+def test_sampled_export_matches_reference_with_refusals(tmp_path, kind, dt):
+    vehicles, params = gated_schedule()
+    planned = plan_schedule(vehicles, params, kind=kind, best_effort=True)
+    assert planned.failures  # the refused vehicles drop out of the table
+    assert_sampled_matches_reference(planned.trajectories, tmp_path, dt)
+
+
+def test_sampled_export_on_segment_starts(tmp_path):
+    # dt = 0.5 and every segment start are exact binary fractions, so
+    # samples land on the starts and must take the segment starting there.
+    pieces = [(1.0, 0.0), (2.0, -2.0), (1.5, 0.0), (1.0, 3.0)]
+    traj = Trajectory(t0=0.0, t_f=5.5, x0=-30.0, v0=10.0,
+                      segments=_build_segments(0.0, -30.0, 10.0, pieces),
+                      t_full=5.5, vehicle_id=7)
+    text = assert_sampled_matches_reference([traj], tmp_path, 0.5).decode()
+    rows = {r["t"]: r for r in csv.DictReader(text.splitlines())}
+    assert [rows[t]["a"] for t in ("0", "1", "3", "4.5", "5.5")] == ["0", "-2", "0", "3", "3"]
+
+
+def test_sampled_export_degenerate_single_segment(tmp_path):
+    segments = _build_segments(12.0, -40.0, 15.0, [(0.0, -4.0), (1e-13, 4.0)])
+    assert len(segments) == 1 and segments[0].duration == 0.0
+    point = Trajectory(t0=12.0, t_f=12.0, x0=-40.0, v0=15.0, segments=segments, t_full=12.0)
+    held = Trajectory(t0=12.0, t_f=13.0, x0=-40.0, v0=15.0, segments=segments, t_full=13.0)
+    text = assert_sampled_matches_reference([point, held], tmp_path, 0.1).decode()
+    assert text.count("\r\n") == 1 + 1 + 11  # header, the crossing, 10 steps + t_f
+    backwards = Trajectory(t0=12.0, t_f=11.0, x0=-40.0, v0=15.0, segments=segments, t_full=11.0)
+    for write in (write_sampled_csv, write_sampled_csv_reference):
+        with pytest.raises(OutOfDomain):
+            write([backwards], str(tmp_path / "backwards.csv"), 0.1)
+
+
+def test_sampled_export_follows_running_sum_drift(tmp_path):
+    # At t = 2**20 one ulp is 2**-32; a step of 1.4 ulp advances t by one
+    # ulp, so the running sum needs 100 steps where t_f - t0 = 71.4 dt.
+    t0 = 2.0 ** 20
+    span = 100 * 2.0 ** -32
+    traj = Trajectory(t0=t0, t_f=t0 + span, x0=-1.0, v0=1.0,
+                      segments=_build_segments(t0, -1.0, 1.0, [(span, 0.0)]), t_full=t0 + span)
+    text = assert_sampled_matches_reference([traj], tmp_path, 1.4 * 2.0 ** -32).decode()
+    assert text.count("\r\n") == 1 + 101
+    with pytest.raises(ValueError, match="does not advance"):
+        write_sampled_csv([traj], str(tmp_path / "stuck.csv"), dt=0.4 * 2.0 ** -32)
