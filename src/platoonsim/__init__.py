@@ -10,7 +10,7 @@ Subpackages by role:
   oracle, feasibility checks, CSV export.
 - polling: light/heavy-traffic mean-delay limits and the interpolation
   between them, per lane and discipline.
-- sim: discrete-event runs (compiled kernel + reference path), arrival
+- sim: discrete-event runs (list-based kernel + reference path), arrival
   streams, batch-means statistics, load sweeps.
 - cli: the `platoonsim` command (run / sweep / approx / traj).
 """
@@ -19,7 +19,6 @@ from .core import (
     DepartureOutOfOrder,
     GateBook,
     InconsistentGateBook,
-    NoInsertionPoint,
     NonPositiveParameter,
     PlatoonEntry,
     PlatoonError,
@@ -81,7 +80,6 @@ __all__ = [
     "DepartureOutOfOrder",
     "GateBook",
     "InconsistentGateBook",
-    "NoInsertionPoint",
     "NonPositiveParameter",
     "PlatoonEntry",
     "PlatoonError",

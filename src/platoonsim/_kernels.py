@@ -1,137 +1,53 @@
-"""Flat-state kernel for the simulator's hot loop.
+"""Scheduling kernel: the simulator's hot loop in plain Python.
 
 The scheduling recurrence is inherently sequential (every insertion
-depends on all prior state), so the fast path is a scalar loop, not
-vectorized numpy. One kernel body runs two ways, chosen at import:
+depends on all prior state), so the kernel is a scalar loop over Python
+lists of floats and ints; list.insert and bisect move and search the
+lists in C. It implements the disciplines of the object-level reference
+in pfa with the same floating-point operations in the same order, so its
+schedules are bit-identical to pfa's, which the test suite verifies.
 
-- with numba present the kernel is @njit-compiled (nogil, cached) and
-  its buffers and inputs are 1-D float64/int64 numpy arrays;
-- without numba, or with PLATOONSIM_NO_NUMBA=1, it runs as plain Python
-  over Python lists of floats and ints, because indexing a numpy array
-  from Python boxes a numpy scalar per element and routes every
-  operation through numpy's scalar arithmetic.
-
-_buf allocates every buffer and to_kernel converts the inputs for the
-chosen path. IEEE-754 + - *, comparisons and abs give the same bits on
-Python floats as on float64, so both paths produce bit-identical
-schedules, which the test suite verifies against the object-level
-reference in pfa.
-
-Scheduling state is flat:
-  cs/ln/ai    crossing time, lane, arrival index per slot; live slots are
-              [head, tail), sorted by crossing time
-  lastsched   per lane, slot of the lane's last scheduled vehicle or -1
-  gf/gt/gcnt  per-lane rings of platoon (start, end, size), ascending;
-              one 1-D buffer for all lanes, entry idx of lane at
-              lane * pcap + idx, where pcap (a power of two) covers
-              the run's arrivals up to _PCAP
-Status codes returned instead of exceptions (numba-safe); the wrapper in
-sim raises.
+Scheduling state:
+  cs/ln/ai   crossing time, 0-based lane and arrival index per slot, sorted
+             by crossing time; slots [0, head) have departed and keep their
+             final crossing times, slots [head, len) are live
+  lastsched  exhaustive only: per lane, slot of the lane's last scheduled
+             vehicle (departed once below head), or -1
+  pf/pt/pn   gated and batch only: per lane, the live platoons' starts,
+             ends and sizes, ascending
 """
 from __future__ import annotations
 
-import os
+from bisect import bisect_right
 
 import numpy as np
 
+from .core import InconsistentGateBook, PlatoonError
 from .pfa import TIE_TOL
 
-try:
-    import numba
-
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba installed
-    numba = None
-    HAS_NUMBA = False
+USE_NUMBA = False  # for callers that record the engine; there is no compiled variant
 
 
-def _env_flag(name: str) -> bool:
-    return os.environ.get(name, "").strip().lower() in ("1", "true", "yes", "on")
+def _shift_after(xs, lo, anchor, delta):
+    """Add delta to every entry of the sorted, non-empty xs[lo:] strictly after the anchor."""
+    if xs[-1] > anchor:
+        j = bisect_right(xs, anchor, lo)
+        xs[j:] = [x + delta for x in xs[j:]]
 
 
-USE_NUMBA = HAS_NUMBA and not _env_flag("PLATOONSIM_NO_NUMBA")
-
-if USE_NUMBA:
-    def _jit(fn):
-        return numba.njit(cache=True, nogil=True)(fn)
-
-    @_jit
-    def _buf(size, fill):
-        """Buffer of size copies of fill (dtype from fill: float64 or int64)."""
-        return np.full(size, fill)
-
-    def to_kernel(values, dtype):
-        """A kernel input: a contiguous 1-D array of dtype."""
-        return np.ascontiguousarray(values, dtype)
-else:
-    def _jit(fn):
-        return fn
-
-    def _buf(size, fill):
-        """Buffer of size copies of fill."""
-        return [fill] * size
-
-    def to_kernel(values, dtype):
-        """A kernel input: a list of Python floats or ints of dtype's kind."""
-        return np.asarray(values, dtype).tolist()
-
-# Kernel status codes.
-OK = 0
-ERR_GATE_OVERFLOW = 1      # per-lane platoon ring exhausted
-ERR_INVARIANT = 2          # checked mode found a violated invariant
-ERR_GATE_BOOKKEEPING = 3   # platoon bookkeeping inconsistent with the schedule
-
-KIND_EXHAUSTIVE = 0
-KIND_GATED = 1
-KIND_BATCH = 2
-
-_PCAP = 1 << 14  # largest per-lane platoon ring capacity (power of two)
-
-
-@_jit
-def _bisect_gt(cs, lo, hi, x):
-    """First index in [lo, hi) with cs[index] > x."""
-    while lo < hi:
-        mid = (lo + hi) >> 1
-        if cs[mid] > x:
-            hi = mid
-        else:
-            lo = mid + 1
-    return lo
-
-
-@_jit
-def _vshift_after(cs, head, tail, anchor, delta):
-    """Add delta to every live crossing time strictly after the anchor."""
-    j = _bisect_gt(cs, head, tail, anchor)
-    while j < tail:
-        cs[j] += delta
-        j += 1
-
-
-@_jit
-def _gshift_after(gf, gt, gh, glen, n, pcap, anchor, delta):
+def _shift_platoons(pf, pt, anchor, delta):
     """Shift every platoon whose start is strictly after the anchor."""
-    mask = pcap - 1
-    for lane in range(n):
-        k = glen[lane] - 1
-        while k >= 0:  # entries ascend by start; walk the suffix only
-            idx = lane * pcap + ((gh[lane] + k) & mask)
-            if gf[idx] > anchor:
-                gf[idx] += delta
-                gt[idx] += delta
-                k -= 1
-            else:
-                break
+    for starts, ends in zip(pf, pt):
+        if starts and starts[-1] > anchor:
+            j = bisect_right(starts, anchor)
+            starts[j:] = [f + delta for f in starts[j:]]
+            ends[j:] = [t + delta for t in ends[j:]]
 
 
-@_jit
-def _lands_on_start(gf, gh, glen, n, pcap, c):
+def _lands_on_start(pf, c):
     """True if some live platoon starts exactly (within TIE_TOL) at c."""
-    mask = pcap - 1
-    for lane in range(n):
-        for k in range(glen[lane]):
-            f = gf[lane * pcap + ((gh[lane] + k) & mask)]
+    for starts in pf:
+        for f in starts:
             if abs(f - c) <= TIE_TOL:
                 return True
             if f > c + TIE_TOL:
@@ -139,340 +55,230 @@ def _lands_on_start(gf, gh, glen, n, pcap, c):
     return False
 
 
-@_jit
-def simulate_arrivals(arr_a, arr_lane, n, B, S, kind, cap, warm_start, check):
+def _fallback_c(cs, ln, B, S, d):
+    """Continuation behind the last vehicle when no platoon anchor applies."""
+    dl = ln[-1]
+    if d == dl:
+        return cs[-1] + B[d]
+    return cs[-1] + B[dl] + S[d]
+
+
+def _scan_anchor(cs, head, pt, lanes, B, s_d, a):
+    """Cross-lane scan: (platoon end, new crossing time) or None.
+
+    Lanes go in reverse cyclic order; a reachable platoon end is skipped
+    when traffic sits strictly inside the occupation-plus-clearance
+    window (end, end + B + S).
+    """
+    for lane in lanes:
+        gap = B[lane] + s_d
+        for te in pt[lane]:
+            if te + gap > a:
+                p = bisect_right(cs, te, head)
+                if p == len(cs) or cs[p] >= te + gap - TIE_TOL:
+                    return te, te + gap
+    return None
+
+
+def _invariants_hold(cs, ln, ai, head, arr_a, B, S, prev_cs, prev_ai, k, pf, pt, pn, cap):
+    """Gap, earliest-time and regularity invariants of the live schedule,
+    and the platoon book's order, extents and sizes (cap None: uncapped)."""
+    for j in range(head + 1, len(cs)):
+        if not cs[j] > cs[j - 1]:
+            return False
+        if ln[j] == ln[j - 1]:
+            need = B[ln[j - 1]]
+        else:
+            need = B[ln[j - 1]] + S[ln[j]]
+        if cs[j] - cs[j - 1] < need - TIE_TOL:
+            return False
+    pj = 0
+    for j in range(head, len(cs)):
+        if cs[j] < arr_a[ai[j]]:
+            return False
+        if ai[j] == k:
+            continue
+        # Earlier vehicles keep their order and never move earlier.
+        if pj >= len(prev_ai) or prev_ai[pj] != ai[j] or cs[j] < prev_cs[pj]:
+            return False
+        pj += 1
+    if pj != len(prev_ai):
+        return False
+    for starts, ends, counts in zip(pf, pt, pn):
+        prev_t = -np.inf
+        for f, t, count in zip(starts, ends, counts):
+            if f > t or f <= prev_t or count < 1 or (cap is not None and count > cap):
+                return False
+            prev_t = t
+    return True
+
+
+def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, warm_start, check):
     """Run one full arrival stream through a scheduling discipline.
 
-    Inputs come through to_kernel. arr_a: float64[N], ascending earliest
-    crossing times (vertical queue: these are also the event times).
-    arr_lane: int64[N], 0-based lanes. B, S: float64[n] per-lane headway /
-    clearance. kind: 0 exhaustive, 1 gated, 2 batch (cap applies).
-    warm_start: first arrival index that counts toward the fairness sums.
-    check: verify the schedule and bookkeeping invariants after every
-    arrival (slow, for tests).
+    arr_a: ascending earliest crossing times as Python floats (vertical
+    queue: these are also the event times). arr_lane: 0-based lanes as
+    Python ints. B, S: per-lane headway / clearance. pfa: "exhaustive",
+    "gated" or "batch" (cap applies). warm_start: first arrival index that
+    counts toward the fairness sums. check: verify the schedule and
+    bookkeeping invariants after every arrival (slow, for tests).
 
-    Returns (final_c, sum_ahead, sum_total, max_queue, fallback_count,
-    departed, status, status_arrival); final_c is a float64 numpy array.
+    Returns (final_c, sum_ahead, sum_total, max_queue, fallback_count);
+    final_c is a float64 numpy array. Raises InconsistentGateBook when the
+    platoon book diverges from the schedule and PlatoonError when check
+    finds a violated invariant.
     """
-    N = len(arr_a)
-    final_c = np.full(N, np.nan)
-
-    cs = _buf(N + 1, 0.0)
-    ln = _buf(N + 1, 0)
-    ai = _buf(N + 1, 0)
+    exhaustive = pfa == "exhaustive"
+    capped = pfa == "batch"
+    cs, ln, ai = [], [], []
     head = 0
-    tail = 0
-    lastsched = _buf(n, -1)
-
-    ld_c = 0.0
-    ld_lane = -1  # -1: nothing has ever departed
-
-    # A lane never holds more live platoons than the run has arrivals, so
-    # each ring needs at most min(N, _PCAP) slots, rounded up to a power
-    # of two for the index mask.
-    pcap = 1
-    while pcap < N and pcap < _PCAP:
-        pcap *= 2
-    mask = pcap - 1
-    if kind == KIND_EXHAUSTIVE:
-        ring = 1  # exhaustive keeps no platoons; a placeholder keeps types stable
-    else:
-        ring = n * pcap
-    gf = _buf(ring, 0.0)
-    gt = _buf(ring, 0.0)
-    gcnt = _buf(ring, 0)
-    gh = _buf(n, 0)
-    glen = _buf(n, 0)
-
-    order = _buf(n, 0)  # reverse-cyclic lane scan order (n-1 used)
-
-    snap_n = N + 1 if check else 1
-    prev_cs = _buf(snap_n, 0.0)
-    prev_ai = _buf(snap_n, 0)
+    lastsched = [-1] * n
+    pf = [[] for _ in range(n)]
+    pt = [[] for _ in range(n)]
+    pn = [[] for _ in range(n)]
+    start_bound = -np.inf  # no live platoon starts after it
+    scan = [list(range(d - 1, -1, -1)) + list(range(n - 1, d, -1)) for d in range(n)]
+    prev_cs = prev_ai = None
 
     sum_ahead = 0
     sum_total = 0
     max_queue = 0
     fallback_count = 0
-    departed = 0
 
-    for k in range(N):
-        now = arr_a[k]
-        d = arr_lane[k]
+    for k, (a, d) in enumerate(zip(arr_a, arr_lane)):
+        tail = k  # one slot per earlier arrival
 
         # ----- departures due at or before the arrival instant -----
-        while tail > head:
-            due = cs[head] + B[ln[head]]
-            if due <= now:
-                d0 = ln[head]
-                final_c[ai[head]] = cs[head]
-                ld_c = cs[head]
-                ld_lane = d0
-                if kind != KIND_EXHAUSTIVE:
-                    if glen[d0] == 0:
-                        return final_c, sum_ahead, sum_total, max_queue, fallback_count, departed, ERR_GATE_BOOKKEEPING, k
-                    idx = d0 * pcap + (gh[d0] & mask)
-                    if cs[head] > gt[idx] + TIE_TOL:
-                        return final_c, sum_ahead, sum_total, max_queue, fallback_count, departed, ERR_GATE_BOOKKEEPING, k
-                    if abs(cs[head] - gt[idx]) <= TIE_TOL:
-                        gh[d0] = (gh[d0] + 1) & mask
-                        glen[d0] -= 1
-                if lastsched[d0] == head:
-                    lastsched[d0] = -1
-                head += 1
-                departed += 1
-            else:
+        while head < tail:
+            c = cs[head]
+            d0 = ln[head]
+            if c + B[d0] > a:
                 break
+            if not exhaustive:
+                ends = pt[d0]
+                if not ends or c > ends[0] + TIE_TOL:
+                    raise InconsistentGateBook(
+                        f"platoon bookkeeping diverged from the schedule at arrival {k}"
+                    )
+                if abs(c - ends[0]) <= TIE_TOL:
+                    del pf[d0][0], ends[0], pn[d0][0]
+            head += 1
 
         if check:
-            prev_len = tail - head
-            m = 0
-            for j in range(head, tail):
-                prev_cs[m] = cs[j]
-                prev_ai[m] = ai[j]
-                m += 1
-        else:
-            prev_len = 0
+            prev_cs = cs[head:]
+            prev_ai = ai[head:]
 
-        a = now  # vertical queue: earliest crossing equals the arrival time
-
-        # ----- last-vehicle reference -----
-        if tail > head:
-            cl = cs[tail - 1]
-            dl = ln[tail - 1]
-            has_last = True
-        elif ld_lane >= 0:
-            cl = ld_c
-            dl = ld_lane
-            has_last = True
-        else:
-            cl = 0.0
-            dl = -1
-            has_last = False
-
-        c0 = 0.0
-        newp = False   # register (c0, c0) as a fresh platoon (gated/batch)
-        done = False
-
-        # ----- free-flow branch -----
-        if not has_last:
-            c0 = a
-            newp = True
-            done = True
-        elif cl + B[dl] < a:
+        # The last vehicle scheduled (live or, with none live, departed);
+        # the first arrival flows freely.
+        cl = cs[-1] if k else -np.inf
+        dl = ln[-1] if k else d
+        free = cl + B[dl] < a
+        newp = free  # register (c0, c0) as a fresh platoon (gated/batch)
+        if free:
             if d == dl:
                 c0 = a
             else:
                 c0 = cl + B[dl] + S[d]
                 if a > c0:
                     c0 = a
-            newp = True
-            done = True
-
-        if not done and kind == KIND_EXHAUSTIVE:
+        elif exhaustive:
             b_d = B[d]
             tds = lastsched[d]
-            if tds >= 0 and cs[tds] + b_d > a:
+            if tds >= head and cs[tds] + b_d > a:
                 anchor = cs[tds]
-                _vshift_after(cs, head, tail, anchor, b_d)
+                _shift_after(cs, head, anchor, b_d)
                 c0 = anchor + b_d
-                done = True
             else:
                 s_d = S[d]
-                m = 0
-                for lane in range(d - 1, -1, -1):
-                    order[m] = lane
-                    m += 1
-                for lane in range(n - 1, d, -1):
-                    order[m] = lane
-                    m += 1
-                for oi in range(m):
-                    lane = order[oi]
+                for lane in scan[d]:
                     tls = lastsched[lane]
                     gap = B[lane] + s_d
-                    if tls >= 0 and cs[tls] + gap > a:
+                    if tls >= head and cs[tls] + gap > a:
                         anchor = cs[tls]
-                        _vshift_after(cs, head, tail, anchor, b_d + s_d)
+                        _shift_after(cs, head, anchor, b_d + s_d)
                         c0 = anchor + gap
-                        done = True
                         break
-                if not done:
+                else:
                     fallback_count += 1
-                    if d == dl:
-                        c0 = cl + b_d
-                    else:
-                        c0 = cl + B[dl] + s_d
-                    done = True
-
-        if not done:  # gated / batch
+                    c0 = _fallback_c(cs, ln, B, S, d)
+        else:  # gated / batch
             b_d = B[d]
             s_d = S[d]
-
-            # Join: earliest own-lane platoon whose start is still ahead.
-            any_joinable = False
-            for k2 in range(glen[d]):
-                idx = d * pcap + ((gh[d] + k2) & mask)
-                if gf[idx] > a:
-                    any_joinable = True
-                    if kind == KIND_GATED or gcnt[idx] < cap:
-                        anchor = gt[idx]
-                        _vshift_after(cs, head, tail, anchor, b_d)
-                        _gshift_after(gf, gt, gh, glen, n, pcap, anchor, b_d)
-                        c0 = anchor + b_d
-                        gt[idx] = c0
-                        gcnt[idx] += 1
-                        done = True
-                        break
-
-            if not done and any_joinable:
-                # Every joinable platoon is full: open a fresh platoon
-                # behind the lane's last one (forced switch, full
-                # occupation-plus-clearance).
-                idx = d * pcap + ((gh[d] + glen[d] - 1) & mask)
-                anchor = gt[idx]
-                unit = b_d + s_d
-                gap = B[d] + s_d
-                c0 = anchor + gap
-                delta = unit
-                if _lands_on_start(gf, gh, glen, n, pcap, c0):
-                    delta = 2.0 * unit
-                _vshift_after(cs, head, tail, anchor, delta)
-                _gshift_after(gf, gt, gh, glen, n, pcap, anchor, delta)
-                newp = True
-                done = True
-
-            if not done:
-                # Cross-lane scan in reverse cyclic order; a candidate end
-                # is skipped when traffic sits strictly inside the
-                # occupation-plus-clearance window (t, t+B+S).
-                m = 0
-                for lane in range(d - 1, -1, -1):
-                    order[m] = lane
-                    m += 1
-                for lane in range(n - 1, d, -1):
-                    order[m] = lane
-                    m += 1
-                for oi in range(m):
-                    lane = order[oi]
-                    gap = B[lane] + s_d
-                    for k2 in range(glen[lane]):
-                        idx = lane * pcap + ((gh[lane] + k2) & mask)
-                        te = gt[idx]
-                        if te + gap > a:
-                            p = _bisect_gt(cs, head, tail, te)
-                            if p == tail or cs[p] >= te + gap - TIE_TOL:
-                                unit = b_d + s_d
-                                c0 = te + gap
-                                delta = unit
-                                if _lands_on_start(gf, gh, glen, n, pcap, c0):
-                                    delta = 2.0 * unit
-                                _vshift_after(cs, head, tail, te, delta)
-                                _gshift_after(gf, gt, gh, glen, n, pcap, te, delta)
-                                newp = True
-                                done = True
-                                break
-                    if done:
-                        break
-
-            if not done:
-                fallback_count += 1
-                if d == dl:
-                    c0 = cl + b_d
+            starts = pf[d]
+            j = bisect_right(starts, a)  # earliest own-lane platoon still ahead
+            found = None
+            if j < len(starts):
+                if capped:
+                    counts = pn[d]
+                    while j < len(starts) and counts[j] >= cap:
+                        j += 1
+                if j < len(starts):  # join it
+                    anchor = pt[d][j]
+                    _shift_after(cs, head, anchor, b_d)
+                    if start_bound > anchor:
+                        _shift_platoons(pf, pt, anchor, b_d)
+                        start_bound += b_d
+                    c0 = anchor + b_d
+                    pt[d][j] = c0
+                    pn[d][j] += 1
                 else:
-                    c0 = cl + B[dl] + s_d
+                    # Every joinable platoon is full: open a fresh platoon
+                    # behind the lane's last one (forced switch, full
+                    # occupation-plus-clearance).
+                    anchor = pt[d][-1]
+                    found = anchor, anchor + (B[d] + s_d)
+            else:
+                found = _scan_anchor(cs, head, pt, scan[d], B, s_d, a)
+                if found is None:
+                    fallback_count += 1
+                    c0 = _fallback_c(cs, ln, B, S, d)
+                    newp = True
+            if found is not None:
+                anchor, c0 = found
+                unit = b_d + s_d
+                delta = 2.0 * unit if _lands_on_start(pf, c0) else unit
+                _shift_after(cs, head, anchor, delta)
+                if start_bound > anchor:
+                    _shift_platoons(pf, pt, anchor, delta)
+                    start_bound += delta
                 newp = True
-                done = True
 
-        if newp and kind != KIND_EXHAUSTIVE:
-            if glen[d] == pcap:
-                return final_c, sum_ahead, sum_total, max_queue, fallback_count, departed, ERR_GATE_OVERFLOW, k
-            if glen[d] > 0:
-                last_idx = d * pcap + ((gh[d] + glen[d] - 1) & mask)
-                if c0 <= gt[last_idx]:
-                    return final_c, sum_ahead, sum_total, max_queue, fallback_count, departed, ERR_GATE_BOOKKEEPING, k
-            idx = d * pcap + ((gh[d] + glen[d]) & mask)
-            gf[idx] = c0
-            gt[idx] = c0
-            gcnt[idx] = 1
-            glen[d] += 1
+        if newp and not exhaustive:
+            if pt[d] and c0 <= pt[d][-1]:
+                raise InconsistentGateBook(
+                    f"platoon bookkeeping diverged from the schedule at arrival {k}"
+                )
+            pf[d].append(c0)
+            pt[d].append(c0)
+            pn[d].append(1)
+            if c0 > start_bound:
+                start_bound = c0
 
         # ----- insert the new vehicle -----
-        n_total = tail - head
-        pos = _bisect_gt(cs, head, tail, c0)
-        j = tail
-        while j > pos:
-            cs[j] = cs[j - 1]
-            ln[j] = ln[j - 1]
-            ai[j] = ai[j - 1]
-            j -= 1
-        cs[pos] = c0
-        ln[pos] = d
-        ai[pos] = k
-        tail += 1
-        for lane in range(n):
-            if lastsched[lane] >= pos and lane != d:
-                lastsched[lane] += 1
-        old = lastsched[d]
-        if old >= pos:
-            old += 1
-        if old < 0 or cs[old] < c0:
-            lastsched[d] = pos
-        else:
-            lastsched[d] = old
+        pos = tail if free else bisect_right(cs, c0, head)
+        cs.insert(pos, c0)
+        ln.insert(pos, d)
+        ai.insert(pos, k)
+        if exhaustive:
+            if pos < tail:
+                for lane, slot in enumerate(lastsched):
+                    if slot >= pos:
+                        lastsched[lane] = slot + 1
+            old = lastsched[d]
+            lastsched[d] = pos if old < head or cs[old] < c0 else old
 
         if k >= warm_start:
             sum_ahead += pos - head
-            sum_total += n_total
-        if tail - head > max_queue:
-            max_queue = tail - head
+            sum_total += tail - head
+        if tail + 1 - head > max_queue:
+            max_queue = tail + 1 - head
 
-        # ----- optional per-arrival invariant verification -----
-        if check:
-            ok = True
-            for j in range(head + 1, tail):
-                if not cs[j] > cs[j - 1]:
-                    ok = False
-                if ln[j] == ln[j - 1]:
-                    need = B[ln[j - 1]]
-                else:
-                    need = B[ln[j - 1]] + S[ln[j]]
-                if cs[j] - cs[j - 1] < need - TIE_TOL:
-                    ok = False
-            for j in range(head, tail):
-                if cs[j] < arr_a[ai[j]]:
-                    ok = False
-            pj = 0
-            mismatch = False
-            for j in range(head, tail):
-                if ai[j] == k:
-                    continue
-                if pj >= prev_len or prev_ai[pj] != ai[j]:
-                    mismatch = True
-                    break
-                if cs[j] < prev_cs[pj]:
-                    ok = False  # a pre-existing crossing time decreased
-                pj += 1
-            if mismatch or pj != prev_len:
-                ok = False
-            if kind != KIND_EXHAUSTIVE:
-                for lane in range(n):
-                    prev_t = -np.inf
-                    for k2 in range(glen[lane]):
-                        idx = lane * pcap + ((gh[lane] + k2) & mask)
-                        if gf[idx] > gt[idx]:
-                            ok = False
-                        if gf[idx] <= prev_t:
-                            ok = False
-                        if gcnt[idx] < 1:
-                            ok = False
-                        if kind == KIND_BATCH and gcnt[idx] > cap:
-                            ok = False
-                        prev_t = gt[idx]
-            if not ok:
-                return final_c, sum_ahead, sum_total, max_queue, fallback_count, departed, ERR_INVARIANT, k
+        if check and not _invariants_hold(
+            cs, ln, ai, head, arr_a, B, S, prev_cs, prev_ai, k, pf, pt, pn,
+            cap if capped else None,
+        ):
+            raise PlatoonError(f"scheduling invariant violated at arrival {k}")
 
-    # ----- drain: remaining crossing times are final -----
-    for j in range(head, tail):
-        final_c[ai[j]] = cs[j]
-
-    return final_c, sum_ahead, sum_total, max_queue, fallback_count, departed, OK, -1
+    final_c = np.empty(len(cs))
+    final_c[ai] = cs
+    return final_c, sum_ahead, sum_total, max_queue, fallback_count

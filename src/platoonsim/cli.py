@@ -17,6 +17,7 @@ from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
 from .core import (
+    PFA_KINDS,
     ConfigError,
     PlatoonError,
     RunConfig,
@@ -39,8 +40,6 @@ EXIT_OK = 0
 EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_UNSTABLE = 3
-
-PFA_KINDS = ("exhaustive", "gated", "batch")
 
 APPROX_CSV_HEADER = ("rho", "lane", "discipline", "K1", "K2", "omega", "approx_delay")
 
@@ -137,49 +136,8 @@ def cmd_run(args: argparse.Namespace) -> int:
             raise ConfigError("run takes exactly one --pfa discipline")
         cfg.pfa = kinds[0]
     res = sim.run(cfg, steady_state=not args.transient)
-    params = cfg.params
-    rho = params.rho
-    inp = PollingInput.from_sim_params(params) if rho < 1.0 else None
-
-    def approx_for(lane: Optional[int]) -> Optional[float]:
-        if cfg.pfa not in DISCIPLINES or inp is None:
-            return None
-        if lane is None:
-            lam_total = sum(params.lam)
-            return sum(
-                params.lam[i] * approx_mean_delay(inp, cfg.pfa, i + 1)
-                for i in range(params.n)
-            ) / lam_total
-        return approx_mean_delay(inp, cfg.pfa, lane)
-
-    post_n = res.a.size - res.warmup
-    rows: List[Dict[str, object]] = [
-        {
-            "rho": rho,
-            "discipline": cfg.pfa,
-            "lane": "all",
-            "sim_delay_mean": res.mean,
-            "ci95": res.ci95,
-            "approx_delay": approx_for(None),
-            "fairness": res.fairness,
-            "n_vehicles": post_n,
-            "seed": cfg.seed,
-        }
-    ]
-    for ls in res.lanes:
-        rows.append(
-            {
-                "rho": rho,
-                "discipline": cfg.pfa,
-                "lane": ls.lane,
-                "sim_delay_mean": ls.mean,
-                "ci95": ls.ci95,
-                "approx_delay": approx_for(ls.lane),
-                "fairness": None,
-                "n_vehicles": ls.n,
-                "seed": cfg.seed,
-            }
-        )
+    rho = cfg.params.rho
+    rows = sim.result_rows(res, cfg.params, rho)
     _write_csv(os.path.join(args.out, "results.csv"), sim.RUN_CSV_HEADER, rows)
 
     _atomic_write_text(os.path.join(args.out, "vehicles.jsonl"), res.vehicles_jsonl())

@@ -23,13 +23,13 @@ __all__ = [
     "ConfigError",
     "InconsistentGateBook",
     "DepartureOutOfOrder",
-    "NoInsertionPoint",
     "Vehicle",
     "SimParams",
     "Schedule",
     "PlatoonEntry",
     "GateBook",
     "RunConfig",
+    "PFA_KINDS",
     "validate_params",
     "load_config",
     "parse_config",
@@ -64,10 +64,6 @@ class InconsistentGateBook(PlatoonError):
 
 class DepartureOutOfOrder(PlatoonError):
     """depart() was called at a time that does not match the head vehicle."""
-
-
-class NoInsertionPoint(PlatoonError):
-    """No scheduling branch applied (resolved internally by the fallback)."""
 
 
 # ===================== vehicles and parameters =====================
@@ -141,6 +137,23 @@ class SimParams:
         return replace(self, lam=tuple(l * scale for l in self.lam))
 
 
+def _non_positive(params: SimParams) -> Optional[str]:
+    """Message for the first parameter that must be > 0 and is not (NaN included)."""
+    values = [
+        ("v_max", params.v_max),
+        ("a_max", params.a_max),
+        ("l_min", params.l_min),
+        ("region_pfa_m", params.region_pfa_m),
+        ("region_spa_m", params.region_spa_m),
+    ]
+    for name, per_lane in (("lambda", params.lam), ("B", params.B), ("S", params.S)):
+        values += [(f"{name}[{i}]", v) for i, v in enumerate(per_lane, start=1)]
+    for name, val in values:
+        if not val > 0.0:
+            return f"{name} must be > 0, got {val}"
+    return None
+
+
 def validate_params(params: SimParams, steady_state: bool = True) -> SimParams:
     """Check SimParams invariants; return the params unchanged if they hold.
 
@@ -152,25 +165,9 @@ def validate_params(params: SimParams, steady_state: bool = True) -> SimParams:
         raise NonPositiveParameter(f"n must be >= 1, got {params.n}")
     if len(params.lam) != params.n:
         raise ConfigError(f"lambda must have n={params.n} entries, got {len(params.lam)}")
-    scalars = [
-        ("v_max", params.v_max),
-        ("a_max", params.a_max),
-        ("l_min", params.l_min),
-        ("region_pfa_m", params.region_pfa_m),
-        ("region_spa_m", params.region_spa_m),
-    ]
-    for name, val in scalars:
-        if not val > 0.0:
-            raise NonPositiveParameter(f"{name} must be > 0, got {val}")
-    for i, lam in enumerate(params.lam, start=1):
-        if not lam > 0.0:
-            raise NonPositiveParameter(f"lambda[{i}] must be > 0, got {lam}")
-    for i, b in enumerate(params.B, start=1):
-        if not b > 0.0:
-            raise NonPositiveParameter(f"B[{i}] must be > 0, got {b}")
-    for i, s in enumerate(params.S, start=1):
-        if not s > 0.0:
-            raise NonPositiveParameter(f"S[{i}] must be > 0, got {s}")
+    problem = _non_positive(params)
+    if problem is not None:
+        raise NonPositiveParameter(problem)
     # The scheduling fallback needs every clearance to cover every headway.
     if min(params.S) < max(params.B):
         raise SClearanceBelowB(f"min(S)={min(params.S)} < max(B)={max(params.B)}")
@@ -310,7 +307,7 @@ class RunConfig:
         return self.horizon_vehicles // 10
 
 
-_PFA_KINDS = ("exhaustive", "gated", "batch")
+PFA_KINDS = ("exhaustive", "gated", "batch")
 
 _CONFIG_KEYS = {
     "n", "lambda", "B", "S", "v_max", "a_max", "l_min",
@@ -375,11 +372,14 @@ def parse_config(data: dict) -> RunConfig:
         if key in data:
             params_kwargs[key] = _number(data[key], key)
     params = SimParams(**params_kwargs)
+    problem = _non_positive(params)
+    if problem is not None:
+        raise ConfigError(problem)
 
     cfg = RunConfig(params=params)
     if "pfa" in data:
-        if data["pfa"] not in _PFA_KINDS:
-            raise ConfigError(f"pfa must be one of {_PFA_KINDS}, got {data['pfa']!r}")
+        if data["pfa"] not in PFA_KINDS:
+            raise ConfigError(f"pfa must be one of {PFA_KINDS}, got {data['pfa']!r}")
         cfg.pfa = data["pfa"]
     if "batch_cap" in data:
         cap = _integer(data["batch_cap"], "batch_cap")

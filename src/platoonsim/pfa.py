@@ -1,8 +1,8 @@
 """Platoon-forming schedulers: exhaustive, gated, and capacity-capped batch.
 
 This is the reference implementation, written against the object model in
-core. It favors clarity; the simulator's hot path uses the array kernels
-in _kernels, which are cross-validated bit-for-bit against this module.
+core. It favors clarity; the simulator's hot path is the list-based kernel
+in _kernels, which is cross-validated bit-for-bit against this module.
 
 All three schedulers mutate the Schedule (and GateBook) in place, set the
 new vehicle's crossing time, and keep two invariants after every call:

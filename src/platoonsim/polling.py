@@ -136,10 +136,17 @@ def light_traffic_delay(inp: PollingInput, lane: int) -> float:
 
 
 def ht_omega(inp: PollingInput, discipline: str, lane: int) -> float:
-    """Heavy-traffic constant omega_i: the limit of (1 - rho) * mean delay."""
+    """Heavy-traffic constant omega_i: the limit of (1 - rho) * mean delay.
+
+    A single lane never switches, so it pays no clearance and is the M/G/1
+    queue: omega = sigma2 / 2 for either discipline, which makes the
+    interpolation Pollaczek-Khinchine's rho * sigma2 / (2 (1 - rho)).
+    """
     i = _check_lane(inp, lane)
     if discipline not in DISCIPLINES:
         raise UnsupportedDiscipline(f"no heavy-traffic form for {discipline!r}")
+    if inp.n == 1:
+        return inp.sigma2 / 2.0
     rh = inp.rho_hat
     s_sum = sum(inp.es)
     if discipline == "exhaustive":
@@ -151,7 +158,6 @@ def ht_omega(inp: PollingInput, discipline: str, lane: int) -> float:
 
 @dataclass
 class ApproxCoefficients:
-    k0: float   # always 0
     k1: float   # light-traffic slope under the hatted split (s)
     k2: float   # omega - k1 (s)
     omega: float  # heavy-traffic constant (s)
@@ -173,7 +179,7 @@ def approx_coefficients(inp: PollingInput, discipline: str, lane: int) -> Approx
         k1 += rh[j] * (b_res[j] + inp.es[i])
         k1 += lh[j] * s_res_i * inp.es[i]
     omega = ht_omega(inp, discipline, lane)
-    return ApproxCoefficients(k0=0.0, k1=k1, k2=omega - k1, omega=omega)
+    return ApproxCoefficients(k1=k1, k2=omega - k1, omega=omega)
 
 
 def approx_mean_delay(inp: PollingInput, discipline: str, lane: int) -> float:

@@ -5,15 +5,14 @@ can reach the stop line no earlier than a = e + free_flow_offset, and every
 vehicle shares the same offset, so delays (c - a) are unaffected by it. The
 simulator therefore works directly on the earliest-crossing times a.
 
-Two execution paths produce bit-identical results: the flat-state kernel in
-_kernels (numba-compiled unless PLATOONSIM_NO_NUMBA=1) and the object-level
-reference runner built on the pfa module. The kernel is the fast path for
-sweeps; the reference is the semantic anchor the tests compare against.
+Two execution paths produce bit-identical results: the list-based kernel
+in _kernels and the object-level reference runner built on the pfa module.
+The kernel is the fast path for runs and sweeps; the reference is the
+semantic anchor the tests compare against. Sweeps run their grid points
+serially: the kernel is pure Python and holds the interpreter lock.
 """
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -21,8 +20,8 @@ import numpy as np
 
 from . import _kernels
 from .core import (
+    PFA_KINDS,
     GateBook,
-    InconsistentGateBook,
     PlatoonError,
     RunConfig,
     Schedule,
@@ -42,6 +41,7 @@ __all__ = [
     "batch_means_ci",
     "run",
     "run_reference",
+    "result_rows",
     "sweep_rows",
     "RUN_CSV_HEADER",
 ]
@@ -60,12 +60,6 @@ RUN_CSV_HEADER = (
     "n_vehicles",
     "seed",
 )
-
-_KIND_CODE = {
-    "exhaustive": _kernels.KIND_EXHAUSTIVE,
-    "gated": _kernels.KIND_GATED,
-    "batch": _kernels.KIND_BATCH,
-}
 
 
 # ===================== arrival streams =====================
@@ -235,7 +229,7 @@ def _summarize(
 def _prepare(config: RunConfig, steady_state: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Arrival arrays (entry, a, lane0) and the resolved warmup count."""
     validate_params(config.params, steady_state=steady_state)
-    if config.pfa not in _KIND_CODE:
+    if config.pfa not in PFA_KINDS:
         raise PlatoonError(f"unknown discipline {config.pfa!r}")
     if config.arrivals is not None:
         entry, lane0 = _scripted_arrays(config)
@@ -254,39 +248,24 @@ def _prepare(config: RunConfig, steady_state: bool) -> Tuple[np.ndarray, np.ndar
 # ===================== kernel path =====================
 
 def run(config: RunConfig, check: bool = False, steady_state: bool = True) -> RunResult:
-    """Simulate one run through the flat-state kernel.
+    """Simulate one run through the list-based kernel.
 
     check=True re-verifies every scheduling invariant after each arrival
     inside the kernel (slow; used by tests and the invariant sweep).
     """
     entry, a, lane0, warmup = _prepare(config, steady_state)
     params = config.params
-    to_kernel = _kernels.to_kernel
-    final_c, sum_ahead, sum_total, max_queue, fallback_count, _departed, status, status_arrival = (
-        _kernels.simulate_arrivals(
-            to_kernel(a, np.float64),
-            to_kernel(lane0, np.int64),
-            params.n,
-            to_kernel(params.B, np.float64),
-            to_kernel(params.S, np.float64),
-            _KIND_CODE[config.pfa],
-            config.batch_cap,
-            warmup,
-            check,
-        )
+    final_c, sum_ahead, sum_total, max_queue, fallback_count = _kernels.simulate_arrivals(
+        a.tolist(),
+        lane0.tolist(),
+        params.n,
+        params.B,
+        params.S,
+        config.pfa,
+        config.batch_cap,
+        warmup,
+        check,
     )
-    if status == _kernels.ERR_GATE_OVERFLOW:
-        raise InconsistentGateBook(
-            f"live platoon ring overflow at arrival {status_arrival}"
-        )
-    if status == _kernels.ERR_GATE_BOOKKEEPING:
-        raise InconsistentGateBook(
-            f"platoon bookkeeping diverged from the schedule at arrival {status_arrival}"
-        )
-    if status == _kernels.ERR_INVARIANT:
-        raise PlatoonError(
-            f"scheduling invariant violated at arrival {status_arrival}"
-        )
     return _summarize(
         config.pfa,
         config.seed,
@@ -371,86 +350,46 @@ def run_reference(config: RunConfig, check: bool = False, steady_state: bool = T
 
 # ===================== sweeps =====================
 
-def _thread_count(requested: Optional[int], n_tasks: int) -> int:
-    """Sweep workers: the request, else PLATOONSIM_THREADS, else one per CPU
-    for the compiled kernel and 1 for the pure-Python one (threads holding
-    the GIL only slow it down)."""
-    if requested is not None:
-        return max(1, requested)
-    env = os.environ.get("PLATOONSIM_THREADS", "").strip()
-    if env:
-        return max(1, int(env))
-    if not _kernels.USE_NUMBA:
-        return 1
-    return max(1, min(n_tasks, os.cpu_count() or 1))
+def result_rows(res: RunResult, params: SimParams, rho: float) -> List[Dict[str, object]]:
+    """Run-CSV rows of one run: the aggregate row, then one row per lane.
 
-
-def _overall_approx(params: SimParams, discipline: str) -> Optional[float]:
-    """Arrival-weighted mean of the per-lane interpolated delays."""
-    if discipline not in DISCIPLINES or params.rho >= 1.0:
-        return None
-    inp = PollingInput.from_sim_params(params)
-    lam_total = sum(params.lam)
-    return sum(
-        params.lam[i] * approx_mean_delay(inp, discipline, i + 1) for i in range(params.n)
-    ) / lam_total
-
-
-def _point_rows(
-    base: SimParams,
-    rho: float,
-    disciplines: Sequence[str],
-    horizon: int,
-    seed: int,
-    batch_cap: int,
-    steady_state: bool,
-) -> List[Dict[str, object]]:
-    params = base.with_rho(rho)
-    stable = params.rho < 1.0
-    inp = PollingInput.from_sim_params(params) if stable else None
-    rows: List[Dict[str, object]] = []
-    for disc in disciplines:
-        config = RunConfig(
-            params=params,
-            pfa=disc,
-            batch_cap=batch_cap,
-            horizon_vehicles=horizon,
-            seed=seed,
-        )
-        res = run(config, steady_state=steady_state)
-        post_n = res.a.size - res.warmup
+    approx_delay is the lane's interpolated mean delay, and on the aggregate
+    row the arrival-weighted mean of those; it is empty for batch and at
+    rho >= 1, where no approximation exists.
+    """
+    approx: List[Optional[float]] = [None] * params.n
+    overall: Optional[float] = None
+    if res.discipline in DISCIPLINES and params.rho < 1.0:
+        inp = PollingInput.from_sim_params(params)
+        approx = [approx_mean_delay(inp, res.discipline, i + 1) for i in range(params.n)]
+        overall = sum(lam * x for lam, x in zip(params.lam, approx)) / sum(params.lam)
+    rows: List[Dict[str, object]] = [
+        {
+            "rho": rho,
+            "discipline": res.discipline,
+            "lane": "all",
+            "sim_delay_mean": res.mean,
+            "ci95": res.ci95,
+            "approx_delay": overall,
+            "fairness": res.fairness,
+            "n_vehicles": res.a.size - res.warmup,
+            "seed": res.seed,
+        }
+    ]
+    for ls in res.lanes:
         rows.append(
             {
                 "rho": rho,
-                "discipline": disc,
-                "lane": "all",
-                "sim_delay_mean": res.mean,
-                "ci95": res.ci95,
-                "approx_delay": _overall_approx(params, disc),
-                "fairness": res.fairness,
-                "n_vehicles": post_n,
-                "seed": seed,
+                "discipline": res.discipline,
+                "lane": ls.lane,
+                "sim_delay_mean": ls.mean,
+                "ci95": ls.ci95,
+                "approx_delay": approx[ls.lane - 1],
+                "fairness": None,
+                "n_vehicles": ls.n,
+                "seed": res.seed,
             }
         )
-        for ls in res.lanes:
-            approx = (
-                approx_mean_delay(inp, disc, ls.lane)
-                if disc in DISCIPLINES and inp is not None
-                else None
-            )
-            rows.append(
-                {
-                    "rho": rho,
-                    "discipline": disc,
-                    "lane": ls.lane,
-                    "sim_delay_mean": ls.mean,
-                    "ci95": ls.ci95,
-                    "approx_delay": approx,
-                    "fairness": None,
-                    "n_vehicles": ls.n,
-                    "seed": seed,
-                }
-            )
     return rows
 
 
@@ -465,37 +404,27 @@ def sweep_rows(
     horizon: int,
     base_seed: int,
     batch_cap: int = 100,
-    threads: Optional[int] = None,
     steady_state: bool = True,
 ) -> List[Dict[str, object]]:
     """Run a load sweep; returns run-CSV rows sorted by (rho, discipline, lane).
 
     Grid point i uses seed base_seed + i, and all disciplines at a point see
-    exactly the same arrivals. Points run in a thread pool when the kernel
-    is compiled (it releases the GIL) and serially otherwise, unless threads
-    or PLATOONSIM_THREADS asks for a pool; row order is fixed by sorting,
-    independent of scheduling.
+    exactly the same arrivals.
     """
     for d in disciplines:
-        if d not in _KIND_CODE:
+        if d not in PFA_KINDS:
             raise PlatoonError(f"unknown discipline {d!r}")
-    tasks = [(rho, base_seed + i) for i, rho in enumerate(rhos)]
-    workers = _thread_count(threads, len(tasks))
-    if workers == 1:
-        results = [
-            _point_rows(base, rho, disciplines, horizon, seed, batch_cap, steady_state)
-            for rho, seed in tasks
-        ]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [
-                pool.submit(
-                    _point_rows, base, rho, disciplines, horizon, seed, batch_cap, steady_state
-                )
-                for rho, seed in tasks
-            ]
-            results = [f.result() for f in futures]
-    rows = [row for chunk in results for row in chunk]
+    rows: List[Dict[str, object]] = []
+    for i, rho in enumerate(rhos):
+        params = base.with_rho(rho)
+        for disc in disciplines:
+            config = RunConfig(
+                params=params,
+                pfa=disc,
+                batch_cap=batch_cap,
+                horizon_vehicles=horizon,
+                seed=base_seed + i,
+            )
+            rows += result_rows(run(config, steady_state=steady_state), params, rho)
     rows.sort(key=lambda r: (r["rho"], r["discipline"], _lane_sort_key(r["lane"])))
     return rows
-

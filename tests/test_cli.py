@@ -112,6 +112,12 @@ def test_run_rejects_bad_vehicle_counts(tmp_path, capsys, key, value):
         ("arrivals", [[1]], "[lane, entry time] pair"),
         ("arrivals", [["a", 1.0]], "arrival lane must be an integer"),
         ("seed", -1, "seed must be >= 0"),
+        ("v_max", 0, "v_max must be > 0, got 0.0"),
+        ("lambda", [0.0, 0.1], "lambda[1] must be > 0, got 0.0"),
+        ("lambda", [0.1, float("nan")], "lambda[2] must be > 0, got nan"),
+        ("B", 0, "B[1] must be > 0, got 0.0"),
+        ("S", [2.375, -1.0], "S[2] must be > 0, got -1.0"),
+        ("S", float("nan"), "S[1] must be > 0, got nan"),
     ],
 )
 def test_run_rejects_malformed_config_values(tmp_path, capsys, key, value, message):
@@ -123,6 +129,19 @@ def test_run_rejects_malformed_config_values(tmp_path, capsys, key, value, messa
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize("pfa", ["exhaustive", "gated"])
+def test_run_single_lane(tmp_path, pfa):
+    # One lane is the M/D/1 queue: the approximation is Pollaczek-Khinchine.
+    path = tmp_path / "one.json"
+    path.write_text(json.dumps({"n": 1, "lambda": [0.3], "horizon_vehicles": 2000}))
+    out = str(tmp_path / "out")
+    assert cli.main(["run", "--config", str(path), "--out", out, "--pfa", pfa]) == 0
+    rows = read_csv(os.path.join(out, "results.csv"))
+    assert [r["lane"] for r in rows] == ["all", "1"]
+    for r in rows:
+        assert float(r["approx_delay"]) == pytest.approx(0.3 / (2 * 0.7), rel=1e-9)
 
 
 def test_negative_seed_override_is_usage_error(tmp_path, capsys):

@@ -62,7 +62,6 @@ def test_k1_frozen_symmetric():
         for disc in DISCIPLINES:
             coef = approx_coefficients(inp, disc, lane=1)
             assert coef.k1 == pytest.approx(K1_SYM, rel=1e-12)
-            assert coef.k0 == 0.0
 
 
 def test_omega_frozen_symmetric():
@@ -125,6 +124,17 @@ def test_approx_zero_and_unstable():
     assert approx_mean_delay(inp0, "exhaustive", 1) == 0.0
     with pytest.raises(UnstableLoad):
         approx_mean_delay(sym_input(1.0), "exhaustive", 1)
+
+
+@pytest.mark.parametrize("rho", [0.3, 0.6, 0.9])
+def test_single_lane_is_pollaczek_khinchine(rho):
+    # One lane pays no clearance: the M/D/1 mean wait rho B / (2 (1 - rho)).
+    for b in (1.0, 1.2):
+        inp = PollingInput.from_sim_params(SimParams(n=1, lam=(rho / b,), B=b, S=2.375))
+        for disc in DISCIPLINES:
+            assert approx_coefficients(inp, disc, 1).k2 == pytest.approx(0.0, abs=1e-12)
+            pk = rho * b / (2.0 * (1.0 - rho))
+            assert approx_mean_delay(inp, disc, 1) == pytest.approx(pk, rel=1e-12)
 
 
 def test_symmetric_lanes_identical():

@@ -13,7 +13,6 @@ import math
 import numpy as np
 import pytest
 
-from platoonsim import _kernels
 from platoonsim.core import (
     PlatoonError,
     RunConfig,
@@ -27,7 +26,6 @@ from platoonsim.sim import (
     run,
     run_reference,
     sweep_rows,
-    _thread_count,
 )
 
 SCRIPT = [[1, 0.0], [2, 0.3], [1, 0.9], [2, 2.0], [2, 2.5]]
@@ -120,6 +118,20 @@ def test_single_lane_fairness_is_one():
     assert run(config).fairness == 1.0
 
 
+@pytest.mark.parametrize("pfa", ["exhaustive", "gated"])
+@pytest.mark.parametrize("rho", [0.3, 0.9])
+def test_single_lane_is_lindley_recursion(pfa, rho):
+    # One lane never switches: each vehicle crosses at its earliest time or
+    # one headway behind its predecessor, c_k = max(a_k, c_{k-1} + B).
+    params = SimParams(n=1, lam=(rho,), B=1.0, S=2.375)
+    res = run(RunConfig(params=params, pfa=pfa, horizon_vehicles=50000, seed=5))
+    c, prev = [], None
+    for a in res.a.tolist():
+        prev = a if prev is None else max(a, prev + 1.0)
+        c.append(prev)
+    assert np.array_equal(res.c, c)
+
+
 def test_warmup_defaults_to_tenth(params):
     config = RunConfig(params=params, pfa="exhaustive", horizon_vehicles=5000, seed=3)
     assert run(config).warmup == 500
@@ -203,29 +215,11 @@ def test_sweep_rows_fairness_and_approx_columns(params):
             assert r["approx_delay"] > 0.0
 
 
-def test_sweep_rows_deterministic_and_threaded(params):
+def test_sweep_rows_deterministic(params):
     args = (params, [0.3, 0.4, 0.6], ["exhaustive"], 3000, 11)
-    serial = sweep_rows(*args, threads=1)
-    threaded = sweep_rows(*args, threads=3)
-    assert serial == threaded
+    assert sweep_rows(*args) == sweep_rows(*args)
 
 
 def test_sweep_rows_rejects_unknown_discipline(params):
     with pytest.raises(PlatoonError):
         sweep_rows(params, [0.3], ["round-robin"], horizon=1000, base_seed=1)
-
-
-def test_thread_count_resolution(monkeypatch):
-    assert _thread_count(3, 10) == 3
-    assert _thread_count(0, 10) == 1
-    monkeypatch.setenv("PLATOONSIM_THREADS", "2")
-    assert _thread_count(None, 10) == 2
-    monkeypatch.delenv("PLATOONSIM_THREADS")
-    monkeypatch.setattr(_kernels, "USE_NUMBA", True)
-    assert 1 <= _thread_count(None, 4) <= 4
-    # Threads only slow the pure-Python kernel: serial unless asked for.
-    monkeypatch.setattr(_kernels, "USE_NUMBA", False)
-    assert _thread_count(None, 10) == 1
-    assert _thread_count(3, 10) == 3
-    monkeypatch.setenv("PLATOONSIM_THREADS", "2")
-    assert _thread_count(None, 10) == 2
