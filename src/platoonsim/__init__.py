@@ -42,7 +42,6 @@ from .pfa import (
 )
 from .polling import (
     ApproxCoefficients,
-    PollingInput,
     UnsupportedDiscipline,
     approx_coefficients,
     approx_mean_delay,
@@ -101,7 +100,6 @@ __all__ = [
     "schedule_gated",
     # polling
     "ApproxCoefficients",
-    "PollingInput",
     "UnsupportedDiscipline",
     "approx_coefficients",
     "approx_mean_delay",

@@ -28,7 +28,6 @@ from .core import (
 )
 from .polling import (
     DISCIPLINES,
-    PollingInput,
     UnsupportedDiscipline,
     approx_coefficients,
     approx_mean_delay,
@@ -156,15 +155,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         for rho in rhos:
             if rho >= 1.0:
                 raise UnstableLoad(f"sweep point rho={rho} >= 1 (use --transient to allow)")
-    rows = sim.sweep_rows(
-        cfg.params,
-        rhos,
-        kinds,
-        horizon=cfg.horizon_vehicles,
-        base_seed=cfg.seed,
-        batch_cap=cfg.batch_cap,
-        steady_state=not args.transient,
-    )
+    rows = sim.sweep_rows(cfg, rhos, kinds, steady_state=not args.transient)
     path = os.path.join(args.out, "delay_sweep.csv")
     _write_csv(path, sim.RUN_CSV_HEADER, rows)
     print(f"sweep: {len(rhos)} points x {len(kinds)} disciplines -> {path}")
@@ -186,10 +177,9 @@ def cmd_approx(args: argparse.Namespace) -> int:
     rows: List[Dict[str, object]] = []
     for rho in rhos:
         params = cfg.params.with_rho(rho)
-        inp = PollingInput.from_sim_params(params)
         for kind in kinds:
             for lane in range(1, params.n + 1):
-                coef = approx_coefficients(inp, kind, lane)
+                coef = approx_coefficients(params, kind, lane)
                 rows.append(
                     {
                         "rho": rho,
@@ -198,7 +188,7 @@ def cmd_approx(args: argparse.Namespace) -> int:
                         "K1": coef.k1,
                         "K2": coef.k2,
                         "omega": coef.omega,
-                        "approx_delay": approx_mean_delay(inp, kind, lane),
+                        "approx_delay": approx_mean_delay(params, kind, lane),
                     }
                 )
     rows.sort(key=lambda r: (r["rho"], r["discipline"], r["lane"]))

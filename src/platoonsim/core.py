@@ -154,6 +154,16 @@ def _non_positive(params: SimParams) -> Optional[str]:
     return None
 
 
+def _clearance_below_headway(params: SimParams) -> Optional[str]:
+    """Message if some clearance S is below some headway B, else None.
+
+    The scheduling fallback needs every clearance to cover every headway.
+    """
+    if min(params.S) < max(params.B):
+        return f"min(S)={min(params.S)} < max(B)={max(params.B)}"
+    return None
+
+
 def validate_params(params: SimParams, steady_state: bool = True) -> SimParams:
     """Check SimParams invariants; return the params unchanged if they hold.
 
@@ -168,9 +178,9 @@ def validate_params(params: SimParams, steady_state: bool = True) -> SimParams:
     problem = _non_positive(params)
     if problem is not None:
         raise NonPositiveParameter(problem)
-    # The scheduling fallback needs every clearance to cover every headway.
-    if min(params.S) < max(params.B):
-        raise SClearanceBelowB(f"min(S)={min(params.S)} < max(B)={max(params.B)}")
+    problem = _clearance_below_headway(params)
+    if problem is not None:
+        raise SClearanceBelowB(problem)
     rho = params.rho
     if rho >= 1.0:
         if steady_state:
@@ -372,7 +382,7 @@ def parse_config(data: dict) -> RunConfig:
         if key in data:
             params_kwargs[key] = _number(data[key], key)
     params = SimParams(**params_kwargs)
-    problem = _non_positive(params)
+    problem = _non_positive(params) or _clearance_below_headway(params)
     if problem is not None:
         raise ConfigError(problem)
 
@@ -421,6 +431,17 @@ def parse_config(data: dict) -> RunConfig:
         if arr != sorted(arr, key=lambda x: x[1]):
             raise ConfigError("scripted arrivals must be sorted by entry time")
         cfg.arrivals = arr
+    warmup = cfg.warmup_vehicles
+    if warmup is not None:
+        # sweep simulates the horizon even when run and traj follow a script.
+        if warmup >= cfg.horizon_vehicles:
+            raise ConfigError(
+                f"warmup_vehicles={warmup} must be below horizon_vehicles={cfg.horizon_vehicles}"
+            )
+        if cfg.arrivals is not None and warmup >= len(cfg.arrivals):
+            raise ConfigError(
+                f"warmup_vehicles={warmup} must be below the {len(cfg.arrivals)} scripted arrivals"
+            )
     return cfg
 
 

@@ -8,17 +8,20 @@ interpolation approximation that matches both limits:
 
 with K1 the hatted light-traffic slope and K2 = omega - K1, where the
 hatted load split (rho_hat, lam_hat) is held fixed as rho varies.
+
+Every function reads a SimParams. Its per-lane headway B_i and clearance
+S_i are the polling model's service time and switchover time, both
+deterministic: E[B_i^2] = B_i^2 and E[S_i^2] = S_i^2.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Tuple
+from typing import List, Sequence, Tuple
 
 from .core import PlatoonError, SimParams, UnstableLoad
 
 __all__ = [
     "UnsupportedDiscipline",
-    "PollingInput",
     "ApproxCoefficients",
     "light_traffic_delay",
     "ht_omega",
@@ -39,121 +42,62 @@ def residual_mean(ex: float, ex2: float) -> float:
     return ex2 / (2.0 * ex)
 
 
-@dataclass
-class PollingInput:
-    """First and second moments of the service structure, per lane.
-
-    B_i is the crossing occupation time of lane i (same-lane headway) and
-    S_i the clearance incurred before lane i receives a crossing from a
-    switch. Deterministic values have E[X^2] = E[X]^2.
-    """
-
-    n: int
-    lam: Tuple[float, ...]      # arrival rate per lane (veh/s)
-    eb: Tuple[float, ...]       # E[B_i] (s)
-    eb2: Tuple[float, ...]      # E[B_i^2] (s^2)
-    es: Tuple[float, ...]       # E[S_i] (s)
-    es2: Tuple[float, ...]      # E[S_i^2] (s^2)
-
-    def __post_init__(self) -> None:
-        for name in ("lam", "eb", "eb2", "es", "es2"):
-            vals = getattr(self, name)
-            if len(vals) != self.n:
-                raise ValueError(f"{name} must have {self.n} entries, got {len(vals)}")
-            setattr(self, name, tuple(float(v) for v in vals))
-        for lam in self.lam:
-            if lam < 0.0:
-                raise ValueError(f"arrival rate must be >= 0, got {lam}")
-        for name in ("eb", "eb2", "es", "es2"):
-            for v in getattr(self, name):
-                if v <= 0.0:
-                    raise ValueError(f"{name} entries must be > 0, got {v}")
-        for ex, ex2, what in ((self.eb, self.eb2, "B"), (self.es, self.es2, "S")):
-            for m1, m2 in zip(ex, ex2):
-                if m2 < m1 * m1 - 1e-12:
-                    raise ValueError(f"E[{what}^2]={m2} below E[{what}]^2={m1 * m1}")
-
-    @classmethod
-    def from_sim_params(cls, params: SimParams) -> "PollingInput":
-        """Deterministic B and S: second moments are the squared means."""
-        return cls(
-            n=params.n,
-            lam=params.lam,
-            eb=params.B,
-            eb2=tuple(b * b for b in params.B),
-            es=params.S,
-            es2=tuple(s * s for s in params.S),
-        )
-
-    @property
-    def rho_i(self) -> Tuple[float, ...]:
-        return tuple(l * b for l, b in zip(self.lam, self.eb))
-
-    @property
-    def rho(self) -> float:
-        return sum(self.rho_i)
-
-    @property
-    def rho_hat(self) -> Tuple[float, ...]:
-        rho = self.rho
-        if rho <= 0.0:
-            raise ValueError("hatted load split undefined at zero total load")
-        return tuple(r / rho for r in self.rho_i)
-
-    @property
-    def lam_hat(self) -> Tuple[float, ...]:
-        return tuple(rh / b for rh, b in zip(self.rho_hat, self.eb))
-
-    @property
-    def sigma2(self) -> float:
-        """E[B^2]/E[B] of the service time of a randomly arriving vehicle."""
-        return sum(lh * b2 for lh, b2 in zip(self.lam_hat, self.eb2))
-
-
-def _check_lane(inp: PollingInput, lane: int) -> int:
-    if not 1 <= lane <= inp.n:
-        raise ValueError(f"lane must be in 1..{inp.n}, got {lane}")
+def _check_lane(params: SimParams, lane: int) -> int:
+    if not 1 <= lane <= params.n:
+        raise ValueError(f"lane must be in 1..{params.n}, got {lane}")
     return lane - 1
 
 
-def light_traffic_delay(inp: PollingInput, lane: int) -> float:
-    """First-order (in load) expansion of the mean delay at a lane (s).
+def _hatted(params: SimParams) -> Tuple[List[float], List[float]]:
+    """The load split rho_hat_i = rho_i / rho and its rates lam_hat_i = rho_hat_i / B_i."""
+    rho = params.rho
+    if rho <= 0.0:
+        raise ValueError("hatted load split undefined at zero total load")
+    rho_hat = [l * b / rho for l, b in zip(params.lam, params.B)]
+    return rho_hat, [rh / b for rh, b in zip(rho_hat, params.B)]
 
-    rho_i E[B_i^res] + sum_{j != i} rho_j (E[B_j^res] + E[S_i])
-                     + sum_{j != i} lam_j E[S_i] E[S_i^res]
-    """
-    i = _check_lane(inp, lane)
-    rho_i = inp.rho_i
-    b_res = [residual_mean(b, b2) for b, b2 in zip(inp.eb, inp.eb2)]
-    s_res_i = residual_mean(inp.es[i], inp.es2[i])
-    total = rho_i[i] * b_res[i]
-    for j in range(inp.n):
-        if j == i:
-            continue
-        total += rho_i[j] * (b_res[j] + inp.es[i])
-        total += inp.lam[j] * inp.es[i] * s_res_i
+
+def _light_sum(params: SimParams, i: int, loads: Sequence[float], rates: Sequence[float]) -> float:
+    """rho_i B_i^res + sum_{j != i} [rho_j (B_j^res + S_i) + lam_j S_i^res S_i]."""
+    B, S = params.B, params.S
+    s_res = residual_mean(S[i], S[i] * S[i])
+    total = loads[i] * residual_mean(B[i], B[i] * B[i])
+    for j in range(params.n):
+        if j != i:
+            total += loads[j] * (residual_mean(B[j], B[j] * B[j]) + S[i])
+            total += rates[j] * s_res * S[i]
     return total
 
 
-def ht_omega(inp: PollingInput, discipline: str, lane: int) -> float:
+def light_traffic_delay(params: SimParams, lane: int) -> float:
+    """First-order (in load) expansion of the mean delay at a lane (s)."""
+    i = _check_lane(params, lane)
+    loads = [l * b for l, b in zip(params.lam, params.B)]
+    return _light_sum(params, i, loads, params.lam)
+
+
+def ht_omega(params: SimParams, discipline: str, lane: int) -> float:
     """Heavy-traffic constant omega_i: the limit of (1 - rho) * mean delay.
 
-    A single lane never switches, so it pays no clearance and is the M/G/1
-    queue: omega = sigma2 / 2 for either discipline, which makes the
-    interpolation Pollaczek-Khinchine's rho * sigma2 / (2 (1 - rho)).
+    sigma2 = sum_i lam_hat_i E[B_i^2] is E[B^2]/E[B] of the service time of
+    a randomly arriving vehicle. A single lane never switches, so it pays
+    no clearance and is the M/G/1 queue: omega = sigma2 / 2 for either
+    discipline, which makes the interpolation Pollaczek-Khinchine's
+    rho * sigma2 / (2 (1 - rho)).
     """
-    i = _check_lane(inp, lane)
+    i = _check_lane(params, lane)
     if discipline not in DISCIPLINES:
         raise UnsupportedDiscipline(f"no heavy-traffic form for {discipline!r}")
-    if inp.n == 1:
-        return inp.sigma2 / 2.0
-    rh = inp.rho_hat
-    s_sum = sum(inp.es)
+    rh, lh = _hatted(params)
+    sigma2 = sum(l * (b * b) for l, b in zip(lh, params.B))
+    if params.n == 1:
+        return sigma2 / 2.0
+    s_sum = sum(params.S)
     if discipline == "exhaustive":
         denom = sum(r * (1.0 - r) for r in rh)
-        return (1.0 - rh[i]) / 2.0 * (inp.sigma2 / denom + s_sum)
+        return (1.0 - rh[i]) / 2.0 * (sigma2 / denom + s_sum)
     denom = sum(r * (1.0 + r) for r in rh)
-    return (1.0 + rh[i]) / 2.0 * (inp.sigma2 / denom + s_sum)
+    return (1.0 + rh[i]) / 2.0 * (sigma2 / denom + s_sum)
 
 
 @dataclass
@@ -163,37 +107,32 @@ class ApproxCoefficients:
     omega: float  # heavy-traffic constant (s)
 
 
-def approx_coefficients(inp: PollingInput, discipline: str, lane: int) -> ApproxCoefficients:
-    """Interpolation constants for one lane and discipline."""
-    i = _check_lane(inp, lane)
+def approx_coefficients(params: SimParams, discipline: str, lane: int) -> ApproxCoefficients:
+    """Interpolation constants for one lane and discipline.
+
+    K1 is the light-traffic sum taken with the hatted loads and rates.
+    """
+    i = _check_lane(params, lane)
     if discipline not in DISCIPLINES:
         raise UnsupportedDiscipline(f"no approximation for {discipline!r}")
-    rh = inp.rho_hat
-    lh = inp.lam_hat
-    b_res = [residual_mean(b, b2) for b, b2 in zip(inp.eb, inp.eb2)]
-    s_res_i = residual_mean(inp.es[i], inp.es2[i])
-    k1 = rh[i] * b_res[i]
-    for j in range(inp.n):
-        if j == i:
-            continue
-        k1 += rh[j] * (b_res[j] + inp.es[i])
-        k1 += lh[j] * s_res_i * inp.es[i]
-    omega = ht_omega(inp, discipline, lane)
+    rh, lh = _hatted(params)
+    k1 = _light_sum(params, i, rh, lh)
+    omega = ht_omega(params, discipline, lane)
     return ApproxCoefficients(k1=k1, k2=omega - k1, omega=omega)
 
 
-def approx_mean_delay(inp: PollingInput, discipline: str, lane: int) -> float:
-    """Interpolated mean delay (s) at the input's own load rho."""
-    rho = inp.rho
+def approx_mean_delay(params: SimParams, discipline: str, lane: int) -> float:
+    """Interpolated mean delay (s) at the parameters' own load rho."""
+    rho = params.rho
     if rho >= 1.0:
         raise UnstableLoad(f"rho={rho:.4f} >= 1")
     if rho == 0.0:
         return 0.0
-    coef = approx_coefficients(inp, discipline, lane)
+    coef = approx_coefficients(params, discipline, lane)
     return (coef.k1 * rho + coef.k2 * rho * rho) / (1.0 - rho)
 
 
-def mean_queue_length(inp: PollingInput, discipline: str, lane: int) -> float:
+def mean_queue_length(params: SimParams, discipline: str, lane: int) -> float:
     """Mean number of delayed vehicles at a lane, by Little's law."""
-    i = _check_lane(inp, lane)
-    return inp.lam[i] * approx_mean_delay(inp, discipline, lane)
+    i = _check_lane(params, lane)
+    return params.lam[i] * approx_mean_delay(params, discipline, lane)

@@ -13,7 +13,7 @@ serially: the kernel is pure Python and holds the interpreter lock.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -30,7 +30,7 @@ from .core import (
     validate_params,
 )
 from .pfa import depart, gap_violations, schedule_batch, schedule_exhaustive, schedule_gated
-from .polling import DISCIPLINES, PollingInput, approx_mean_delay
+from .polling import DISCIPLINES, approx_mean_delay
 
 __all__ = [
     "N_BATCHES",
@@ -360,8 +360,7 @@ def result_rows(res: RunResult, params: SimParams, rho: float) -> List[Dict[str,
     approx: List[Optional[float]] = [None] * params.n
     overall: Optional[float] = None
     if res.discipline in DISCIPLINES and params.rho < 1.0:
-        inp = PollingInput.from_sim_params(params)
-        approx = [approx_mean_delay(inp, res.discipline, i + 1) for i in range(params.n)]
+        approx = [approx_mean_delay(params, res.discipline, i + 1) for i in range(params.n)]
         overall = sum(lam * x for lam, x in zip(params.lam, approx)) / sum(params.lam)
     rows: List[Dict[str, object]] = [
         {
@@ -398,33 +397,26 @@ def _lane_sort_key(value: object) -> int:
 
 
 def sweep_rows(
-    base: SimParams,
+    base: RunConfig,
     rhos: Sequence[float],
     disciplines: Sequence[str],
-    horizon: int,
-    base_seed: int,
-    batch_cap: int = 100,
     steady_state: bool = True,
 ) -> List[Dict[str, object]]:
     """Run a load sweep; returns run-CSV rows sorted by (rho, discipline, lane).
 
-    Grid point i uses seed base_seed + i, and all disciplines at a point see
-    exactly the same arrivals.
+    Each point runs base's parameters rescaled to the load, on Poisson
+    arrivals, with base's horizon, warmup and batch cap. Grid point i uses
+    seed base.seed + i, and all disciplines at a point see exactly the same
+    arrivals.
     """
     for d in disciplines:
         if d not in PFA_KINDS:
             raise PlatoonError(f"unknown discipline {d!r}")
     rows: List[Dict[str, object]] = []
     for i, rho in enumerate(rhos):
-        params = base.with_rho(rho)
+        params = base.params.with_rho(rho)
         for disc in disciplines:
-            config = RunConfig(
-                params=params,
-                pfa=disc,
-                batch_cap=batch_cap,
-                horizon_vehicles=horizon,
-                seed=base_seed + i,
-            )
+            config = replace(base, params=params, pfa=disc, seed=base.seed + i, arrivals=None)
             rows += result_rows(run(config, steady_state=steady_state), params, rho)
     rows.sort(key=lambda r: (r["rho"], r["discipline"], _lane_sort_key(r["lane"])))
     return rows

@@ -531,7 +531,7 @@ def oracle_min(
             feas = (v1 >= -FEAS_TOL) & (q >= 0.0) & (r >= 0.0) & (denom > FEAS_TOL)
             if not feas.any():
                 continue
-            val = _candidate_value_arr(objective, x0, v0, v_m, a_m, p, d, q, r, v1)
+            val = _candidate_value(objective, x0, v0, v_m, a_m, p, d, q, r, v1)
             val = np.where(feas, val, np.inf)
             ij = int(np.argmin(val))
             i, j = divmod(ij, val.shape[1])
@@ -599,15 +599,9 @@ def _segment_area_terms(x0, v0, a_m, p, d, q, w1, r, v1, v_m):
 
 
 def _candidate_value(objective, x0, v0, v_m, a_m, p, d, q, r, v1):
+    """Oracle objective of one candidate, or of a broadcast grid of them."""
     if objective == "acceleration":
-        return (v0 - v1) + (v_m - v1)
-    w1 = (v_m - v1) / a_m
-    return _segment_area_terms(x0, v0, a_m, p, d, q, w1, r, v1, v_m)
-
-
-def _candidate_value_arr(objective, x0, v0, v_m, a_m, p, d, q, r, v1):
-    if objective == "acceleration":
-        return (v0 - v1) + (v_m - v1) + 0.0 * (p + q + r)
+        return (v0 - v1) + (v_m - v1) + 0.0 * (p + q + r)  # broadcast to the grid
     w1 = (v_m - v1) / a_m
     return _segment_area_terms(x0, v0, a_m, p, d, q, w1, r, v1, v_m)
 

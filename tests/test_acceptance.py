@@ -50,12 +50,7 @@ from platoonsim.pfa import (
     schedule_exhaustive,
     schedule_gated,
 )
-from platoonsim.polling import (
-    PollingInput,
-    approx_mean_delay,
-    ht_omega,
-    light_traffic_delay,
-)
+from platoonsim.polling import approx_mean_delay, ht_omega, light_traffic_delay
 from platoonsim.sim import RunResult, make_arrivals, run
 from platoonsim.spa import accel_cost, plan_min_accel, plan_min_distance, plan_schedule
 
@@ -103,19 +98,16 @@ def test_interpolation_constraints(capsys):
         for disc in ("exhaustive", "gated"):
             for lane in (1, 2):
                 def f(rho: float) -> float:
-                    inp = PollingInput.from_sim_params(base.with_rho(rho))
-                    return approx_mean_delay(inp, disc, lane)
+                    return approx_mean_delay(base.with_rho(rho), disc, lane)
 
                 def lt(rho: float) -> float:
-                    inp = PollingInput.from_sim_params(base.with_rho(rho))
-                    return light_traffic_delay(inp, lane)
+                    return light_traffic_delay(base.with_rho(rho), lane)
 
                 worst = max(worst, abs(f(h1) - lt(h1)) / lt(h1))
                 slope_lt = lt(0.5) / 0.5
                 slope_fd = (f(h2) - f(h1)) / (h2 - h1)
                 worst = max(worst, abs(slope_fd - slope_lt) / slope_lt)
-                omega = ht_omega(PollingInput.from_sim_params(base.with_rho(0.5)),
-                                 disc, lane)
+                omega = ht_omega(base.with_rho(0.5), disc, lane)
                 worst = max(worst, abs((1.0 - rho_hi) * f(rho_hi) - omega) / omega)
     elapsed = time.perf_counter() - t0
     report(capsys, "interpolation-constraints",
@@ -214,8 +206,7 @@ def test_sim_vs_interpolation(sweep_runs, capsys):
     devs: Dict[Tuple[str, float], float] = {}
     for disc in ("exhaustive", "gated"):
         for rho in GRID:
-            inp = PollingInput.from_sim_params(SimParams().with_rho(rho))
-            approx = approx_mean_delay(inp, disc, 1)
+            approx = approx_mean_delay(SimParams().with_rho(rho), disc, 1)
             devs[(disc, rho)] = abs(sweep_runs[(disc, rho)].mean - approx) / approx
     n_bad = sum(1 for d in devs.values() if d > 0.15)
     worst_key = max(devs, key=devs.get)
@@ -262,13 +253,12 @@ def test_heavy_traffic_limit(capsys):
     of the heavy-traffic limit for both disciplines."""
     t0 = time.perf_counter()
     params = SimParams().with_rho(0.95)
-    inp = PollingInput.from_sim_params(params)
     parts = []
     ok = True
     for disc in ("exhaustive", "gated"):
         res = run(RunConfig(params=params, pfa=disc,
                             horizon_vehicles=2_000_000, seed=600))
-        omega = ht_omega(inp, disc, 1)
+        omega = ht_omega(params, disc, 1)
         rel = abs(0.05 * res.mean - omega) / omega
         parts.append(f"{disc} scaled {0.05 * res.mean:.4f} vs {omega} ({rel:.1%})")
         ok = ok and rel <= 0.10
@@ -297,7 +287,7 @@ def test_light_traffic_ci(capsys):
     """
     r1 = 0.02
     base = SimParams()
-    k1 = light_traffic_delay(PollingInput.from_sim_params(base.with_rho(r1)), 1) / r1
+    k1 = light_traffic_delay(base.with_rho(r1), 1) / r1
     parts = []
     ok = True
     for disc in ("exhaustive", "gated"):

@@ -90,7 +90,8 @@ def test_run_unstable_load_exit_code(tmp_path):
 
 @pytest.mark.parametrize(
     "key,value",
-    [("warmup_vehicles", -3), ("horizon_vehicles", 0), ("horizon_vehicles", -5)],
+    [("warmup_vehicles", -3), ("horizon_vehicles", 0), ("horizon_vehicles", -5),
+     ("warmup_vehicles", 100000)],
 )
 def test_run_rejects_bad_vehicle_counts(tmp_path, capsys, key, value):
     with open(SYM) as fh:
@@ -101,6 +102,20 @@ def test_run_rejects_bad_vehicle_counts(tmp_path, capsys, key, value):
     assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and key in err
+
+
+@pytest.mark.parametrize("command", ["run", "sweep", "approx", "traj"])
+def test_warmup_beyond_script_is_usage_error(tmp_path, capsys, command):
+    # configs/traj.json scripts five arrivals; a warmup of five leaves none.
+    with open(TRAJ) as fh:
+        cfg = json.load(fh)
+    cfg["warmup_vehicles"] = 5
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == (
+        "error: warmup_vehicles=5 must be below the 5 scripted arrivals\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -118,6 +133,7 @@ def test_run_rejects_bad_vehicle_counts(tmp_path, capsys, key, value):
         ("B", 0, "B[1] must be > 0, got 0.0"),
         ("S", [2.375, -1.0], "S[2] must be > 0, got -1.0"),
         ("S", float("nan"), "S[1] must be > 0, got nan"),
+        ("S", 0.5, "min(S)=0.5 < max(B)=1.0"),
     ],
 )
 def test_run_rejects_malformed_config_values(tmp_path, capsys, key, value, message):
@@ -126,9 +142,10 @@ def test_run_rejects_malformed_config_values(tmp_path, capsys, key, value, messa
     cfg[key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg))
-    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1 and message in err
+    for command in ("run", "approx"):
+        assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and message in err
 
 
 @pytest.mark.parametrize("pfa", ["exhaustive", "gated"])
@@ -161,6 +178,23 @@ def test_sweep_grid_and_reruns_are_byte_identical(tmp_path):
     rows = read_csv(os.path.join(out_a, "delay_sweep.csv"))
     assert sorted({r["rho"] for r in rows}) == ["0.3", "0.4", "0.5"]
     assert len(rows) == 3 * 3  # per point: aggregate + two lanes
+
+
+def test_sweep_honours_warmup(tmp_path):
+    with open(SYM) as fh:
+        cfg = json.load(fh)
+    cfg.update(horizon_vehicles=4000, warmup_vehicles=2000)
+    path = tmp_path / "warm.json"
+    path.write_text(json.dumps(cfg))
+    out = str(tmp_path / "out")
+    args = ["--config", str(path), "--out", out, "--pfa", "gated"]
+    assert cli.main(["sweep", "--rho", "0.5:0.5:0.1"] + args) == 0
+    swept = read_csv(os.path.join(out, "delay_sweep.csv"))
+    assert cli.main(["run"] + args) == 0
+    ran = read_csv(os.path.join(out, "results.csv"))
+    assert swept[0]["n_vehicles"] == ran[0]["n_vehicles"] == "2000"
+    # Same load and seed: the sweep point is the run.
+    assert swept == ran
 
 
 def test_sweep_refuses_saturating_grid(tmp_path):

@@ -232,6 +232,11 @@ def test_parse_config_arrivals():
         ({"arrivals": [[1, 0.0, 2]]}, "[lane, entry time] pair"),
         ({"arrivals": [["a", 1.0]]}, "arrival lane must be an integer"),
         ({"arrivals": [[1, "soon"]]}, "arrival entry time must be a number"),
+        ({"B": [1.0, 2.5]}, "min(S)=2.375 < max(B)=2.5"),
+        ({"horizon_vehicles": 10, "warmup_vehicles": 10},
+         "warmup_vehicles=10 must be below horizon_vehicles=10"),
+        ({"arrivals": [[1, 0.0]], "warmup_vehicles": 1},
+         "warmup_vehicles=1 must be below the 1 scripted arrivals"),
     ],
 )
 def test_parse_config_rejects_malformed_values(data, message):

@@ -10,14 +10,11 @@ light-traffic expansion and the heavy-traffic constants:
     omega_g = (1 + 1/2)/2 * (1/(3/2) + 2S)          = 4.0625
     approx(rho) = (K1*rho + (omega - K1)*rho^2) / (1 - rho)
 """
-import math
-
 import pytest
 
 from platoonsim.core import SimParams, UnstableLoad
 from platoonsim.polling import (
     DISCIPLINES,
-    PollingInput,
     UnsupportedDiscipline,
     approx_coefficients,
     approx_mean_delay,
@@ -32,8 +29,8 @@ OMEGA_EXH = 1.6875
 OMEGA_GAT = 4.0625
 
 
-def sym_input(rho: float) -> PollingInput:
-    return PollingInput.from_sim_params(SimParams().with_rho(rho))
+def sym_params(rho: float) -> SimParams:
+    return SimParams().with_rho(rho)
 
 
 def test_residual_mean_deterministic():
@@ -41,63 +38,48 @@ def test_residual_mean_deterministic():
     assert residual_mean(1.0, 1.0) == pytest.approx(0.5)
 
 
-def test_from_sim_params_moments(params_het):
-    inp = PollingInput.from_sim_params(params_het)
-    assert inp.eb == params_het.B
-    assert inp.eb2 == tuple(b * b for b in params_het.B)
-    assert inp.es2[2] == pytest.approx(1.5**2)
-    assert inp.rho == pytest.approx(params_het.rho)
-
-
-def test_polling_input_validation():
-    with pytest.raises(ValueError, match="entries"):
-        PollingInput(n=2, lam=(0.1,), eb=(1, 1), eb2=(1, 1), es=(2, 2), es2=(4, 4))
-    with pytest.raises(ValueError, match="below"):
-        PollingInput(n=1, lam=(0.1,), eb=(2.0,), eb2=(1.0,), es=(2.0,), es2=(4.0,))
-
-
 def test_k1_frozen_symmetric():
     for rho in (0.1, 0.5, 0.9):
-        inp = sym_input(rho)
+        params = sym_params(rho)
         for disc in DISCIPLINES:
-            coef = approx_coefficients(inp, disc, lane=1)
+            coef = approx_coefficients(params, disc, lane=1)
             assert coef.k1 == pytest.approx(K1_SYM, rel=1e-12)
 
 
 def test_omega_frozen_symmetric():
-    inp = sym_input(0.5)
-    assert ht_omega(inp, "exhaustive", 1) == pytest.approx(OMEGA_EXH, rel=1e-12)
-    assert ht_omega(inp, "gated", 1) == pytest.approx(OMEGA_GAT, rel=1e-12)
+    params = sym_params(0.5)
+    assert ht_omega(params, "exhaustive", 1) == pytest.approx(OMEGA_EXH, rel=1e-12)
+    assert ht_omega(params, "gated", 1) == pytest.approx(OMEGA_GAT, rel=1e-12)
 
 
 def test_k2_is_omega_minus_k1():
-    inp = sym_input(0.3)
+    params = sym_params(0.3)
     for disc, omega in (("exhaustive", OMEGA_EXH), ("gated", OMEGA_GAT)):
-        coef = approx_coefficients(inp, disc, lane=2)
+        coef = approx_coefficients(params, disc, lane=2)
         assert coef.k2 == pytest.approx(omega - K1_SYM, rel=1e-12)
         assert coef.omega == pytest.approx(omega, rel=1e-12)
 
 
 def test_approx_frozen_values():
-    assert approx_mean_delay(sym_input(0.5), "exhaustive", 1) == pytest.approx(
+    assert approx_mean_delay(sym_params(0.5), "exhaustive", 1) == pytest.approx(
         2.392578125, rel=1e-12
     )
-    assert approx_mean_delay(sym_input(0.5), "gated", 1) == pytest.approx(
+    assert approx_mean_delay(sym_params(0.5), "gated", 1) == pytest.approx(
         3.580078125, rel=1e-12
     )
-    assert approx_mean_delay(sym_input(0.2), "exhaustive", 1) == pytest.approx(
+    assert approx_mean_delay(sym_params(0.2), "exhaustive", 1) == pytest.approx(
         0.70390625, rel=1e-12
     )
 
 
 def test_light_traffic_frozen_values():
-    assert light_traffic_delay(sym_input(0.05), 1) == pytest.approx(0.1548828125, rel=1e-12)
-    assert light_traffic_delay(sym_input(0.2), 2) == pytest.approx(0.61953125, rel=1e-12)
+    assert light_traffic_delay(sym_params(0.05), 1) == pytest.approx(0.1548828125, rel=1e-12)
+    assert light_traffic_delay(sym_params(0.2), 2) == pytest.approx(0.61953125, rel=1e-12)
 
 
 def test_light_traffic_is_linear_in_load():
-    base = light_traffic_delay(sym_input(0.1), 1)
-    assert light_traffic_delay(sym_input(0.4), 1) == pytest.approx(4.0 * base, rel=1e-10)
+    base = light_traffic_delay(sym_params(0.1), 1)
+    assert light_traffic_delay(sym_params(0.4), 1) == pytest.approx(4.0 * base, rel=1e-10)
 
 
 def test_approx_value_and_slope_match_light_traffic():
@@ -105,8 +87,8 @@ def test_approx_value_and_slope_match_light_traffic():
     # slope, checked by finite differences on both curves.
     h = 1e-7
     for disc in DISCIPLINES:
-        slope_approx = approx_mean_delay(sym_input(h), disc, 1) / h
-        slope_lt = light_traffic_delay(sym_input(h), 1) / h
+        slope_approx = approx_mean_delay(sym_params(h), disc, 1) / h
+        slope_lt = light_traffic_delay(sym_params(h), 1) / h
         assert slope_approx == pytest.approx(slope_lt, rel=1e-6)
         assert slope_lt == pytest.approx(K1_SYM, rel=1e-6)
 
@@ -114,91 +96,86 @@ def test_approx_value_and_slope_match_light_traffic():
 def test_approx_heavy_traffic_limit():
     rho = 1.0 - 1e-9
     for disc, omega in (("exhaustive", OMEGA_EXH), ("gated", OMEGA_GAT)):
-        scaled = (1.0 - rho) * approx_mean_delay(sym_input(rho), disc, 1)
+        scaled = (1.0 - rho) * approx_mean_delay(sym_params(rho), disc, 1)
         assert scaled == pytest.approx(omega, rel=1e-6)
 
 
 def test_approx_zero_and_unstable():
-    inp0 = PollingInput(n=2, lam=(0.0, 0.0), eb=(1, 1), eb2=(1, 1),
-                        es=(2.375, 2.375), es2=(2.375**2, 2.375**2))
-    assert approx_mean_delay(inp0, "exhaustive", 1) == 0.0
+    idle = SimParams(lam=(0.0, 0.0))
+    assert approx_mean_delay(idle, "exhaustive", 1) == 0.0
     with pytest.raises(UnstableLoad):
-        approx_mean_delay(sym_input(1.0), "exhaustive", 1)
+        approx_mean_delay(sym_params(1.0), "exhaustive", 1)
 
 
 @pytest.mark.parametrize("rho", [0.3, 0.6, 0.9])
 def test_single_lane_is_pollaczek_khinchine(rho):
     # One lane pays no clearance: the M/D/1 mean wait rho B / (2 (1 - rho)).
     for b in (1.0, 1.2):
-        inp = PollingInput.from_sim_params(SimParams(n=1, lam=(rho / b,), B=b, S=2.375))
+        params = SimParams(n=1, lam=(rho / b,), B=b, S=2.375)
         for disc in DISCIPLINES:
-            assert approx_coefficients(inp, disc, 1).k2 == pytest.approx(0.0, abs=1e-12)
+            assert approx_coefficients(params, disc, 1).k2 == pytest.approx(0.0, abs=1e-12)
             pk = rho * b / (2.0 * (1.0 - rho))
-            assert approx_mean_delay(inp, disc, 1) == pytest.approx(pk, rel=1e-12)
+            assert approx_mean_delay(params, disc, 1) == pytest.approx(pk, rel=1e-12)
 
 
 def test_symmetric_lanes_identical():
-    inp = sym_input(0.6)
+    params = sym_params(0.6)
     for disc in DISCIPLINES:
-        assert approx_mean_delay(inp, disc, 1) == approx_mean_delay(inp, disc, 2)
+        assert approx_mean_delay(params, disc, 1) == approx_mean_delay(params, disc, 2)
 
 
 def test_exhaustive_below_gated_pointwise():
     for rho in (0.1, 0.3, 0.5, 0.7, 0.9):
-        inp = sym_input(rho)
-        assert approx_mean_delay(inp, "exhaustive", 1) < approx_mean_delay(inp, "gated", 1)
+        params = sym_params(rho)
+        assert approx_mean_delay(params, "exhaustive", 1) < approx_mean_delay(params, "gated", 1)
 
 
 def test_approx_monotone_in_load():
     prev = {d: 0.0 for d in DISCIPLINES}
     for rho in (0.05, 0.2, 0.4, 0.6, 0.8, 0.95):
-        inp = sym_input(rho)
+        params = sym_params(rho)
         for disc in DISCIPLINES:
-            val = approx_mean_delay(inp, disc, 1)
+            val = approx_mean_delay(params, disc, 1)
             assert val > prev[disc]
             prev[disc] = val
 
 
 def test_asymmetric_heavy_traffic_ordering():
     # Exhaustive favors the busy lane in heavy traffic; gated penalizes it.
-    inp = PollingInput.from_sim_params(SimParams(lam=(0.375, 0.125)).with_rho(0.9))
-    assert ht_omega(inp, "exhaustive", 1) < ht_omega(inp, "exhaustive", 2)
-    assert ht_omega(inp, "gated", 1) > ht_omega(inp, "gated", 2)
+    params = SimParams(lam=(0.375, 0.125)).with_rho(0.9)
+    assert ht_omega(params, "exhaustive", 1) < ht_omega(params, "exhaustive", 2)
+    assert ht_omega(params, "gated", 1) > ht_omega(params, "gated", 2)
 
 
 def test_mean_queue_length_littles_law():
-    inp = PollingInput.from_sim_params(SimParams(lam=(0.375, 0.125)).with_rho(0.6))
+    params = SimParams(lam=(0.375, 0.125)).with_rho(0.6)
     for disc in DISCIPLINES:
         for lane in (1, 2):
-            expected = inp.lam[lane - 1] * approx_mean_delay(inp, disc, lane)
-            assert mean_queue_length(inp, disc, lane) == pytest.approx(expected, rel=1e-12)
+            expected = params.lam[lane - 1] * approx_mean_delay(params, disc, lane)
+            assert mean_queue_length(params, disc, lane) == pytest.approx(expected, rel=1e-12)
 
 
 def test_unsupported_discipline():
-    inp = sym_input(0.5)
+    params = sym_params(0.5)
     with pytest.raises(UnsupportedDiscipline):
-        ht_omega(inp, "batch", 1)
+        ht_omega(params, "batch", 1)
     with pytest.raises(UnsupportedDiscipline):
-        approx_coefficients(inp, "batch", 1)
+        approx_coefficients(params, "batch", 1)
 
 
 def test_lane_bounds_checked():
-    inp = sym_input(0.5)
+    params = sym_params(0.5)
     with pytest.raises(ValueError, match="lane"):
-        light_traffic_delay(inp, 0)
+        light_traffic_delay(params, 0)
     with pytest.raises(ValueError, match="lane"):
-        approx_mean_delay(inp, "exhaustive", 3)
+        approx_mean_delay(params, "exhaustive", 3)
 
 
 def test_hatted_split_constant_across_loads():
     # The interpolation holds the load split fixed; coefficients must not
     # depend on the magnitude of rho, only on the split.
-    lo = approx_coefficients(sym_input(0.05), "exhaustive", 1)
-    hi = approx_coefficients(sym_input(0.95), "exhaustive", 1)
+    lo = approx_coefficients(sym_params(0.05), "exhaustive", 1)
+    hi = approx_coefficients(sym_params(0.95), "exhaustive", 1)
     assert lo.k1 == pytest.approx(hi.k1, rel=1e-12)
     assert lo.omega == pytest.approx(hi.omega, rel=1e-12)
 
-
-def test_sigma2_deterministic_unit_service():
-    assert sym_input(0.5).sigma2 == pytest.approx(1.0, rel=1e-12)
-    assert math.isclose(sum(sym_input(0.5).rho_hat), 1.0)

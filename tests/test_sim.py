@@ -191,9 +191,8 @@ def test_batch_means_ci_zero_for_constant():
 # ===================== sweeps =====================
 
 def test_sweep_rows_shape_and_order(params):
-    rows = sweep_rows(
-        params, [0.2, 0.5], ["exhaustive", "gated", "batch"], horizon=4000, base_seed=7
-    )
+    base = RunConfig(params=params, horizon_vehicles=4000, seed=7)
+    rows = sweep_rows(base, [0.2, 0.5], ["exhaustive", "gated", "batch"])
     assert len(rows) == 2 * 3 * (1 + params.n)
     assert set(rows[0]) == set(RUN_CSV_HEADER)
     assert [r["seed"] for r in rows if r["rho"] == 0.2] == [7] * 9
@@ -203,7 +202,8 @@ def test_sweep_rows_shape_and_order(params):
 
 
 def test_sweep_rows_fairness_and_approx_columns(params):
-    rows = sweep_rows(params, [0.5], ["exhaustive", "gated", "batch"], horizon=4000, base_seed=7)
+    base = RunConfig(params=params, horizon_vehicles=4000, seed=7)
+    rows = sweep_rows(base, [0.5], ["exhaustive", "gated", "batch"])
     for r in rows:
         if r["lane"] == "all":
             assert 0.0 <= r["fairness"] <= 1.0
@@ -216,10 +216,10 @@ def test_sweep_rows_fairness_and_approx_columns(params):
 
 
 def test_sweep_rows_deterministic(params):
-    args = (params, [0.3, 0.4, 0.6], ["exhaustive"], 3000, 11)
+    args = (RunConfig(params=params, horizon_vehicles=3000, seed=11), [0.3, 0.4, 0.6], ["exhaustive"])
     assert sweep_rows(*args) == sweep_rows(*args)
 
 
 def test_sweep_rows_rejects_unknown_discipline(params):
     with pytest.raises(PlatoonError):
-        sweep_rows(params, [0.3], ["round-robin"], horizon=1000, base_seed=1)
+        sweep_rows(RunConfig(params=params, horizon_vehicles=1000), [0.3], ["round-robin"])
