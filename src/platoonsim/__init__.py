@@ -6,8 +6,8 @@ Subpackages by role:
 - pfa: the three scheduling disciplines (exhaustive, gated, batch) as
   object-level reference implementations, plus invariant checks.
 - spa: closed-form speed profiles realizing a schedule (minimum distance
-  shortfall or minimum acceleration effort), an independent discretized
-  oracle, feasibility checks, CSV export.
+  shortfall or minimum acceleration effort), feasibility and separation
+  checks, CSV export.
 - polling: light/heavy-traffic mean-delay limits and the interpolation
   between them, per lane and discipline.
 - sim: discrete-event runs (list-based kernel + reference path), arrival
@@ -63,7 +63,6 @@ from .spa import (
     area,
     check_overcrowding,
     evaluate,
-    oracle_min,
     plan_min_accel,
     plan_min_distance,
     plan_schedule,
@@ -126,7 +125,6 @@ __all__ = [
     "area",
     "check_overcrowding",
     "evaluate",
-    "oracle_min",
     "plan_min_accel",
     "plan_min_distance",
     "plan_schedule",

@@ -14,10 +14,9 @@ Two closed-form planners are provided:
 Platoon members crossing exactly B apart share the instant they regain
 full speed, which makes their profiles time-shifted copies and keeps the
 spacing constant; plan_* link a trajectory to its predecessor's when the
-crossing gap matches B.
-
-oracle_min is a brute-force discretized search over the same profile
-family, used by the tests to confirm the closed forms are optimal.
+crossing gap matches B. Each trajectory is checked against its
+predecessor on a fixed time grid; a pair whose exact minimum gap (the gap
+is quadratic between breakpoints) clears l_min skips the grid.
 
 write_segments_csv exports the exact segments of a plan, and
 write_sampled_csv samples it at a fixed step for plotting. The sampler
@@ -46,7 +45,6 @@ __all__ = [
     "OvercrowdingViolation",
     "SeparationViolation",
     "SingleDipViolation",
-    "InfeasibleInstance",
     "OutOfDomain",
     "plan_min_distance",
     "plan_min_accel",
@@ -54,7 +52,6 @@ __all__ = [
     "area",
     "accel_cost",
     "check_overcrowding",
-    "oracle_min",
     "plan_schedule",
     "verify_separation",
     "write_segments_csv",
@@ -67,6 +64,10 @@ B_LINK_TOL = 1e-6
 # Separation slack (m) and the fixed grid step (s) for pairwise checks.
 SEP_TOL = 1e-6
 SEP_GRID_DT = 0.01
+# Margin (m) by which a pair's exact minimum gap must clear l_min - tol to
+# skip the grid: far above the ~1e-13 m rounding of positions and the
+# ~1e-11 m a sample 1e-12 s past a segment end can move, at most SEP_TOL.
+SCREEN_CUSHION = 1e-9
 # Feasibility slack for breakpoint times and speeds.
 FEAS_TOL = 1e-9
 # Segments shorter than this are dropped as degenerate.
@@ -97,10 +98,6 @@ class SeparationViolation(TrajectoryError):
 
 class SingleDipViolation(TrajectoryError):
     """Schedule requires a profile outside the single-dip family."""
-
-
-class InfeasibleInstance(TrajectoryError):
-    """The discretized oracle found no feasible candidate."""
 
 
 class OutOfDomain(TrajectoryError):
@@ -225,16 +222,76 @@ def _sample_x(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
     return x
 
 
+def _segment_at(traj: Trajectory, t: float) -> Segment:
+    """_sample_x's choice at t: the first segment ending at or after t - 1e-12."""
+    for seg in traj.segments:
+        if t <= seg.t_start + seg.duration + 1e-12:
+            return seg
+    return traj.segments[-1]
+
+
+def _state(seg: Segment, t: float) -> Tuple[float, float, float]:
+    """(x, v, a) on seg's quadratic at t; held (v = a = 0) outside the segment."""
+    d = t - seg.t_start
+    inside = 0.0 <= d <= seg.duration
+    d = min(max(d, 0.0), seg.duration)
+    x = seg.x_start + seg.v_start * d + 0.5 * seg.accel * d * d
+    if not inside:
+        return x, 0.0, 0.0
+    return x, seg.v_start + seg.accel * d, seg.accel
+
+
+def _min_gap(leader: Trajectory, follower: Trajectory, t_lo: float, t_hi: float) -> float:
+    """Exact minimum of leader.x - follower.x over [t_lo, t_hi].
+
+    Between the merged breakpoints of both trajectories each position is
+    one quadratic in t, so the gap is too: its minimum lies at a piece end
+    or, when the relative acceleration is positive, at the vertex. A
+    breakpoint takes the segments _sample_x takes there, and each piece
+    is also evaluated at its ends on its own segments, which can differ
+    there by rounding; so the result is at most the gap _sample_x gives
+    anywhere in [t_lo, t_hi], up to rounding.
+    """
+    cuts = sorted({t_lo, t_hi, *(
+        t for traj in (leader, follower) for s in traj.segments
+        for t in (s.t_start, s.t_start + s.duration) if t_lo < t < t_hi
+    )})
+    low = min(_state(_segment_at(leader, t), t)[0] - _state(_segment_at(follower, t), t)[0]
+              for t in cuts)
+    for p, q in zip(cuts, cuts[1:]):
+        mid = 0.5 * (p + q)
+        seg_l, seg_f = _segment_at(leader, mid), _segment_at(follower, mid)
+        times = [p, q]
+        _, v_l, a_l = _state(seg_l, mid)
+        _, v_f, a_f = _state(seg_f, mid)
+        rel_a = a_l - a_f
+        if rel_a > 0.0:
+            t = mid - (v_l - v_f) / rel_a
+            if p < t < q:
+                times.append(t)
+        low = min(low, *(_state(seg_l, t)[0] - _state(seg_f, t)[0] for t in times))
+    return low
+
+
 def _separation_shortfalls(leader: Trajectory, follower: Trajectory, l_min: float,
                            tol: float, grid_dt: float) -> Tuple[np.ndarray, np.ndarray]:
     """Times and gaps of the samples where leader.x - follower.x < l_min - tol.
 
     Samples a fixed grid plus every segment breakpoint of both
-    trajectories, from the later entry until the leader crosses.
+    trajectories, from the later entry until the leader crosses. A pair
+    whose exact minimum gap clears l_min - tol by SCREEN_CUSHION has no
+    such sample and skips the sampling. The minimum runs to the grid's
+    last time, which can lie past the leader's crossing: np.arange's step
+    is (t_lo + dt) - t_lo, off dt by up to half an ulp of t_lo, and the
+    error grows with every step.
     """
     t_lo = max(leader.t0, follower.t0)
     t_hi = leader.t_f
     if t_hi <= t_lo:
+        return np.empty(0), np.empty(0)
+    grid = np.arange(t_lo, t_hi, grid_dt)
+    t_end = max(t_hi, float(grid[-1]))
+    if _min_gap(leader, follower, t_lo, t_end) >= l_min - tol + SCREEN_CUSHION:
         return np.empty(0), np.empty(0)
     extra = [t_hi]
     for traj in (leader, follower):
@@ -242,7 +299,7 @@ def _separation_shortfalls(leader: Trajectory, follower: Trajectory, l_min: floa
             for t in (s.t_start, s.t_start + s.duration):
                 if t_lo <= t <= t_hi:
                     extra.append(t)
-    ts = np.unique(np.concatenate([np.arange(t_lo, t_hi, grid_dt), np.asarray(extra)]))
+    ts = np.unique(np.concatenate([grid, np.asarray(extra)]))
     gap = _sample_x(leader, ts) - _sample_x(follower, ts)
     bad = gap < l_min - tol
     return ts[bad], gap[bad]
@@ -437,175 +494,6 @@ def plan_min_accel(
     return _check_pred(traj, pred, params)
 
 
-# ===================== discretized oracle (test-only) =====================
-
-def oracle_min(
-    objective: str,
-    x0: float,
-    v0: float,
-    t_f: float,
-    params: SimParams,
-    pred: Optional[Trajectory] = None,
-    link_gap: Optional[float] = None,
-    dt: float = 0.01,
-    t0: float = 0.0,
-) -> Trajectory:
-    """Brute-force best single-dip profile on a dt grid of breakpoints.
-
-    Candidates cruise at v0 for p, brake for delta, cruise at the dip
-    speed, then accelerate to full speed; the two cruise lengths are
-    solved exactly from the time and distance closures, so every kept
-    candidate is an exact trajectory. (p, delta) range over the dt grid;
-    exact full-stop candidates (dip speed zero, dwell solved) and the
-    exact no-dip candidate are added separately. When the predecessor
-    linkage pins t_full < t_f, the final full-speed stretch is fixed and
-    the search runs on the shortened horizon.
-
-    Search is restricted to the single-dip family; optimality claims
-    against the closed forms hold within that family.
-    """
-    if objective not in ("distance", "acceleration"):
-        raise ValueError(f"objective must be distance or acceleration, got {objective!r}")
-    if x0 >= 0.0:
-        raise ValueError(f"x0 must be negative (upstream), got {x0}")
-    v_m, a_m = params.v_max, params.a_max
-    dist = -x0
-    T = t_f - t0
-    if link_gap is None:
-        link_gap = params.B_of(1)
-    t_full = _linked_t_full(t_f, pred, link_gap)
-    # Pin the tail cruise; search on the shortened instance.
-    Tp = t_full - t0
-    distp = dist - v_m * (T - Tp)
-    if Tp <= 0.0 or distp <= 0.0 or Tp < distp / v_m - FEAS_TOL:
-        raise InfeasibleInstance(f"no room before t_full: T'={Tp}, |x0|'={distp}")
-
-    grid_p = np.arange(0.0, Tp + dt / 2.0, dt)
-    grid_d = np.arange(dt, v0 / a_m + dt / 2.0, dt) if v0 > 0 else np.empty(0)
-
-    best_val = np.inf
-    best: Optional[Tuple[float, float, float, float, float]] = None  # p, delta, q, r, v1
-
-    def consider(p: float, delta: float, q: float, r: float, v1: float, val: float) -> None:
-        nonlocal best_val, best
-        if val < best_val - 1e-15:
-            best_val = val
-            best = (p, delta, q, r, v1)
-
-    # Exact no-dip candidate: cruise v0 for p, accelerate to v_m, cruise.
-    w0 = (v_m - v0) / a_m
-    if Tp >= w0:
-        # p * v0 + (v0 * w0 + a_m * w0^2 / 2) + r * v_m = distp, p + w0 + r = Tp
-        denom = v_m - v0
-        if denom > FEAS_TOL:
-            rhs = distp - (v0 * w0 + 0.5 * a_m * w0 * w0) - v_m * (Tp - w0)
-            p0 = rhs / (v0 - v_m)
-        else:
-            p0 = 0.0  # v0 == v_m: any split works only if distances match
-        r0 = Tp - w0 - p0
-        if p0 >= -FEAS_TOL and r0 >= -FEAS_TOL:
-            p0, r0 = max(p0, 0.0), max(r0, 0.0)
-            d_chk = p0 * v0 + v0 * w0 + 0.5 * a_m * w0 * w0 + r0 * v_m
-            if abs(d_chk - distp) <= 1e-6:
-                val = _candidate_value(objective, x0, v0, v_m, a_m, p0, 0.0, 0.0, r0, v0)
-                consider(p0, 0.0, 0.0, r0, v0, val)
-
-    # Vectorized (p, delta) sweep with q, r solved from the closures.
-    if grid_d.size and grid_p.size:
-        for lo in range(0, grid_p.size, 512):
-            p = grid_p[lo:lo + 512, None]
-            d = grid_d[None, :]
-            v1 = v0 - a_m * d
-            w1 = (v_m - v1) / a_m
-            t_rem = Tp - p - d - w1
-            d_rem = (
-                distp
-                - p * v0
-                - (v0 * d - 0.5 * a_m * d * d)
-                - (v1 * w1 + 0.5 * a_m * w1 * w1)
-            )
-            denom = v_m - v1
-            with np.errstate(divide="ignore", invalid="ignore"):
-                q = (v_m * t_rem - d_rem) / denom
-            r = t_rem - q
-            feas = (v1 >= -FEAS_TOL) & (q >= 0.0) & (r >= 0.0) & (denom > FEAS_TOL)
-            if not feas.any():
-                continue
-            val = _candidate_value(objective, x0, v0, v_m, a_m, p, d, q, r, v1)
-            val = np.where(feas, val, np.inf)
-            ij = int(np.argmin(val))
-            i, j = divmod(ij, val.shape[1])
-            if val[i, j] < best_val - 1e-15:
-                best_val = float(val[i, j])
-                best = (float(p[i, 0]), float(d[0, j]), float(q[i, j]),
-                        float(r[i, j]), float(v1[0, j]))
-
-    # Exact full-stop candidates: delta fixed at v0/a_m, dwell solved.
-    if v0 > 0.0:
-        d_stop = v0 / a_m
-        w1 = v_m / a_m
-        for p in grid_p:
-            t_rem = Tp - p - d_stop - w1
-            d_rem = distp - p * v0 - 0.5 * v0 * v0 / a_m - 0.5 * v_m * v_m / a_m
-            r = d_rem / v_m
-            q = t_rem - r
-            if q >= -FEAS_TOL and r >= -FEAS_TOL:
-                q, r = max(q, 0.0), max(r, 0.0)
-                val = _candidate_value(objective, x0, v0, v_m, a_m, float(p), d_stop, q, r, 0.0)
-                consider(float(p), d_stop, q, r, 0.0, val)
-
-    if best is None:
-        raise InfeasibleInstance(
-            f"no feasible single-dip candidate (x0={x0}, v0={v0}, t_f={t_f}, dt={dt})"
-        )
-    p, delta, q, r, v1 = best
-    w1 = (v_m - v1) / a_m
-    pieces = [
-        (p, 0.0),
-        (delta, -a_m),
-        (q, 0.0),
-        (w1, a_m),
-        (r, 0.0),
-        (T - Tp, 0.0),  # pinned tail cruise at full speed
-    ]
-    return Trajectory(
-        t0=t0, t_f=t_f, x0=x0, v0=v0,
-        segments=_build_segments(t0, x0, v0, pieces),
-        t_full=t_full, kind="oracle",
-        breakpoints={"t_full": t_full},
-        diagnostics={"p": p, "delta": delta, "q": q, "r": r, "v1": v1},
-    )
-
-
-def _segment_area_terms(x0, v0, a_m, p, d, q, w1, r, v1, v_m):
-    """Exact -integral of x over the five-piece dip profile (array-safe)."""
-    total = 0.0
-    x = x0
-    # cruise v0
-    total = total - (x * p + 0.5 * v0 * p * p)
-    x = x + v0 * p
-    # decel
-    total = total - (x * d + 0.5 * v0 * d * d - a_m * d * d * d / 6.0)
-    x = x + v0 * d - 0.5 * a_m * d * d
-    # cruise v1
-    total = total - (x * q + 0.5 * v1 * q * q)
-    x = x + v1 * q
-    # accel
-    total = total - (x * w1 + 0.5 * v1 * w1 * w1 + a_m * w1 * w1 * w1 / 6.0)
-    x = x + v1 * w1 + 0.5 * a_m * w1 * w1
-    # cruise v_m
-    total = total - (x * r + 0.5 * v_m * r * r)
-    return total
-
-
-def _candidate_value(objective, x0, v0, v_m, a_m, p, d, q, r, v1):
-    """Oracle objective of one candidate, or of a broadcast grid of them."""
-    if objective == "acceleration":
-        return (v0 - v1) + (v_m - v1) + 0.0 * (p + q + r)  # broadcast to the grid
-    w1 = (v_m - v1) / a_m
-    return _segment_area_terms(x0, v0, a_m, p, d, q, w1, r, v1, v_m)
-
-
 # ===================== whole-schedule planning =====================
 
 @dataclass
@@ -629,10 +517,13 @@ def plan_schedule(
     crossings, spacing verified on a grid).
 
     Planner errors are re-raised tagged with the vehicle id; with
-    best_effort=True they are collected in .failures instead (expected
-    for capped-platoon schedules, where long platoons can force profiles
-    outside the single-dip family; such failures surface as
-    SingleDipViolation) and the failed vehicle drops out of its chain.
+    best_effort=True they are collected in .failures instead and the
+    failed vehicle drops out of its chain. NegativeDiscriminant and
+    OvercrowdingViolation are collected as SingleDipViolation. Refusals
+    are not limited to capped platoons: on physically spaced arrivals at
+    rho >= 0.4, uncapped gated min-distance and exhaustive min-accel
+    schedules refuse some vehicles with a SeparationViolation of about
+    0.1 m (a gap near 4.9 m against l_min = 5 m).
     """
     if kind not in ("min-distance", "min-accel"):
         raise ValueError(f"kind must be min-distance or min-accel, got {kind!r}")

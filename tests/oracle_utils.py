@@ -1,36 +1,219 @@
 """Shared audit helpers for the trajectory planners.
 
-Three jobs:
+Four jobs:
 
-* draw random feasible planning instances and compare the closed-form
-  planners against the brute-force grid search,
+* search the single-dip profile family by brute force on a grid of
+  breakpoints (oracle_min), draw random feasible planning instances and
+  compare the closed-form planners against that search,
 * audit planned trajectories for boundary conditions, speed and
   acceleration bounds, distance closure, and pairwise separation,
   using exact per-segment checks instead of dense sampling wherever
   the piecewise form allows it,
 * write the sampled trajectory table one evaluate call and one
-  csv.writer row per sample, the reference for spa.write_sampled_csv.
+  csv.writer row per sample, the reference for spa.write_sampled_csv,
+* sample the separation of a trajectory pair on the full grid, the
+  reference for spa._separation_shortfalls.
 """
 from __future__ import annotations
 
 import csv
 import math
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from platoonsim.core import SimParams, Vehicle
+from platoonsim.core import RunConfig, SimParams, Vehicle
+from platoonsim.sim import run_reference
 from platoonsim.spa import (
+    FEAS_TOL,
     PlannedSchedule,
     Trajectory,
     TrajectoryError,
+    _build_segments,
+    _linked_t_full,
+    _sample_x,
     accel_cost,
     area,
     evaluate,
-    oracle_min,
     plan_min_accel,
     plan_min_distance,
 )
+
+
+# ===================== discretized oracle =====================
+
+class InfeasibleInstance(TrajectoryError):
+    """The discretized oracle found no feasible candidate."""
+
+
+def oracle_min(
+    objective: str,
+    x0: float,
+    v0: float,
+    t_f: float,
+    params: SimParams,
+    pred: Optional[Trajectory] = None,
+    link_gap: Optional[float] = None,
+    dt: float = 0.01,
+    t0: float = 0.0,
+) -> Trajectory:
+    """Brute-force best single-dip profile on a dt grid of breakpoints.
+
+    Candidates cruise at v0 for p, brake for delta, cruise at the dip
+    speed, then accelerate to full speed; the two cruise lengths are
+    solved exactly from the time and distance closures, so every kept
+    candidate is an exact trajectory. (p, delta) range over the dt grid;
+    exact full-stop candidates (dip speed zero, dwell solved) and the
+    exact no-dip candidate are added separately. When the predecessor
+    linkage pins t_full < t_f, the final full-speed stretch is fixed and
+    the search runs on the shortened horizon.
+
+    Search is restricted to the single-dip family; optimality claims
+    against the closed forms hold within that family.
+    """
+    if objective not in ("distance", "acceleration"):
+        raise ValueError(f"objective must be distance or acceleration, got {objective!r}")
+    if x0 >= 0.0:
+        raise ValueError(f"x0 must be negative (upstream), got {x0}")
+    v_m, a_m = params.v_max, params.a_max
+    dist = -x0
+    T = t_f - t0
+    if link_gap is None:
+        link_gap = params.B_of(1)
+    t_full = _linked_t_full(t_f, pred, link_gap)
+    # Pin the tail cruise; search on the shortened instance.
+    Tp = t_full - t0
+    distp = dist - v_m * (T - Tp)
+    if Tp <= 0.0 or distp <= 0.0 or Tp < distp / v_m - FEAS_TOL:
+        raise InfeasibleInstance(f"no room before t_full: T'={Tp}, |x0|'={distp}")
+
+    grid_p = np.arange(0.0, Tp + dt / 2.0, dt)
+    grid_d = np.arange(dt, v0 / a_m + dt / 2.0, dt) if v0 > 0 else np.empty(0)
+
+    best_val = np.inf
+    best: Optional[Tuple[float, float, float, float, float]] = None  # p, delta, q, r, v1
+
+    def consider(p: float, delta: float, q: float, r: float, v1: float, val: float) -> None:
+        nonlocal best_val, best
+        if val < best_val - 1e-15:
+            best_val = val
+            best = (p, delta, q, r, v1)
+
+    # Exact no-dip candidate: cruise v0 for p, accelerate to v_m, cruise.
+    w0 = (v_m - v0) / a_m
+    if Tp >= w0:
+        # p * v0 + (v0 * w0 + a_m * w0^2 / 2) + r * v_m = distp, p + w0 + r = Tp
+        denom = v_m - v0
+        if denom > FEAS_TOL:
+            rhs = distp - (v0 * w0 + 0.5 * a_m * w0 * w0) - v_m * (Tp - w0)
+            p0 = rhs / (v0 - v_m)
+        else:
+            p0 = 0.0  # v0 == v_m: any split works only if distances match
+        r0 = Tp - w0 - p0
+        if p0 >= -FEAS_TOL and r0 >= -FEAS_TOL:
+            p0, r0 = max(p0, 0.0), max(r0, 0.0)
+            d_chk = p0 * v0 + v0 * w0 + 0.5 * a_m * w0 * w0 + r0 * v_m
+            if abs(d_chk - distp) <= 1e-6:
+                val = _candidate_value(objective, x0, v0, v_m, a_m, p0, 0.0, 0.0, r0, v0)
+                consider(p0, 0.0, 0.0, r0, v0, val)
+
+    # Vectorized (p, delta) sweep with q, r solved from the closures.
+    if grid_d.size and grid_p.size:
+        for lo in range(0, grid_p.size, 512):
+            p = grid_p[lo:lo + 512, None]
+            d = grid_d[None, :]
+            v1 = v0 - a_m * d
+            w1 = (v_m - v1) / a_m
+            t_rem = Tp - p - d - w1
+            d_rem = (
+                distp
+                - p * v0
+                - (v0 * d - 0.5 * a_m * d * d)
+                - (v1 * w1 + 0.5 * a_m * w1 * w1)
+            )
+            denom = v_m - v1
+            with np.errstate(divide="ignore", invalid="ignore"):
+                q = (v_m * t_rem - d_rem) / denom
+            r = t_rem - q
+            feas = (v1 >= -FEAS_TOL) & (q >= 0.0) & (r >= 0.0) & (denom > FEAS_TOL)
+            if not feas.any():
+                continue
+            val = _candidate_value(objective, x0, v0, v_m, a_m, p, d, q, r, v1)
+            val = np.where(feas, val, np.inf)
+            ij = int(np.argmin(val))
+            i, j = divmod(ij, val.shape[1])
+            if val[i, j] < best_val - 1e-15:
+                best_val = float(val[i, j])
+                best = (float(p[i, 0]), float(d[0, j]), float(q[i, j]),
+                        float(r[i, j]), float(v1[0, j]))
+
+    # Exact full-stop candidates: delta fixed at v0/a_m, dwell solved.
+    if v0 > 0.0:
+        d_stop = v0 / a_m
+        w1 = v_m / a_m
+        for p in grid_p:
+            t_rem = Tp - p - d_stop - w1
+            d_rem = distp - p * v0 - 0.5 * v0 * v0 / a_m - 0.5 * v_m * v_m / a_m
+            r = d_rem / v_m
+            q = t_rem - r
+            if q >= -FEAS_TOL and r >= -FEAS_TOL:
+                q, r = max(q, 0.0), max(r, 0.0)
+                val = _candidate_value(objective, x0, v0, v_m, a_m, float(p), d_stop, q, r, 0.0)
+                consider(float(p), d_stop, q, r, 0.0, val)
+
+    if best is None:
+        raise InfeasibleInstance(
+            f"no feasible single-dip candidate (x0={x0}, v0={v0}, t_f={t_f}, dt={dt})"
+        )
+    p, delta, q, r, v1 = best
+    w1 = (v_m - v1) / a_m
+    pieces = [
+        (p, 0.0),
+        (delta, -a_m),
+        (q, 0.0),
+        (w1, a_m),
+        (r, 0.0),
+        (T - Tp, 0.0),  # pinned tail cruise at full speed
+    ]
+    return Trajectory(
+        t0=t0, t_f=t_f, x0=x0, v0=v0,
+        segments=_build_segments(t0, x0, v0, pieces),
+        t_full=t_full, kind="oracle",
+        breakpoints={"t_full": t_full},
+        diagnostics={"p": p, "delta": delta, "q": q, "r": r, "v1": v1},
+    )
+
+
+def _segment_area_terms(x0, v0, a_m, p, d, q, w1, r, v1, v_m):
+    """Exact -integral of x over the five-piece dip profile (array-safe)."""
+    total = 0.0
+    x = x0
+    # cruise v0
+    total = total - (x * p + 0.5 * v0 * p * p)
+    x = x + v0 * p
+    # decel
+    total = total - (x * d + 0.5 * v0 * d * d - a_m * d * d * d / 6.0)
+    x = x + v0 * d - 0.5 * a_m * d * d
+    # cruise v1
+    total = total - (x * q + 0.5 * v1 * q * q)
+    x = x + v1 * q
+    # accel
+    total = total - (x * w1 + 0.5 * v1 * w1 * w1 + a_m * w1 * w1 * w1 / 6.0)
+    x = x + v1 * w1 + 0.5 * a_m * w1 * w1
+    # cruise v_m
+    total = total - (x * r + 0.5 * v_m * r * r)
+    return total
+
+
+def _candidate_value(objective, x0, v0, v_m, a_m, p, d, q, r, v1):
+    """Oracle objective of one candidate, or of a broadcast grid of them."""
+    if objective == "acceleration":
+        return (v0 - v1) + (v_m - v1) + 0.0 * (p + q + r)  # broadcast to the grid
+    w1 = (v_m - v1) / a_m
+    return _segment_area_terms(x0, v0, a_m, p, d, q, w1, r, v1, v_m)
+
+
+# ===================== random instances =====================
 
 
 def _no_stop_ok(dist: float, v0: float, slack: float, v_m: float, a_m: float) -> bool:
@@ -219,6 +402,21 @@ def make_physical_arrivals(
     return [[lane, t] for t, lane in events[:count]]
 
 
+def physical_schedule(
+    pfa: str, rho: float, count: int, seed: int
+) -> Tuple[List[Vehicle], SimParams]:
+    """Vehicles scheduled by the reference scheduler on physically spaced
+    arrivals (make_physical_arrivals) at total load rho."""
+    params = SimParams().with_rho(rho)
+    arrivals = make_physical_arrivals(params, count, seed=seed)
+    res = run_reference(RunConfig(params=params, pfa=pfa, arrivals=arrivals, seed=1))
+    vehicles = [
+        Vehicle(id=i, lane=int(res.lane0[i]) + 1, a=float(res.a[i]), c=float(res.c[i]))
+        for i in range(res.a.size)
+    ]
+    return vehicles, params
+
+
 def audit_separation(
     planned: PlannedSchedule,
     vehicles: Sequence[Vehicle],
@@ -273,3 +471,26 @@ def write_sampled_csv_reference(
             w.writerow(
                 [traj.vehicle_id, f"{traj.t_f:.10g}", f"{x:.10g}", f"{v:.10g}", f"{a:.10g}"]
             )
+
+
+def separation_shortfalls_reference(leader: Trajectory, follower: Trajectory, l_min: float,
+                                    tol: float, grid_dt: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Times and gaps of the samples where leader.x - follower.x < l_min - tol.
+
+    Samples a fixed grid plus every segment breakpoint of both
+    trajectories, from the later entry until the leader crosses.
+    """
+    t_lo = max(leader.t0, follower.t0)
+    t_hi = leader.t_f
+    if t_hi <= t_lo:
+        return np.empty(0), np.empty(0)
+    extra = [t_hi]
+    for traj in (leader, follower):
+        for s in traj.segments:
+            for t in (s.t_start, s.t_start + s.duration):
+                if t_lo <= t <= t_hi:
+                    extra.append(t)
+    ts = np.unique(np.concatenate([np.arange(t_lo, t_hi, grid_dt), np.asarray(extra)]))
+    gap = _sample_x(leader, ts) - _sample_x(follower, ts)
+    bad = gap < l_min - tol
+    return ts[bad], gap[bad]

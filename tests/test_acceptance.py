@@ -304,6 +304,38 @@ def test_light_traffic_ci(capsys):
            f"carries a second-order excess over the first-order line)")
 
 
+def test_single_lane_pollaczek_khinchine(capsys):
+    """6c. On one lane the simulator is an M/D/1 queue: at rho 0.3, 0.5
+    and 0.7 the mean delay averaged over five seeds (200 000 vehicles
+    each) lies within 3 standard errors of the Pollaczek-Khinchine mean
+    rho B / (2 (1 - rho)), and approx_mean_delay equals it for both
+    disciplines.
+
+    The standard error is the spread of the five run means, not a single
+    run's batch-means ci95, which is itself an estimate and can miss the
+    exact value without any fault.
+    """
+    t0 = time.perf_counter()
+    b = 1.0
+    seeds = (700, 701, 702, 703, 704)
+    parts = []
+    ok = True
+    for rho in (0.3, 0.5, 0.7):
+        params = SimParams(n=1, lam=(rho / b,), B=b, S=2.375)
+        pk = rho * b / (2.0 * (1.0 - rho))
+        means = np.array([run(RunConfig(params=params, pfa="exhaustive",
+                                        horizon_vehicles=200_000, seed=seed)).mean
+                          for seed in seeds])
+        se = float(means.std(ddof=1)) / math.sqrt(means.size)
+        approx = [approx_mean_delay(params, disc, 1) for disc in ("exhaustive", "gated")]
+        ok = ok and abs(float(means.mean()) - pk) <= 3.0 * se \
+            and all(abs(a - pk) <= 1e-12 * pk for a in approx)
+        parts.append(f"rho {rho}: {means.mean():.5f} +- {se:.5f} (se) vs P-K {pk:.5f}")
+    elapsed = time.perf_counter() - t0
+    report(capsys, "single-lane-pollaczek-khinchine", ok,
+           "; ".join(parts) + f"; 5 seeds x 2e5 vehicles per load, {elapsed:.1f}s")
+
+
 def test_fairness(sweep_runs, capsys):
     """7. Exhaustive fairness stays at or above 0.75 on the whole grid and
     gated fairness dominates exhaustive at loads up to 0.7."""

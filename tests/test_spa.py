@@ -19,8 +19,7 @@ import math
 
 import pytest
 
-from platoonsim.core import RunConfig, SimParams, Vehicle
-from platoonsim.sim import run_reference
+from platoonsim.core import SimParams, Vehicle
 from platoonsim.spa import (
     InfeasibleCrossingTime,
     NegativeDiscriminant,
@@ -42,7 +41,7 @@ from platoonsim.spa import (
     write_segments_csv,
 )
 
-from oracle_utils import make_physical_arrivals, write_sampled_csv_reference
+from oracle_utils import physical_schedule, write_sampled_csv_reference
 
 T_TILDE = math.sqrt(12.5)
 
@@ -328,22 +327,11 @@ def assert_sampled_matches_reference(trajectories, tmp_path, dt):
     return got
 
 
-def gated_schedule():
-    """300 physically spaced gated crossings at rho 0.4 (seed 77)."""
-    params = SimParams().with_rho(0.4)
-    arrivals = make_physical_arrivals(params, 300, seed=77)
-    res = run_reference(RunConfig(params=params, pfa="gated", arrivals=arrivals, seed=1))
-    vehicles = [
-        Vehicle(id=i, lane=int(res.lane0[i]) + 1, a=float(res.a[i]), c=float(res.c[i]))
-        for i in range(res.a.size)
-    ]
-    return vehicles, params
-
-
 @pytest.mark.parametrize("kind", ["min-distance", "min-accel"])
 @pytest.mark.parametrize("dt", [0.1, 0.5])
 def test_sampled_export_matches_reference_with_refusals(tmp_path, kind, dt):
-    vehicles, params = gated_schedule()
+    # 300 physically spaced gated crossings at rho 0.4 (seed 77).
+    vehicles, params = physical_schedule("gated", 0.4, 300, seed=77)
     planned = plan_schedule(vehicles, params, kind=kind, best_effort=True)
     assert planned.failures  # the refused vehicles drop out of the table
     assert_sampled_matches_reference(planned.trajectories, tmp_path, dt)

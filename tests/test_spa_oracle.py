@@ -13,13 +13,18 @@ from platoonsim.spa import (
     accel_cost,
     area,
     evaluate,
-    oracle_min,
     plan_min_accel,
     plan_min_distance,
     plan_schedule,
 )
 
-from oracle_utils import audit_separation, audit_trajectory, oracle_gap_rows, sample_xva
+from oracle_utils import (
+    audit_separation,
+    audit_trajectory,
+    oracle_gap_rows,
+    oracle_min,
+    sample_xva,
+)
 
 
 def test_oracle_matches_min_distance_worked_instance(params):
