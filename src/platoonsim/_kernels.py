@@ -123,10 +123,12 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, warm_start, check):
     counts toward the fairness sums. check: verify the schedule and
     bookkeeping invariants after every arrival (slow, for tests).
 
-    Returns (final_c, sum_ahead, sum_total, max_queue, fallback_count);
-    final_c is a float64 numpy array. Raises InconsistentGateBook when the
-    platoon book diverges from the schedule and PlatoonError when check
-    finds a violated invariant.
+    Returns (final_c, sum_ahead, sum_total, max_queue, fallback_count,
+    max_platoon); final_c is a float64 numpy array, max_platoon the size
+    of the largest platoon the book held (0 for exhaustive), read as each
+    platoon leaves the book and from the live ones at the end. Raises
+    InconsistentGateBook when the platoon book diverges from the schedule
+    and PlatoonError when check finds a violated invariant.
     """
     exhaustive = pfa == "exhaustive"
     capped = pfa == "batch"
@@ -144,6 +146,7 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, warm_start, check):
     sum_total = 0
     max_queue = 0
     fallback_count = 0
+    max_platoon = 0
 
     for k, (a, d) in enumerate(zip(arr_a, arr_lane)):
         tail = k  # one slot per earlier arrival
@@ -161,6 +164,8 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, warm_start, check):
                         f"platoon bookkeeping diverged from the schedule at arrival {k}"
                     )
                 if abs(c - ends[0]) <= TIE_TOL:
+                    if pn[d0][0] > max_platoon:
+                        max_platoon = pn[d0][0]
                     del pf[d0][0], ends[0], pn[d0][0]
             head += 1
 
@@ -279,6 +284,7 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, warm_start, check):
         ):
             raise PlatoonError(f"scheduling invariant violated at arrival {k}")
 
+    max_platoon = max([max_platoon] + [max(counts) for counts in pn if counts])
     final_c = np.empty(len(cs))
     final_c[ai] = cs
-    return final_c, sum_ahead, sum_total, max_queue, fallback_count
+    return final_c, sum_ahead, sum_total, max_queue, fallback_count, max_platoon

@@ -213,8 +213,8 @@ def cmd_traj(args: argparse.Namespace) -> int:
         for i in range(res.a.size)
     ]
     planned = spa.plan_schedule(vehicles, cfg.params, kind=args.spa, best_effort=True)
-    for vid, err in planned.failures:
-        print(f"vehicle {vid}: {err}", file=sys.stderr)
+    for _, err in planned.failures:
+        print(err, file=sys.stderr)  # planner messages name the vehicle
 
     seg_path = os.path.join(args.out, "traj_segments.csv")
     spa.write_segments_csv(planned.trajectories, seg_path + ".tmp")

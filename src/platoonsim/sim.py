@@ -10,6 +10,12 @@ in _kernels and the object-level reference runner built on the pfa module.
 The kernel is the fast path for runs and sweeps; the reference is the
 semantic anchor the tests compare against. Sweeps run their grid points
 serially: the kernel is pure Python and holds the interpreter lock.
+
+Batch is gated with a cap on platoon size (k-limited gated service), and
+the two disciplines part only when a join meets a full platoon. So where
+gated's largest platoon stays within the cap, batch's schedule is gated's
+bit for bit, and a sweep takes batch's result from the gated run at that
+point instead of running the kernel again.
 """
 from __future__ import annotations
 
@@ -140,6 +146,7 @@ class RunResult:
     lanes: List[LaneStats]
     max_queue: int
     fallback_count: int
+    max_platoon: int        # largest platoon in the gate book (0 for exhaustive)
 
     @property
     def delay(self) -> np.ndarray:
@@ -188,6 +195,7 @@ def _summarize(
     sum_total: int,
     max_queue: int,
     fallback_count: int,
+    max_platoon: int,
     n_lanes: int,
 ) -> RunResult:
     if not np.isfinite(c).all():
@@ -223,6 +231,7 @@ def _summarize(
         lanes=lanes,
         max_queue=max_queue,
         fallback_count=fallback_count,
+        max_platoon=max_platoon,
     )
 
 
@@ -255,7 +264,7 @@ def run(config: RunConfig, check: bool = False, steady_state: bool = True) -> Ru
     """
     entry, a, lane0, warmup = _prepare(config, steady_state)
     params = config.params
-    final_c, sum_ahead, sum_total, max_queue, fallback_count = _kernels.simulate_arrivals(
+    final_c, sum_ahead, sum_total, max_queue, fallback_count, max_platoon = _kernels.simulate_arrivals(
         a.tolist(),
         lane0.tolist(),
         params.n,
@@ -278,6 +287,7 @@ def run(config: RunConfig, check: bool = False, steady_state: bool = True) -> Ru
         sum_total,
         max_queue,
         fallback_count,
+        max_platoon,
         params.n,
     )
 
@@ -301,6 +311,7 @@ def run_reference(config: RunConfig, check: bool = False, steady_state: bool = T
     sum_ahead = 0
     sum_total = 0
     max_queue = 0
+    max_platoon = 0
     for k in range(n):
         now = float(a[k])
         while sched.ordering:
@@ -324,6 +335,11 @@ def run_reference(config: RunConfig, check: bool = False, steady_state: bool = T
             sum_total += n_before
         if len(sched) > max_queue:
             max_queue = len(sched)
+        if gates is not None:
+            # Counts only grow, and only on the new vehicle's lane.
+            for e in gates.entries(v0.lane):
+                if e.count > max_platoon:
+                    max_platoon = e.count
         if check:
             problems = gap_violations(sched, params)
             if problems:
@@ -344,6 +360,7 @@ def run_reference(config: RunConfig, check: bool = False, steady_state: bool = T
         sum_total,
         max_queue,
         sched.fallback_count,
+        max_platoon,
         params.n,
     )
 
@@ -407,16 +424,38 @@ def sweep_rows(
     Each point runs base's parameters rescaled to the load, on Poisson
     arrivals, with base's horizon, warmup and batch cap. Grid point i uses
     seed base.seed + i, and all disciplines at a point see exactly the same
-    arrivals.
+    arrivals. Gated runs before batch, and where gated's largest platoon
+    is within the cap, batch's result is gated's: the cap never bound.
     """
     for d in disciplines:
         if d not in PFA_KINDS:
             raise PlatoonError(f"unknown discipline {d!r}")
+    order = sorted(disciplines, key=PFA_KINDS.index)  # exhaustive, gated, batch
     rows: List[Dict[str, object]] = []
     for i, rho in enumerate(rhos):
-        params = base.params.with_rho(rho)
-        for disc in disciplines:
-            config = replace(base, params=params, pfa=disc, seed=base.seed + i, arrivals=None)
-            rows += result_rows(run(config, steady_state=steady_state), params, rho)
+        point = replace(base, params=base.params.with_rho(rho), seed=base.seed + i, arrivals=None)
+        rows += _point_rows(point, rho, order, steady_state)
     rows.sort(key=lambda r: (r["rho"], r["discipline"], _lane_sort_key(r["lane"])))
+    return rows
+
+
+def _point_rows(
+    point: RunConfig, rho: float, disciplines: Sequence[str], steady_state: bool
+) -> List[Dict[str, object]]:
+    """Run-CSV rows of every discipline at one sweep point.
+
+    Its results go out of scope on return, so none is held while the next
+    point runs.
+    """
+    rows: List[Dict[str, object]] = []
+    gated: Optional[RunResult] = None  # a gated result batch can take
+    for disc in disciplines:
+        if disc == "batch" and gated is not None:
+            res = replace(gated, discipline="batch")
+        else:
+            res = run(replace(point, pfa=disc), steady_state=steady_state)
+            if disc == "gated" and res.max_platoon <= point.batch_cap:
+                gated = res
+        rows += result_rows(res, point.params, rho)
+        del res  # not held while the next discipline runs
     return rows

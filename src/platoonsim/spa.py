@@ -389,7 +389,8 @@ def plan_min_distance(
         diag = {"L": L}
     else:
         # No stop: symmetric dip, deceleration time t_tilde on each side.
-        t_tilde = math.sqrt((T * v_m - dist) / a_m)
+        # T may lie up to FEAS_TOL below the free-flow time; that is no dip.
+        t_tilde = math.sqrt(max((T * v_m - dist) / a_m, 0.0))
         t_acc = tf_rel - t_tilde
         t_dec = t_acc - t_tilde
         if t_dec < -FEAS_TOL:
@@ -516,14 +517,15 @@ def plan_schedule(
     planned against its predecessor (full-speed linkage on B-spaced
     crossings, spacing verified on a grid).
 
-    Planner errors are re-raised tagged with the vehicle id; with
-    best_effort=True they are collected in .failures instead and the
-    failed vehicle drops out of its chain. NegativeDiscriminant and
-    OvercrowdingViolation are collected as SingleDipViolation. Refusals
-    are not limited to capped platoons: on physically spaced arrivals at
-    rho >= 0.4, uncapped gated min-distance and exhaustive min-accel
-    schedules refuse some vehicles with a SeparationViolation of about
-    0.1 m (a gap near 4.9 m against l_min = 5 m).
+    Planner errors, whose messages start with "vehicle <id>: ", are
+    re-raised; with best_effort=True they are collected in .failures
+    instead and the failed vehicle drops out of its chain.
+    NegativeDiscriminant and OvercrowdingViolation are collected as
+    SingleDipViolation with the same message. Refusals are not limited to
+    capped platoons: on physically spaced arrivals at rho >= 0.4, uncapped
+    gated min-distance and exhaustive min-accel schedules refuse some
+    vehicles with a SeparationViolation of about 0.1 m (a gap near 4.9 m
+    against l_min = 5 m).
     """
     if kind not in ("min-distance", "min-accel"):
         raise ValueError(f"kind must be min-distance or min-accel, got {kind!r}")
@@ -553,7 +555,7 @@ def plan_schedule(
             if not best_effort:
                 raise
             if isinstance(exc, (NegativeDiscriminant, OvercrowdingViolation)):
-                exc = SingleDipViolation(f"vehicle {v.id}: {exc}")
+                exc = SingleDipViolation(str(exc))
             failures.append((v.id, exc))
             continue
         out.append(traj)

@@ -7,7 +7,9 @@ the same ones the README documents.
 import csv
 import json
 import os
+import re
 
+import numpy as np
 import pytest
 
 from platoonsim import cli
@@ -289,6 +291,45 @@ def test_traj_min_accel_objective(tmp_path):
     out = str(tmp_path)
     assert cli.main(["traj", "--config", TRAJ, "--out", out, "--spa", "min-accel"]) == 0
     assert os.path.exists(os.path.join(out, "traj_segments.csv"))
+
+
+def short_region_config(tmp_path, arrivals):
+    """configs/traj.json on a 100 m profiling segment, whose lead 100 / 15 s
+    is inexact in floating point."""
+    with open(TRAJ) as fh:
+        config = json.load(fh)
+    config.update(region_spa_m=100.0, arrivals=arrivals)
+    path = tmp_path / "short.json"
+    path.write_text(json.dumps(config))
+    return str(path)
+
+
+def test_traj_short_region_plans_sparse_arrivals(tmp_path, capsys):
+    # Every vehicle crosses at its earliest time, which can land a few ulps
+    # below the free-flow time; planning used to die on a math domain error.
+    arrivals = [[1 + i % 2, round(7.3 * i, 3)] for i in range(60)]
+    config = short_region_config(tmp_path, arrivals)
+    assert cli.main(["traj", "--config", config, "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert captured.out.startswith("traj: 60 trajectories (0 failed)")
+
+
+@pytest.mark.parametrize("spa", ["min-distance", "min-accel"])
+def test_traj_refusals_name_the_vehicle_once(tmp_path, capsys, spa):
+    # Dense arrivals on the short segment refuse vehicles both for spacing
+    # and for having no single-dip profile (relabelled SingleDipViolation).
+    rng = np.random.default_rng(1)
+    times = np.cumsum(rng.exponential(2.0, 80)).round(3)
+    arrivals = [[int(lane), float(t)] for lane, t in zip(rng.integers(1, 3, 80), times)]
+    config = short_region_config(tmp_path, arrivals)
+    assert cli.main(["traj", "--config", config, "--out", str(tmp_path), "--spa", spa]) == 0
+    lines = capsys.readouterr().err.splitlines()
+    separation = [line for line in lines if ": separation " in line]
+    assert separation and len(separation) < len(lines)
+    for line in lines:
+        assert re.match(r"vehicle \d+: ", line), line
+        assert len(re.findall(r"vehicle \d+", line)) == 1, line
 
 
 def test_traj_needs_scripted_arrivals(tmp_path):

@@ -23,6 +23,7 @@ def assert_same_result(fast, slow):
     assert np.array_equal([fast.fairness], [slow.fairness], equal_nan=True)
     assert fast.max_queue == slow.max_queue
     assert fast.fallback_count == slow.fallback_count
+    assert fast.max_platoon == slow.max_platoon
     assert fast.mean == slow.mean
 
 

@@ -7,12 +7,15 @@ third vehicle slot in behind its own-lane predecessor (0.1 s delay);
 gated has already closed that gate, so the same vehicle waits out the
 whole cross-lane platoon (7.85 s).
 """
+import dataclasses
 import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from platoonsim import sim
 from platoonsim.core import (
     PlatoonError,
     RunConfig,
@@ -21,12 +24,15 @@ from platoonsim.core import (
 )
 from platoonsim.sim import (
     RUN_CSV_HEADER,
+    RunResult,
     batch_means_ci,
     make_arrivals,
+    result_rows,
     run,
     run_reference,
     sweep_rows,
 )
+from test_pfa_properties import arrival_sequences
 
 SCRIPT = [[1, 0.0], [2, 0.3], [1, 0.9], [2, 2.0], [2, 2.5]]
 
@@ -152,8 +158,52 @@ def test_batch_cap_binds_under_load():
     )
     # A 100-vehicle cap never binds at this load; a 2-vehicle cap bites hard.
     assert np.array_equal(wide.c, gated.c)
+    assert wide.max_platoon == gated.max_platoon <= 100
     assert not np.array_equal(tight.c, gated.c)
+    assert tight.max_platoon == 2
     assert tight.mean > gated.mean
+
+
+def same_value(x, y):
+    """Equality that counts NaN equal to NaN."""
+    if isinstance(x, float) and isinstance(y, float) and math.isnan(x) and math.isnan(y):
+        return True
+    return x == y
+
+
+def assert_same_run(x, y, skip=()):
+    """Every RunResult field equal bit for bit, apart from those in skip."""
+    for f in dataclasses.fields(RunResult):
+        if f.name in skip:
+            continue
+        u, v = getattr(x, f.name), getattr(y, f.name)
+        if isinstance(u, np.ndarray):
+            assert u.dtype == v.dtype and np.array_equal(u, v), f.name
+        elif f.name == "lanes":
+            for lu, lv in zip(u, v, strict=True):
+                assert all(map(same_value, dataclasses.astuple(lu), dataclasses.astuple(lv)))
+        else:
+            assert same_value(u, v), f.name
+
+
+@given(case=arrival_sequences(), cap=st.integers(min_value=1, max_value=6))
+@settings(max_examples=300, deadline=None)
+def test_batch_is_gated_when_the_cap_never_binds(case, cap):
+    # Batch parts from gated only when a join meets a full platoon, which
+    # leaves a gated platoon above the cap.
+    n, arrivals = case
+    config = RunConfig(
+        params=SimParams(n=n, lam=(0.2,) * n),
+        pfa="gated",
+        batch_cap=cap,
+        arrivals=[list(x) for x in arrivals],
+        seed=1,
+    )
+    gated = run(config)
+    batch = run(dataclasses.replace(config, pfa="batch"))
+    assert batch.max_platoon <= cap
+    if gated.max_platoon <= cap:
+        assert_same_run(gated, batch, skip=("discipline",))
 
 
 def test_unstable_load_raises_steady_state():
@@ -223,3 +273,52 @@ def test_sweep_rows_deterministic(params):
 def test_sweep_rows_rejects_unknown_discipline(params):
     with pytest.raises(PlatoonError):
         sweep_rows(RunConfig(params=params, horizon_vehicles=1000), [0.3], ["round-robin"])
+
+
+def per_discipline_rows(base, rhos, disciplines):
+    """sweep_rows written out: every discipline run on its own at every point."""
+    rows = []
+    for i, rho in enumerate(rhos):
+        params = base.params.with_rho(rho)
+        for disc in disciplines:
+            config = dataclasses.replace(base, params=params, pfa=disc, seed=base.seed + i)
+            rows += result_rows(run(config), params, rho)
+    rows.sort(key=lambda r: (r["rho"], r["discipline"], -1 if r["lane"] == "all" else r["lane"]))
+    return rows
+
+
+SWEEP_RHOS = [0.2, 0.5, 0.8, 0.9]
+
+
+@pytest.mark.parametrize("cap", [3, 8, 100])
+@pytest.mark.parametrize(
+    "disciplines", [["exhaustive", "gated", "batch"], ["batch", "exhaustive", "gated"]]
+)
+def test_sweep_rows_equal_per_discipline_runs(params, cap, disciplines):
+    base = RunConfig(params=params, batch_cap=cap, horizon_vehicles=3000, seed=21)
+    got = sweep_rows(base, SWEEP_RHOS, disciplines)
+    want = per_discipline_rows(base, SWEEP_RHOS, disciplines)
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert g.keys() == w.keys()
+        assert all(same_value(g[k], w[k]) for k in g), (g, w)
+
+
+def test_sweep_runs_batch_where_gated_outgrows_the_cap(params, monkeypatch):
+    calls = []
+
+    def spy(config, **kwargs):
+        res = run(config, **kwargs)
+        calls.append((config.pfa, config.params.rho, res.max_platoon))
+        return res
+
+    monkeypatch.setattr(sim, "run", spy)
+    cap = 8
+    base = RunConfig(params=params, batch_cap=cap, horizon_vehicles=3000, seed=21)
+    sweep_rows(base, SWEEP_RHOS, ["exhaustive", "gated", "batch"])
+    big = [rho for pfa, rho, size in calls if pfa == "gated" and size > cap]
+    batch = [rho for pfa, rho, _ in calls if pfa == "batch"]
+    assert batch == big
+    # Both branches are exercised: some points reuse gated, some run batch.
+    assert 0 < len(batch) < len(SWEEP_RHOS)
+    assert [rho for pfa, rho, _ in calls if pfa == "gated"] == pytest.approx(SWEEP_RHOS)

@@ -161,6 +161,24 @@ def test_infeasible_crossing_time(params):
         plan_min_accel(-150.0, 15.0, 9.9, params)
 
 
+def test_min_distance_plans_crossing_just_below_free_flow():
+    # 100 / 15 is inexact, so t_f - t0 can round a few ulps below the
+    # free-flow time; the feasibility check lets that through, and the
+    # no-stop dip then has no depth rather than a negative radicand.
+    short = SimParams(region_spa_m=100.0)
+    below = 0
+    for i in range(1, 2000):
+        a = 0.37 * i
+        t0 = a - 100.0 / 15.0
+        below += (a - t0) * 15.0 < 100.0
+        traj = plan_min_distance(-100.0, a, short, t0=t0)
+        assert traj.diagnostics["t_tilde"] >= 0.0
+        xf, vf, _ = evaluate(traj, traj.t_f)
+        assert xf == pytest.approx(0.0, abs=1e-6)
+        assert vf == pytest.approx(15.0, abs=1e-9)
+    assert below > 0
+
+
 def test_overcrowding_too_close_to_stop(params):
     # 50 m is less than the v^2/a = 56.25 m needed to brake and relaunch.
     with pytest.raises(OvercrowdingViolation):
@@ -271,6 +289,7 @@ def test_plan_schedule_best_effort_reports_single_dip(params):
     vid, err = planned.failures[0]
     assert vid == 0
     assert isinstance(err, SingleDipViolation)
+    assert str(err).startswith("vehicle 0: ") and str(err).count("vehicle") == 1
 
 
 def test_plan_schedule_rejects_unknown_kind(params):
