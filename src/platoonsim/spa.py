@@ -15,8 +15,8 @@ Platoon members crossing exactly B apart share the instant they regain
 full speed, which makes their profiles time-shifted copies and keeps the
 spacing constant; plan_* link a trajectory to its predecessor's when the
 crossing gap matches B. Each trajectory is checked against its
-predecessor on a fixed time grid; a pair whose exact minimum gap (the gap
-is quadratic between breakpoints) clears l_min skips the grid.
+predecessor by the exact minimum of their gap, which is one quadratic in
+t between the breakpoints of the two trajectories.
 
 write_segments_csv exports the exact segments of a plan, and
 write_sampled_csv samples it at a fixed step for plotting. The sampler
@@ -61,13 +61,8 @@ __all__ = [
 # Crossing gaps within B_LINK_TOL of B count as same-platoon spacing and
 # link the follower's full-speed instant to its predecessor's.
 B_LINK_TOL = 1e-6
-# Separation slack (m) and the fixed grid step (s) for pairwise checks.
+# Separation slack (m) for pairwise checks.
 SEP_TOL = 1e-6
-SEP_GRID_DT = 0.01
-# Margin (m) by which a pair's exact minimum gap must clear l_min - tol to
-# skip the grid: far above the ~1e-13 m rounding of positions and the
-# ~1e-11 m a sample 1e-12 s past a segment end can move, at most SEP_TOL.
-SCREEN_CUSHION = 1e-9
 # Feasibility slack for breakpoint times and speeds.
 FEAS_TOL = 1e-9
 # Segments shorter than this are dropped as degenerate.
@@ -204,28 +199,10 @@ def _linked_t_full(t_f: float, pred: Optional[Trajectory], link_gap: float) -> f
     return t_f
 
 
-def _sample_x(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
-    """Positions at the given times (ascending, within the domain)."""
-    x = np.empty_like(ts)
-    filled = np.zeros(ts.shape, dtype=bool)
-    for seg in traj.segments:
-        t_end = seg.t_start + seg.duration
-        m = ~filled & (ts <= t_end + 1e-12)
-        if m.any():
-            d = np.clip(ts[m] - seg.t_start, 0.0, seg.duration)
-            x[m] = seg.x_start + seg.v_start * d + 0.5 * seg.accel * d * d
-            filled |= m
-    if not filled.all():
-        seg = traj.segments[-1]
-        d = seg.duration
-        x[~filled] = seg.x_start + seg.v_start * d + 0.5 * seg.accel * d * d
-    return x
-
-
 def _segment_at(traj: Trajectory, t: float) -> Segment:
-    """_sample_x's choice at t: the first segment ending at or after t - 1e-12."""
+    """The first segment ending at or after t; the last one past the end."""
     for seg in traj.segments:
-        if t <= seg.t_start + seg.duration + 1e-12:
+        if t <= seg.t_start + seg.duration:
             return seg
     return traj.segments[-1]
 
@@ -241,23 +218,21 @@ def _state(seg: Segment, t: float) -> Tuple[float, float, float]:
     return x, seg.v_start + seg.accel * d, seg.accel
 
 
-def _min_gap(leader: Trajectory, follower: Trajectory, t_lo: float, t_hi: float) -> float:
-    """Exact minimum of leader.x - follower.x over [t_lo, t_hi].
+def _min_gap(leader: Trajectory, follower: Trajectory, t_lo: float,
+             t_hi: float) -> Tuple[float, float]:
+    """Exact minimum of leader.x - follower.x over [t_lo, t_hi], and its time.
 
     Between the merged breakpoints of both trajectories each position is
     one quadratic in t, so the gap is too: its minimum lies at a piece end
     or, when the relative acceleration is positive, at the vertex. A
-    breakpoint takes the segments _sample_x takes there, and each piece
-    is also evaluated at its ends on its own segments, which can differ
-    there by rounding; so the result is at most the gap _sample_x gives
-    anywhere in [t_lo, t_hi], up to rounding.
+    trajectory past its last segment is held there. Ties go to the
+    earliest time.
     """
     cuts = sorted({t_lo, t_hi, *(
         t for traj in (leader, follower) for s in traj.segments
         for t in (s.t_start, s.t_start + s.duration) if t_lo < t < t_hi
     )})
-    low = min(_state(_segment_at(leader, t), t)[0] - _state(_segment_at(follower, t), t)[0]
-              for t in cuts)
+    best = (math.inf, t_lo)
     for p, q in zip(cuts, cuts[1:]):
         mid = 0.5 * (p + q)
         seg_l, seg_f = _segment_at(leader, mid), _segment_at(follower, mid)
@@ -269,66 +244,31 @@ def _min_gap(leader: Trajectory, follower: Trajectory, t_lo: float, t_hi: float)
             t = mid - (v_l - v_f) / rel_a
             if p < t < q:
                 times.append(t)
-        low = min(low, *(_state(seg_l, t)[0] - _state(seg_f, t)[0] for t in times))
-    return low
-
-
-def _separation_shortfalls(leader: Trajectory, follower: Trajectory, l_min: float,
-                           tol: float, grid_dt: float) -> Tuple[np.ndarray, np.ndarray]:
-    """Times and gaps of the samples where leader.x - follower.x < l_min - tol.
-
-    Samples a fixed grid plus every segment breakpoint of both
-    trajectories, from the later entry until the leader crosses. A pair
-    whose exact minimum gap clears l_min - tol by SCREEN_CUSHION has no
-    such sample and skips the sampling. The minimum runs to the grid's
-    last time, which can lie past the leader's crossing: np.arange's step
-    is (t_lo + dt) - t_lo, off dt by up to half an ulp of t_lo, and the
-    error grows with every step.
-    """
-    t_lo = max(leader.t0, follower.t0)
-    t_hi = leader.t_f
-    if t_hi <= t_lo:
-        return np.empty(0), np.empty(0)
-    grid = np.arange(t_lo, t_hi, grid_dt)
-    t_end = max(t_hi, float(grid[-1]))
-    if _min_gap(leader, follower, t_lo, t_end) >= l_min - tol + SCREEN_CUSHION:
-        return np.empty(0), np.empty(0)
-    extra = [t_hi]
-    for traj in (leader, follower):
-        for s in traj.segments:
-            for t in (s.t_start, s.t_start + s.duration):
-                if t_lo <= t <= t_hi:
-                    extra.append(t)
-    ts = np.unique(np.concatenate([grid, np.asarray(extra)]))
-    gap = _sample_x(leader, ts) - _sample_x(follower, ts)
-    bad = gap < l_min - tol
-    return ts[bad], gap[bad]
-
-
-def _separation_message(t: float, gap: float, l_min: float) -> str:
-    return f"separation {gap:.9f} m < {l_min} m at t={t:.6f}"
+        best = min(best, *((_state(seg_l, t)[0] - _state(seg_f, t)[0], t) for t in times))
+    return best
 
 
 def verify_separation(leader: Trajectory, follower: Trajectory, l_min: float,
-                      tol: float = SEP_TOL, grid_dt: float = SEP_GRID_DT) -> List[str]:
-    """Spacing violations between two same-lane trajectories (empty if clean).
+                      tol: float = SEP_TOL) -> List[str]:
+    """Spacing violation between two same-lane trajectories (empty if clean).
 
-    Checks leader.x - follower.x >= l_min on a fixed grid plus at every
-    segment breakpoint of both trajectories, from the later entry until
-    the leader crosses.
+    Takes the exact minimum of leader.x - follower.x from the later entry
+    until the leader crosses, and reports it, with its time, when it lies
+    below l_min - tol.
     """
-    ts, gaps = _separation_shortfalls(leader, follower, l_min, tol, grid_dt)
-    return [_separation_message(t, g, l_min) for t, g in zip(ts, gaps)]
+    t_lo, t_hi = max(leader.t0, follower.t0), leader.t_f
+    if t_hi <= t_lo:
+        return []
+    gap, t = _min_gap(leader, follower, t_lo, t_hi)
+    if gap >= l_min - tol:
+        return []
+    return [f"separation {gap:.9f} m < {l_min} m at t={t:.6f}"]
 
 
 def _check_pred(traj: Trajectory, pred: Optional[Trajectory], params: SimParams) -> Trajectory:
-    if pred is not None:
-        ts, gaps = _separation_shortfalls(pred, traj, params.l_min, SEP_TOL, SEP_GRID_DT)
-        if ts.size:
-            raise SeparationViolation(
-                f"vehicle {traj.vehicle_id}: {_separation_message(ts[0], gaps[0], params.l_min)}"
-                + (f" (+{ts.size - 1} more)" if ts.size > 1 else "")
-            )
+    problems = [] if pred is None else verify_separation(pred, traj, params.l_min)
+    if problems:
+        raise SeparationViolation(f"vehicle {traj.vehicle_id}: {problems[0]}")
     return traj
 
 
@@ -515,17 +455,18 @@ def plan_schedule(
     length upstream, timed so a free-flow run reaches the stop line at
     their earliest crossing time a. Within each lane, every trajectory is
     planned against its predecessor (full-speed linkage on B-spaced
-    crossings, spacing verified on a grid).
+    crossings, spacing checked by verify_separation).
 
     Planner errors, whose messages start with "vehicle <id>: ", are
     re-raised; with best_effort=True they are collected in .failures
     instead and the failed vehicle drops out of its chain.
     NegativeDiscriminant and OvercrowdingViolation are collected as
     SingleDipViolation with the same message. Refusals are not limited to
-    capped platoons: on physically spaced arrivals at rho >= 0.4, uncapped
-    gated min-distance and exhaustive min-accel schedules refuse some
-    vehicles with a SeparationViolation of about 0.1 m (a gap near 4.9 m
-    against l_min = 5 m).
+    capped platoons: on physically spaced arrivals at rho 0.4, uncapped
+    gated min-distance schedules refuse some vehicles with a
+    SeparationViolation whose minimum gap is often negative (the follower
+    passes through its leader), and exhaustive min-accel ones with minimum
+    gaps of 3.1-5 m against l_min = 5 m.
     """
     if kind not in ("min-distance", "min-accel"):
         raise ValueError(f"kind must be min-distance or min-accel, got {kind!r}")

@@ -11,8 +11,8 @@ Four jobs:
   the piecewise form allows it,
 * write the sampled trajectory table one evaluate call and one
   csv.writer row per sample, the reference for spa.write_sampled_csv,
-* sample the separation of a trajectory pair on the full grid, the
-  reference for spa._separation_shortfalls.
+* sample the separation of a trajectory pair on a fixed grid, the
+  reference for spa.verify_separation's exact minimum gap.
 """
 from __future__ import annotations
 
@@ -31,7 +31,6 @@ from platoonsim.spa import (
     TrajectoryError,
     _build_segments,
     _linked_t_full,
-    _sample_x,
     accel_cost,
     area,
     evaluate,
@@ -473,12 +472,31 @@ def write_sampled_csv_reference(
             )
 
 
+def _sample_x(traj: Trajectory, ts: np.ndarray) -> np.ndarray:
+    """Positions at the given times (ascending, within the domain)."""
+    x = np.empty_like(ts)
+    filled = np.zeros(ts.shape, dtype=bool)
+    for seg in traj.segments:
+        t_end = seg.t_start + seg.duration
+        m = ~filled & (ts <= t_end + 1e-12)
+        if m.any():
+            d = np.clip(ts[m] - seg.t_start, 0.0, seg.duration)
+            x[m] = seg.x_start + seg.v_start * d + 0.5 * seg.accel * d * d
+            filled |= m
+    if not filled.all():
+        seg = traj.segments[-1]
+        d = seg.duration
+        x[~filled] = seg.x_start + seg.v_start * d + 0.5 * seg.accel * d * d
+    return x
+
+
 def separation_shortfalls_reference(leader: Trajectory, follower: Trajectory, l_min: float,
                                     tol: float, grid_dt: float) -> Tuple[np.ndarray, np.ndarray]:
     """Times and gaps of the samples where leader.x - follower.x < l_min - tol.
 
     Samples a fixed grid plus every segment breakpoint of both
-    trajectories, from the later entry until the leader crosses.
+    trajectories, from the later entry until the leader crosses. np.arange
+    can step a little past the crossing, so the grid is clipped there.
     """
     t_lo = max(leader.t0, follower.t0)
     t_hi = leader.t_f
@@ -491,6 +509,7 @@ def separation_shortfalls_reference(leader: Trajectory, follower: Trajectory, l_
                 if t_lo <= t <= t_hi:
                     extra.append(t)
     ts = np.unique(np.concatenate([np.arange(t_lo, t_hi, grid_dt), np.asarray(extra)]))
+    ts = ts[ts <= t_hi]
     gap = _sample_x(leader, ts) - _sample_x(follower, ts)
     bad = gap < l_min - tol
     return ts[bad], gap[bad]

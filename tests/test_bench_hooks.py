@@ -3,8 +3,9 @@
 perfbench/spans.py times each layer by rebinding module attributes
 (sim.run, _kernels.simulate_arrivals, cli.approx_mean_delay, ...) to
 span-recording wrappers. A renamed attribute would otherwise show only
-when the benchmark runs. This test installs every hook, runs a tiny sweep
-and approx through cli.main, and checks the spans they record.
+when the benchmark runs, and a layer that planning reaches past its hooked
+name would read 0 there. This test installs every hook, runs a tiny sweep,
+approx and traj through cli.main, and checks the spans they record.
 """
 import importlib.util
 import json
@@ -50,3 +51,15 @@ def test_benchmark_hooks_wrap_live_names(tmp_path, monkeypatch):
     # Two loads x two lanes through sim, one load x two lanes through cli.
     assert names.count("polling.approx_mean_delay") == 4 + 2
     assert names.count("kernels.simulate_arrivals") == 2
+
+    # Five scripted arrivals, two and three on the two lanes: three
+    # same-lane pairs, each checked once while planning.
+    traj = tmp_path / "traj.json"
+    traj.write_text(json.dumps({"n": 2, "lambda": [0.25, 0.25], "pfa": "exhaustive",
+                                "arrivals": [[1, 0.0], [2, 0.3], [1, 0.9], [2, 2.0], [2, 2.5]]}))
+    assert cli.main(["traj", "--config", str(traj), "--out", str(tmp_path / "traj")]) == 0
+    names = [s["name"] for s in tracer.spans]
+    for name in ("cli.cmd_traj", "spa.plan_schedule", "spa.write_segments_csv",
+                 "spa.write_sampled_csv"):
+        assert name in names, name
+    assert names.count("spa.verify_separation") == 3

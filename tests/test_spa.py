@@ -16,6 +16,7 @@ Frozen numbers (independent kinematic derivations, v_max=15, a_max=4):
 """
 import csv
 import math
+import re
 
 import pytest
 
@@ -233,11 +234,29 @@ def test_separation_violation_raised(params):
 
 
 def test_verify_separation_reports_close_pair(params):
-    leader = plan_min_distance(-150.0, 10.0, params)
-    follower = plan_min_distance(-150.0, 10.2, params, t0=0.2)
+    # The leader brakes hard and launches at a_max while the least-accel
+    # follower cruises: the gap bottoms out at a vertex inside a segment.
+    leader = plan_min_distance(-150.0, 12.0, params)
+    follower = plan_min_accel(-150.0, params.v_max, 12.3, params, t0=0.4)
     out = verify_separation(leader, follower, params.l_min)
-    assert out and "separation" in out[0]
-    clean = plan_min_distance(-150.0, 11.0, params, t0=1.0)
+    assert len(out) == 1
+    m = re.fullmatch(r"separation (\S+) m < 5\.0 m at t=(\S+)", out[0])
+    assert m, out[0]
+    gap, t = float(m.group(1)), float(m.group(2))
+
+    def gap_at(t):
+        return evaluate(leader, t)[0] - evaluate(follower, t)[0]
+
+    # Dense scan: a 1 ms grid, then a 0.1 us grid around its lowest sample.
+    t_lo, t_hi = follower.t0, leader.t_f
+    coarse = [t_lo + k * 1e-3 for k in range(int((t_hi - t_lo) / 1e-3))] + [t_hi]
+    t_c = min(coarse, key=gap_at)
+    fine = [min(max(t_c + k * 1e-7, t_lo), t_hi) for k in range(-10_000, 10_001)]
+    t_min = min(fine, key=gap_at)
+    assert gap == pytest.approx(gap_at(t_min), abs=1e-6) and gap < params.l_min
+    assert t == pytest.approx(t_min, abs=1e-6) and t_lo < t < t_hi
+    # One B behind and linked: a time-shifted copy, 15 m back throughout.
+    clean = plan_min_distance(-150.0, 13.0, params, pred=leader, link_gap=1.0, t0=1.0)
     assert verify_separation(leader, clean, params.l_min) == []
 
 

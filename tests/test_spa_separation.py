@@ -1,10 +1,12 @@
-"""The exact-minimum screen in front of the separation grid.
+"""The exact separation check against a fixed sampling grid.
 
-spa._separation_shortfalls skips its sampling grid for a pair whose exact
-minimum gap clears l_min - tol by SCREEN_CUSHION. The grid alone is kept
-in oracle_utils.separation_shortfalls_reference; with either, planning
-must give the same trajectories and the same refusals, and the screen
-must never clear a pair with a grid sample below the threshold.
+spa.verify_separation decides spacing by the exact minimum gap of a
+trajectory pair (spa._min_gap). The sampling grid it replaced is kept in
+oracle_utils.separation_shortfalls_reference, clipped at the leader's
+crossing: the exact minimum must lie at or below every grid sample and
+within the grid's resolution of the lowest one, every grid refusal must
+also be an exact refusal (both up to rounding), and planning must refuse
+the same vehicles with either verdict.
 """
 import math
 
@@ -13,29 +15,39 @@ from hypothesis import given, settings, strategies as st
 
 from platoonsim import spa
 from platoonsim.core import SimParams
-from platoonsim.spa import SEP_GRID_DT, SEP_TOL, TrajectoryError
+from platoonsim.spa import SEP_TOL, TrajectoryError
 
 from oracle_utils import physical_schedule, separation_shortfalls_reference
 
+GRID_DT = 0.01
 
-def failure_list(planned):
-    return [(vid, type(err), str(err)) for vid, err in planned.failures]
+
+def grid_verify_separation(leader, follower, l_min, tol=SEP_TOL):
+    """verify_separation with the grid's verdict: its first low sample."""
+    ts, gaps = separation_shortfalls_reference(leader, follower, l_min, tol, GRID_DT)
+    if not ts.size:
+        return []
+    return [f"separation {gaps[0]:.9f} m < {l_min} m at t={ts[0]:.6f}"]
+
+
+def refusal_list(planned):
+    return [(vid, type(err)) for vid, err in planned.failures]
 
 
 @pytest.mark.parametrize("pfa,kind,refused", [
     ("gated", "min-distance", 232),
     ("exhaustive", "min-accel", 243),
 ])
-def test_screen_keeps_plans_and_refusals(monkeypatch, pfa, kind, refused):
+def test_exact_verdicts_keep_grid_refusals(monkeypatch, pfa, kind, refused):
     # The uncapped schedules that refuse vehicles at rho 0.4 (5 000 vehicles,
-    # seed 77): every refusal message must come out of the grid unchanged.
+    # seed 77): the exact minimum refuses what the grid refuses.
     vehicles, params = physical_schedule(pfa, 0.4, 5000, seed=77)
-    screened = spa.plan_schedule(vehicles, params, kind=kind, best_effort=True)
-    monkeypatch.setattr(spa, "_separation_shortfalls", separation_shortfalls_reference)
+    exact = spa.plan_schedule(vehicles, params, kind=kind, best_effort=True)
+    monkeypatch.setattr(spa, "verify_separation", grid_verify_separation)
     grid = spa.plan_schedule(vehicles, params, kind=kind, best_effort=True)
     assert len(grid.failures) == refused
-    assert failure_list(screened) == failure_list(grid)
-    assert screened.trajectories == grid.trajectories
+    assert refusal_list(exact) == refusal_list(grid)
+    assert exact.trajectories == grid.trajectories
 
 
 def plan_pair(kind, params, t0, slack, headway, crossing_gap):
@@ -69,32 +81,32 @@ def plan_pair(kind, params, t0, slack, headway, crossing_gap):
     crossing_gap=st.one_of(st.just(1.0), st.floats(-2.0, 4.0)),
     tol=st.sampled_from([SEP_TOL, 0.0, 0.05]),
 )
-def test_screen_matches_grid_on_pairs(kind, t0, slack, headway, crossing_gap, tol):
+def test_min_gap_bounds_grid_samples_on_pairs(kind, t0, slack, headway, crossing_gap, tol):
     params = SimParams()
-    free = params.region_spa_m / params.v_max
-    if t0 + free + slack + crossing_gap - (t0 + headway) < free:
-        # Faster than free flow: plan_min_distance's dip time takes the
-        # square root of a negative number within FEAS_TOL of free flow.
-        # plan_schedule never asks for this at the default geometry.
-        return
     try:
         leader, follower = plan_pair(kind, params, t0, slack, headway, crossing_gap)
     except TrajectoryError:
         return  # outside the planner's family: no pair to check
-    got = spa._separation_shortfalls(leader, follower, params.l_min, tol, SEP_GRID_DT)
-    want = separation_shortfalls_reference(leader, follower, params.l_min, tol, SEP_GRID_DT)
-    for g, w in zip(got, want):
-        assert g.dtype == w.dtype and g.tobytes() == w.tobytes()
+    got = spa.verify_separation(leader, follower, params.l_min, tol)
+    assert len(got) <= 1
     t_lo, t_hi = max(leader.t0, follower.t0), leader.t_f
     if t_hi <= t_lo:
+        assert got == []
         return
     # Every grid sample: no sample is at or above an infinite threshold.
-    ts, gaps = separation_shortfalls_reference(leader, follower, math.inf, 0.0, SEP_GRID_DT)
-    low = spa._min_gap(leader, follower, t_lo, float(ts[-1]))
+    _, gaps = separation_shortfalls_reference(leader, follower, math.inf, 0.0, GRID_DT)
+    low, t_low = spa._min_gap(leader, follower, t_lo, t_hi)
+    assert t_lo <= t_low <= t_hi
     assert low <= float(gaps.min()) + 1e-9
     # The grid comes within dt / 2 of the vertex: relative acceleration at
     # most 2 a_max, so its lowest sample is at most a_max (dt / 2)^2 above.
-    assert float(gaps.min()) - low <= params.a_max * (SEP_GRID_DT / 2) ** 2 + 1e-9
+    assert float(gaps.min()) - low <= params.a_max * (GRID_DT / 2) ** 2 + 1e-9
+    # A grid refusal is an exact refusal, up to the same 1e-9 m of rounding
+    # (a gap of exactly l_min can sample a few ulps below it).
+    low_samples, _ = separation_shortfalls_reference(leader, follower, params.l_min,
+                                                     tol + 1e-9, GRID_DT)
+    if low_samples.size:
+        assert got, "the grid refuses a pair the exact check clears"
 
 
 def test_min_gap_of_linked_platoon_pair_is_constant_spacing():
@@ -102,20 +114,20 @@ def test_min_gap_of_linked_platoon_pair_is_constant_spacing():
     params = SimParams()
     leader, follower = plan_pair("min-distance", params, 0.0, 5.0, 1.0, 1.0)
     assert follower.t_full == leader.t_full
-    low = spa._min_gap(leader, follower, follower.t0, leader.t_f)
+    low, _ = spa._min_gap(leader, follower, follower.t0, leader.t_f)
     assert low == pytest.approx(params.v_max * params.B_of(1), abs=1e-9)
-    empty = spa._separation_shortfalls(leader, follower, params.l_min, SEP_TOL, SEP_GRID_DT)
-    assert [a.size for a in empty] == [0, 0]
+    assert spa.verify_separation(leader, follower, params.l_min) == []
 
 
 def test_min_gap_holds_a_trajectory_after_its_last_segment():
-    # The follower crosses first and _sample_x holds it at the stop line
-    # until the leader crosses; the screen must see the same held position.
+    # The follower crosses first and is held at the stop line until the
+    # leader crosses; the exact minimum must see the same held position.
     params = SimParams()
     leader, follower = plan_pair("min-distance", params, 0.0, 3.0, 0.4, -1.0)
     assert follower.t_f < leader.t_f
-    low = spa._min_gap(leader, follower, follower.t0, leader.t_f)
+    low, t_low = spa._min_gap(leader, follower, follower.t0, leader.t_f)
     assert low <= spa.evaluate(leader, follower.t_f)[0] < 0.0
-    _, gaps = separation_shortfalls_reference(leader, follower, math.inf, 0.0, SEP_GRID_DT)
-    assert float(gaps.min()) - params.a_max * (SEP_GRID_DT / 2) ** 2 - 1e-9 <= low
+    assert follower.t_f <= t_low <= leader.t_f
+    _, gaps = separation_shortfalls_reference(leader, follower, math.inf, 0.0, GRID_DT)
+    assert float(gaps.min()) - params.a_max * (GRID_DT / 2) ** 2 - 1e-9 <= low
     assert low <= float(gaps.min()) + 1e-9
