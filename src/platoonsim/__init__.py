@@ -4,14 +4,16 @@ Subpackages by role:
 
 - core: vehicles, parameters, the crossing schedule, platoon book, config.
 - pfa: the three scheduling disciplines (exhaustive, gated, batch) as
-  object-level reference implementations, plus invariant checks.
+  object-level reference implementations, plus invariant checks. No
+  command runs them; the tests hold the kernel to them bit for bit.
 - spa: closed-form speed profiles realizing a schedule (minimum distance
   shortfall or minimum acceleration effort), feasibility and separation
   checks, CSV export.
 - polling: light/heavy-traffic mean-delay limits and the interpolation
   between them, per lane and discipline.
-- sim: discrete-event runs (list-based kernel + reference path), arrival
-  streams, batch-means statistics, load sweeps.
+- sim: discrete-event runs (run, on the list-based kernel that every
+  command uses; run_reference, on pfa), arrival streams, batch-means
+  statistics, load sweeps.
 - cli: the `platoonsim` command (run / sweep / approx / traj).
 """
 from .core import (
@@ -33,7 +35,6 @@ from .core import (
     validate_params,
 )
 from .pfa import (
-    assert_regular,
     depart,
     gap_violations,
     schedule_batch,
@@ -47,7 +48,6 @@ from .polling import (
     approx_mean_delay,
     ht_omega,
     light_traffic_delay,
-    mean_queue_length,
 )
 from .sim import LaneStats, RunResult, make_arrivals, run, run_reference, sweep_rows
 from .spa import (
@@ -61,7 +61,6 @@ from .spa import (
     TrajectoryError,
     accel_cost,
     area,
-    check_overcrowding,
     evaluate,
     plan_min_accel,
     plan_min_distance,
@@ -91,7 +90,6 @@ __all__ = [
     "parse_config",
     "validate_params",
     # pfa
-    "assert_regular",
     "depart",
     "gap_violations",
     "schedule_batch",
@@ -104,7 +102,6 @@ __all__ = [
     "approx_mean_delay",
     "ht_omega",
     "light_traffic_delay",
-    "mean_queue_length",
     # sim
     "LaneStats",
     "RunResult",
@@ -123,7 +120,6 @@ __all__ = [
     "TrajectoryError",
     "accel_cost",
     "area",
-    "check_overcrowding",
     "evaluate",
     "plan_min_accel",
     "plan_min_distance",

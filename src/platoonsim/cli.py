@@ -84,7 +84,10 @@ def _parse_rho_grid(text: str) -> List[float]:
         raise ConfigError(f"--rho must be finite, got {text!r}")
     if step <= 0 or hi < lo or lo <= 0:
         raise ConfigError(f"--rho needs A > 0, B >= A and STEP > 0, got {text!r}")
-    count = int((hi - lo) / step + 1e-9) + 1
+    span = (hi - lo) / step
+    if not math.isfinite(span):
+        raise ConfigError(f"--rho grid has too many points, got {text!r}")
+    count = int(span + 1e-9) + 1
     return [round(lo + i * step, 10) for i in range(count)]
 
 
@@ -115,25 +118,31 @@ def _apply_asymmetric(params: SimParams) -> SimParams:
 
 def _load(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config)
-    if args.seed is not None:
-        if args.seed < 0:
-            raise ConfigError(f"--seed must be >= 0, got {args.seed}")
-        cfg.seed = args.seed
+    seed = getattr(args, "seed", None)
+    if seed is not None:
+        if seed < 0:
+            raise ConfigError(f"--seed must be >= 0, got {seed}")
+        cfg.seed = seed
     if getattr(args, "asymmetric", False):
         cfg.params = _apply_asymmetric(cfg.params)
     os.makedirs(args.out, exist_ok=True)
     return cfg
 
 
+def _set_one_pfa(args: argparse.Namespace, cfg: RunConfig) -> None:
+    """Set cfg.pfa from --pfa, which run and traj read as one discipline."""
+    if args.pfa is not None:
+        kinds = _parse_pfa_list(args.pfa)
+        if len(kinds) != 1:
+            raise ConfigError(f"{args.command} takes exactly one --pfa discipline")
+        cfg.pfa = kinds[0]
+
+
 # ===================== subcommands =====================
 
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    if args.pfa is not None:
-        kinds = _parse_pfa_list(args.pfa)
-        if len(kinds) != 1:
-            raise ConfigError("run takes exactly one --pfa discipline")
-        cfg.pfa = kinds[0]
+    _set_one_pfa(args, cfg)
     res = sim.run(cfg, steady_state=not args.transient)
     rho = cfg.params.rho
     rows = sim.result_rows(res, cfg.params, rho)
@@ -202,12 +211,8 @@ def cmd_traj(args: argparse.Namespace) -> int:
     cfg = _load(args)
     if cfg.arrivals is None:
         raise ConfigError("traj needs a config with a scripted 'arrivals' list")
-    if args.pfa is not None:
-        kinds = _parse_pfa_list(args.pfa)
-        if len(kinds) != 1:
-            raise ConfigError("traj takes exactly one --pfa discipline")
-        cfg.pfa = kinds[0]
-    res = sim.run_reference(cfg, check=True, steady_state=not args.transient)
+    _set_one_pfa(args, cfg)
+    res = sim.run(cfg, check=True, steady_state=not args.transient)
     vehicles = [
         Vehicle(id=i, lane=int(res.lane0[i]) + 1, a=float(res.a[i]), c=float(res.c[i]))
         for i in range(res.a.size)
@@ -238,49 +243,45 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, rho_default: Optional[str] = None) -> None:
-        p.add_argument("--config", required=True, help="JSON run configuration")
-        p.add_argument("--out", default=".", help="output directory (default: .)")
-        p.add_argument("--seed", type=int, default=None, help="override the config seed")
-        p.add_argument("--pfa", default=None, help="comma-separated disciplines")
-        p.add_argument(
-            "--transient",
-            action="store_true",
-            help="allow rho >= 1 (no steady state; statistics are transient)",
-        )
-        if rho_default is not None:
-            p.add_argument(
-                "--rho",
-                default=rho_default,
-                help=f"load grid A:B:STEP (default {rho_default})",
-            )
-
-    p_run = sub.add_parser("run", help="one simulation: results.csv + vehicles.jsonl")
-    common(p_run)
-    p_run.set_defaults(fn=cmd_run)
-
-    p_sweep = sub.add_parser("sweep", help="load sweep: delay_sweep.csv")
-    common(p_sweep, rho_default="0.1:0.9:0.1")
-    p_sweep.add_argument(
+    # Each flag is declared once and given only to the commands that read it.
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--config", required=True, help="JSON run configuration")
+    common.add_argument("--out", default=".", help="output directory (default: .)")
+    common.add_argument("--pfa", default=None, help="comma-separated disciplines")
+    seed = argparse.ArgumentParser(add_help=False)
+    seed.add_argument("--seed", type=int, default=None, help="override the config seed")
+    transient = argparse.ArgumentParser(add_help=False)
+    transient.add_argument(
+        "--transient",
+        action="store_true",
+        help="allow rho >= 1 (no steady state; statistics are transient)",
+    )
+    grid = argparse.ArgumentParser(add_help=False)
+    grid.add_argument(
+        "--rho", default="0.1:0.9:0.1", help="load grid A:B:STEP (default %(default)s)"
+    )
+    grid.add_argument(
         "--asymmetric",
         action="store_true",
         help="rescale arrival rates to the 3:1 load split (2 lanes)",
     )
-    p_sweep.set_defaults(fn=cmd_sweep)
 
-    p_approx = sub.add_parser("approx", help="analysis table: approx.csv")
-    common(p_approx, rho_default="0.1:0.9:0.1")
-    p_approx.add_argument(
-        "--asymmetric",
-        action="store_true",
-        help="rescale arrival rates to the 3:1 load split (2 lanes)",
-    )
-    p_approx.set_defaults(fn=cmd_approx)
-
+    sub.add_parser(
+        "run",
+        parents=[common, seed, transient],
+        help="one simulation: results.csv + vehicles.jsonl",
+    ).set_defaults(fn=cmd_run)
+    sub.add_parser(
+        "sweep", parents=[common, seed, transient, grid], help="load sweep: delay_sweep.csv"
+    ).set_defaults(fn=cmd_sweep)
+    sub.add_parser(
+        "approx", parents=[common, grid], help="analysis table: approx.csv"
+    ).set_defaults(fn=cmd_approx)
     p_traj = sub.add_parser(
-        "traj", help="trajectories for a scripted scenario: traj_segments.csv + traj_sampled.csv"
+        "traj",
+        parents=[common, transient],
+        help="trajectories for a scripted scenario: traj_segments.csv + traj_sampled.csv",
     )
-    common(p_traj)
     p_traj.add_argument(
         "--spa",
         choices=("min-distance", "min-accel"),

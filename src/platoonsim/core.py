@@ -295,9 +295,6 @@ class GateBook:
                     raise InconsistentGateBook(f"lane {lane0 + 1}: count {e.count} < 1")
                 prev_t = e.t
 
-    def total_platoons(self) -> int:
-        return sum(len(lst) for lst in self._lanes)
-
 
 # ===================== run configuration =====================
 

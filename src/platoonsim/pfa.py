@@ -1,8 +1,9 @@
 """Platoon-forming schedulers: exhaustive, gated, and capacity-capped batch.
 
 This is the reference implementation, written against the object model in
-core. It favors clarity; the simulator's hot path is the list-based kernel
-in _kernels, which is cross-validated bit-for-bit against this module.
+core. It favors clarity. No command runs it: every command schedules
+through the list-based kernel in _kernels, and the tests compare that
+kernel against this module bit for bit.
 
 All three schedulers mutate the Schedule (and GateBook) in place, set the
 new vehicle's crossing time, and keep two invariants after every call:
@@ -34,10 +35,8 @@ __all__ = [
     "schedule_gated",
     "schedule_batch",
     "depart",
-    "assert_regular",
     "gap_violations",
     "reverse_cyclic_lanes",
-    "schedule_record",
 ]
 
 # Tolerance for exact-coincidence checks (platoon-start landing, scan safety,
@@ -292,18 +291,7 @@ def depart(sched: Schedule, gates: Optional[GateBook], now: float, params: SimPa
     return head
 
 
-# ===================== checks and export =====================
-
-def assert_regular(before: Schedule, after: Schedule, inserted: Vehicle) -> bool:
-    """True iff pre-existing vehicles kept their relative order.
-
-    before is the schedule state prior to inserting `inserted`, after the
-    state following the insertion; both orderings are read by id.
-    """
-    before_ids = [v.id for v in before.ordering]
-    after_ids = [v.id for v in after.ordering if v.id != inserted.id]
-    return before_ids == after_ids
-
+# ===================== checks =====================
 
 def gap_violations(sched: Schedule, params: SimParams, tol: float = TIE_TOL) -> List[str]:
     """Human-readable list of gap-invariant violations (empty when clean).
@@ -325,8 +313,3 @@ def gap_violations(sched: Schedule, params: SimParams, tol: float = TIE_TOL) -> 
                 f" and id={w.id} (lane {w.lane}, c={w.c})"
             )
     return out
-
-
-def schedule_record(v: Vehicle) -> dict:
-    """One schedule-dump record: {id, lane, a, c, delay}."""
-    return {"id": v.id, "lane": v.lane, "a": v.a, "c": v.c, "delay": v.c - v.a}

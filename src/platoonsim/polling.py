@@ -27,7 +27,6 @@ __all__ = [
     "ht_omega",
     "approx_coefficients",
     "approx_mean_delay",
-    "mean_queue_length",
 ]
 
 DISCIPLINES = ("exhaustive", "gated")
@@ -130,9 +129,3 @@ def approx_mean_delay(params: SimParams, discipline: str, lane: int) -> float:
         return 0.0
     coef = approx_coefficients(params, discipline, lane)
     return (coef.k1 * rho + coef.k2 * rho * rho) / (1.0 - rho)
-
-
-def mean_queue_length(params: SimParams, discipline: str, lane: int) -> float:
-    """Mean number of delayed vehicles at a lane, by Little's law."""
-    i = _check_lane(params, lane)
-    return params.lam[i] * approx_mean_delay(params, discipline, lane)

@@ -6,10 +6,11 @@ vehicle shares the same offset, so delays (c - a) are unaffected by it. The
 simulator therefore works directly on the earliest-crossing times a.
 
 Two execution paths produce bit-identical results: the list-based kernel
-in _kernels and the object-level reference runner built on the pfa module.
-The kernel is the fast path for runs and sweeps; the reference is the
-semantic anchor the tests compare against. Sweeps run their grid points
-serially: the kernel is pure Python and holds the interpreter lock.
+in _kernels (run) and the object-level reference runner built on the pfa
+module (run_reference). Every command schedules through the kernel; no
+command runs the reference, which is the semantic anchor the tests compare
+against. Sweeps run their grid points serially: the kernel is pure Python
+and holds the interpreter lock.
 
 Batch is gated with a cap on platoon size (k-limited gated service), and
 the two disciplines part only when a join meets a full platoon. So where
@@ -260,7 +261,8 @@ def run(config: RunConfig, check: bool = False, steady_state: bool = True) -> Ru
     """Simulate one run through the list-based kernel.
 
     check=True re-verifies every scheduling invariant after each arrival
-    inside the kernel (slow; used by tests and the invariant sweep).
+    inside the kernel: gaps, earliest times, regularity and the platoon
+    book (slow; used by traj, the tests and the invariant sweep).
     """
     entry, a, lane0, warmup = _prepare(config, steady_state)
     params = config.params
@@ -297,7 +299,8 @@ def run(config: RunConfig, check: bool = False, steady_state: bool = True) -> Ru
 def run_reference(config: RunConfig, check: bool = False, steady_state: bool = True) -> RunResult:
     """Simulate one run through the object-level scheduler (pfa module).
 
-    Bit-identical to run() by construction; the tests assert it. check=True
+    The reference for run(): bit-identical by construction, and the tests
+    assert it. No command calls it. check=True
     validates the gap invariant and the platoon book after every arrival.
     """
     entry, a, lane0, warmup = _prepare(config, steady_state)

@@ -51,7 +51,6 @@ __all__ = [
     "evaluate",
     "area",
     "accel_cost",
-    "check_overcrowding",
     "plan_schedule",
     "verify_separation",
     "write_segments_csv",
@@ -165,9 +164,10 @@ def evaluate(traj: Trajectory, t: float) -> Tuple[float, float, float]:
 def area(traj: Trajectory) -> float:
     """Integral of |x(t)| over [t0, t_f], exact per segment.
 
-    Positions are nonpositive on the approach (the vehicle never passes
-    the stop line before t_f), so |x| = -x and each segment contributes a
-    cubic antiderivative evaluated in closed form.
+    Analysis API: the objective plan_min_distance minimizes. No command
+    calls it. Positions are nonpositive on the approach (the vehicle never
+    passes the stop line before t_f), so |x| = -x and each segment
+    contributes a cubic antiderivative evaluated in closed form.
     """
     total = 0.0
     for s in traj.segments:
@@ -177,17 +177,11 @@ def area(traj: Trajectory) -> float:
 
 
 def accel_cost(traj: Trajectory) -> float:
-    """Integral of |a(t)| over [t0, t_f]: sum of |accel| * duration."""
-    return sum(abs(s.accel) * s.duration for s in traj.segments)
+    """Integral of |a(t)| over [t0, t_f]: sum of |accel| * duration.
 
-
-def check_overcrowding(x0: float, t_f: float, t_full: float, params: SimParams) -> bool:
-    """True iff a full-speed entry can stop and still regain full speed.
-
-    The quantified condition: (t_f - t_full) * v_max + v_max^2 / a_max
-    must not exceed the entry distance |x0|.
+    Analysis API: the objective plan_min_accel minimizes. No command calls it.
     """
-    return (t_f - t_full) * params.v_max + params.v_max ** 2 / params.a_max <= abs(x0)
+    return sum(abs(s.accel) * s.duration for s in traj.segments)
 
 
 # ===================== predecessor linkage and separation =====================

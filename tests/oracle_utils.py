@@ -1,6 +1,6 @@
 """Shared audit helpers for the trajectory planners.
 
-Four jobs:
+Five jobs:
 
 * search the single-dip profile family by brute force on a grid of
   breakpoints (oracle_min), draw random feasible planning instances and
@@ -12,7 +12,10 @@ Four jobs:
 * write the sampled trajectory table one evaluate call and one
   csv.writer row per sample, the reference for spa.write_sampled_csv,
 * sample the separation of a trajectory pair on a fixed grid, the
-  reference for spa.verify_separation's exact minimum gap.
+  reference for spa.verify_separation's exact minimum gap,
+* state two conditions in closed form that the package does not ship:
+  schedule regularity (assert_regular) and the overcrowding bound of a
+  linked platoon (check_overcrowding).
 """
 from __future__ import annotations
 
@@ -22,7 +25,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from platoonsim.core import RunConfig, SimParams, Vehicle
+from platoonsim.core import RunConfig, Schedule, SimParams, Vehicle
 from platoonsim.sim import run_reference
 from platoonsim.spa import (
     FEAS_TOL,
@@ -513,3 +516,25 @@ def separation_shortfalls_reference(leader: Trajectory, follower: Trajectory, l_
     gap = _sample_x(leader, ts) - _sample_x(follower, ts)
     bad = gap < l_min - tol
     return ts[bad], gap[bad]
+
+
+# ===================== closed-form conditions =====================
+
+def assert_regular(before: Schedule, after: Schedule, inserted: Vehicle) -> bool:
+    """True iff pre-existing vehicles kept their relative order.
+
+    before is the schedule state prior to inserting `inserted`, after the
+    state following the insertion; both orderings are read by id.
+    """
+    before_ids = [v.id for v in before.ordering]
+    after_ids = [v.id for v in after.ordering if v.id != inserted.id]
+    return before_ids == after_ids
+
+
+def check_overcrowding(x0: float, t_f: float, t_full: float, params: SimParams) -> bool:
+    """True iff a full-speed entry can stop and still regain full speed.
+
+    The quantified condition: (t_f - t_full) * v_max + v_max^2 / a_max
+    must not exceed the entry distance |x0|.
+    """
+    return (t_f - t_full) * params.v_max + params.v_max ** 2 / params.a_max <= abs(x0)

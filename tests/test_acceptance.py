@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 from oracle_utils import (
+    assert_regular,
     audit_separation,
     audit_trajectory,
     make_physical_arrivals,
@@ -43,7 +44,6 @@ from platoonsim.pfa import (
     TIE_TOL,
     GateBook,
     Schedule,
-    assert_regular,
     depart,
     gap_violations,
     schedule_batch,

@@ -68,6 +68,17 @@ def test_run_rejects_multiple_disciplines(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [["approx", "--transient"], ["approx", "--seed", "1"], ["traj", "--seed", "1"]],
+)
+def test_flag_of_another_command_is_usage_error(tmp_path, argv):
+    # Each command takes only the flags it reads; argparse exits 2.
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv + ["--config", SYM, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+
+
 def test_run_missing_config_is_usage_error(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
@@ -225,7 +236,7 @@ def test_sweep_asymmetric_split(tmp_path):
 
 @pytest.mark.parametrize(
     "grid", ["0.5", "0.5:0.4:0.1", "0.2:0.4:0", "a:b:c", "0:0.5:0.1", "-0.1:0.5:0.1",
-             "nan:0.5:0.1", "0.1:inf:0.1"]
+             "nan:0.5:0.1", "0.1:inf:0.1", "0.1:1e308:1e-300"]
 )
 def test_bad_rho_grid_is_usage_error(tmp_path, capsys, grid):
     for command in ("sweep", "approx"):

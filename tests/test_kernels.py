@@ -5,13 +5,17 @@ The kernel and the reference implement the same disciplines twice
 cross-check. check=True makes both verify schedule invariants after
 each arrival.
 """
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platoonsim.core import RunConfig, SimParams
+from platoonsim.core import PFA_KINDS, RunConfig, SimParams, load_config
 from platoonsim.sim import run, run_reference
 from test_pfa_properties import arrival_sequences, disciplines
+
+TRAJ = Path(__file__).resolve().parents[1] / "configs" / "traj.json"
 
 
 def assert_same_result(fast, slow):
@@ -48,9 +52,17 @@ def test_paths_agree_under_heavy_symmetric_load(pfa):
     assert_same_result(run(config, check=True), run_reference(config, check=True))
 
 
-def test_paths_agree_on_scripted_arrivals(params):
-    arrivals = [[1, 0.0], [2, 0.3], [1, 0.9], [2, 2.0], [2, 2.5], [1, 2.6], [2, 9.0]]
-    config = RunConfig(params=params, pfa="gated", arrivals=arrivals, seed=1)
+@pytest.mark.parametrize("pfa", PFA_KINDS)
+@pytest.mark.parametrize("script", ["inline", "traj.json"])
+def test_paths_agree_on_scripted_arrivals(params, pfa, script):
+    # configs/traj.json is the shipped input of `platoonsim traj`, which
+    # schedules on the kernel; this pins it to the reference.
+    if script == "inline":
+        arrivals = [[1, 0.0], [2, 0.3], [1, 0.9], [2, 2.0], [2, 2.5], [1, 2.6], [2, 9.0]]
+        config = RunConfig(params=params, arrivals=arrivals, seed=1)
+    else:
+        config = load_config(TRAJ)
+    config.pfa = pfa
     assert_same_result(run(config, check=True), run_reference(config, check=True))
 
 

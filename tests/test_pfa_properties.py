@@ -17,13 +17,14 @@ from hypothesis import given, settings, strategies as st
 from platoonsim.core import GateBook, Schedule, SimParams, Vehicle
 from platoonsim.pfa import (
     TIE_TOL,
-    assert_regular,
     depart,
     gap_violations,
     schedule_batch,
     schedule_exhaustive,
     schedule_gated,
 )
+
+from oracle_utils import assert_regular
 
 lane_counts = st.integers(min_value=1, max_value=3)
 

@@ -20,7 +20,6 @@ from platoonsim.polling import (
     approx_mean_delay,
     ht_omega,
     light_traffic_delay,
-    mean_queue_length,
     residual_mean,
 )
 
@@ -145,14 +144,6 @@ def test_asymmetric_heavy_traffic_ordering():
     params = SimParams(lam=(0.375, 0.125)).with_rho(0.9)
     assert ht_omega(params, "exhaustive", 1) < ht_omega(params, "exhaustive", 2)
     assert ht_omega(params, "gated", 1) > ht_omega(params, "gated", 2)
-
-
-def test_mean_queue_length_littles_law():
-    params = SimParams(lam=(0.375, 0.125)).with_rho(0.6)
-    for disc in DISCIPLINES:
-        for lane in (1, 2):
-            expected = params.lam[lane - 1] * approx_mean_delay(params, disc, lane)
-            assert mean_queue_length(params, disc, lane) == pytest.approx(expected, rel=1e-12)
 
 
 def test_unsupported_discipline():

@@ -32,7 +32,6 @@ from platoonsim.spa import (
     _build_segments,
     accel_cost,
     area,
-    check_overcrowding,
     evaluate,
     plan_min_accel,
     plan_min_distance,
@@ -42,7 +41,7 @@ from platoonsim.spa import (
     write_segments_csv,
 )
 
-from oracle_utils import physical_schedule, write_sampled_csv_reference
+from oracle_utils import check_overcrowding, physical_schedule, write_sampled_csv_reference
 
 T_TILDE = math.sqrt(12.5)
 
