@@ -25,6 +25,7 @@ from .core import (
     UnstableLoad,
     Vehicle,
     load_config,
+    write_atomic,
 )
 from .polling import (
     DISCIPLINES,
@@ -56,23 +57,22 @@ def _fmt(x: object) -> str:
     return str(x)
 
 
-def _atomic_write_text(path: str, text: str) -> None:
-    tmp = path + ".tmp"
-    with open(tmp, "w", newline="", encoding="utf-8") as fh:
-        fh.write(text)
-    os.replace(tmp, path)
-
-
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Dict[str, object]]) -> None:
     buf = io.StringIO()
     w = csv.writer(buf)
     w.writerow(header)
     for row in rows:
         w.writerow([_fmt(row[k]) for k in header])
-    _atomic_write_text(path, buf.getvalue())
+    write_atomic(path, (buf.getvalue(),))
 
 
-def _parse_rho_grid(text: str) -> List[float]:
+def _parse_rho_grid(text: str, refuse: Optional[str] = None) -> List[float]:
+    """The load grid A:B:STEP as a list of points, rounded to 10 decimals.
+
+    With refuse, the first point >= 1 raises UnstableLoad with the message
+    refuse.format(rho=point) before any later point is built, so refusing
+    a long grid costs no more than refusing a short one.
+    """
     parts = text.split(":")
     if len(parts) != 3:
         raise ConfigError(f"--rho must be A:B:STEP, got {text!r}")
@@ -87,8 +87,13 @@ def _parse_rho_grid(text: str) -> List[float]:
     span = (hi - lo) / step
     if not math.isfinite(span):
         raise ConfigError(f"--rho grid has too many points, got {text!r}")
-    count = int(span + 1e-9) + 1
-    return [round(lo + i * step, 10) for i in range(count)]
+    rhos = []
+    for i in range(int(span + 1e-9) + 1):
+        rho = round(lo + i * step, 10)
+        if refuse is not None and rho >= 1.0:
+            raise UnstableLoad(refuse.format(rho=rho))
+        rhos.append(rho)
+    return rhos
 
 
 def _parse_pfa_list(text: str) -> List[str]:
@@ -148,7 +153,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     rows = sim.result_rows(res, cfg.params, rho)
     _write_csv(os.path.join(args.out, "results.csv"), sim.RUN_CSV_HEADER, rows)
 
-    _atomic_write_text(os.path.join(args.out, "vehicles.jsonl"), res.vehicles_jsonl())
+    write_atomic(os.path.join(args.out, "vehicles.jsonl"), res.vehicles_jsonl_chunks())
     print(
         f"run: {cfg.pfa} rho={rho:.6g} mean_delay={res.mean:.6g} "
         f"fairness={res.fairness:.6g} -> {args.out}/results.csv, vehicles.jsonl"
@@ -158,12 +163,9 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    rhos = _parse_rho_grid(args.rho)
     kinds = _parse_pfa_list(args.pfa) if args.pfa is not None else list(PFA_KINDS)
-    if not args.transient:
-        for rho in rhos:
-            if rho >= 1.0:
-                raise UnstableLoad(f"sweep point rho={rho} >= 1 (use --transient to allow)")
+    refuse = None if args.transient else "sweep point rho={rho} >= 1 (use --transient to allow)"
+    rhos = _parse_rho_grid(args.rho, refuse)
     rows = sim.sweep_rows(cfg, rhos, kinds, steady_state=not args.transient)
     path = os.path.join(args.out, "delay_sweep.csv")
     _write_csv(path, sim.RUN_CSV_HEADER, rows)
@@ -173,16 +175,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_approx(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    rhos = _parse_rho_grid(args.rho)
     kinds = _parse_pfa_list(args.pfa) if args.pfa is not None else list(DISCIPLINES)
     for kind in kinds:
         if kind not in DISCIPLINES:
             raise UnsupportedDiscipline(
                 f"no analytic delay form for {kind!r}; choose from {DISCIPLINES}"
             )
-    for rho in rhos:
-        if rho >= 1.0:
-            raise UnstableLoad(f"approximation undefined at rho={rho} >= 1")
+    rhos = _parse_rho_grid(args.rho, "approximation undefined at rho={rho} >= 1")
     rows: List[Dict[str, object]] = []
     for rho in rhos:
         params = cfg.params.with_rho(rho)
@@ -222,11 +221,9 @@ def cmd_traj(args: argparse.Namespace) -> int:
         print(err, file=sys.stderr)  # planner messages name the vehicle
 
     seg_path = os.path.join(args.out, "traj_segments.csv")
-    spa.write_segments_csv(planned.trajectories, seg_path + ".tmp")
-    os.replace(seg_path + ".tmp", seg_path)
+    spa.write_segments_csv(planned.trajectories, seg_path)
     sam_path = os.path.join(args.out, "traj_sampled.csv")
-    spa.write_sampled_csv(planned.trajectories, sam_path + ".tmp")
-    os.replace(sam_path + ".tmp", sam_path)
+    spa.write_sampled_csv(planned.trajectories, sam_path)
     print(
         f"traj: {len(planned.trajectories)} trajectories ({len(planned.failures)} failed)"
         f" -> {seg_path}, {sam_path}"

@@ -4,16 +4,17 @@ The central objects are Vehicle (lane, earliest crossing time, scheduled
 crossing time), SimParams (intersection geometry and traffic parameters),
 Schedule (the crossing-time ordering maintained by the scheduling
 algorithms) and GateBook (per-lane platoon start/end bookkeeping used by
-the gated and batch disciplines).
+the gated and batch disciplines). write_atomic writes every artifact file.
 """
 from __future__ import annotations
 
 import bisect
 import json
 import math
+import os
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import Iterable, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "PlatoonError",
@@ -33,6 +34,7 @@ __all__ = [
     "validate_params",
     "load_config",
     "parse_config",
+    "write_atomic",
 ]
 
 
@@ -454,3 +456,26 @@ def load_config(path: str) -> RunConfig:
     if not isinstance(data, dict):
         raise ConfigError(f"config file {path} must contain a JSON object")
     return parse_config(data)
+
+
+# ===================== artifact files =====================
+
+def write_atomic(path: str, chunks: Iterable[str]) -> None:
+    """Write the concatenated chunks to path as UTF-8, all or nothing.
+
+    The text goes to path + ".tmp", which replaces path only once every
+    chunk is written; on any exception the temp file is removed and the
+    previous file at path is left as it was. Chunks are written as they
+    come, so a generator never holds the whole text.
+    """
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "w", newline="", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.remove(tmp)
+        except FileNotFoundError:
+            pass
+        raise

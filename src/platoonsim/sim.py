@@ -21,7 +21,7 @@ point instead of running the kernel again.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -42,6 +42,7 @@ from .polling import DISCIPLINES, approx_mean_delay
 __all__ = [
     "N_BATCHES",
     "T_95_19DF",
+    "JSONL_CHUNK",
     "LaneStats",
     "RunResult",
     "make_arrivals",
@@ -55,6 +56,7 @@ __all__ = [
 
 N_BATCHES = 20
 T_95_19DF = 2.093  # Student-t 0.975 quantile at 19 dof, for 20 batch means
+JSONL_CHUNK = 8192  # records per chunk of the vehicle log, about 1 MB of text
 
 RUN_CSV_HEADER = (
     "rho",
@@ -153,26 +155,30 @@ class RunResult:
     def delay(self) -> np.ndarray:
         return self.c - self.a
 
-    def vehicles_jsonl(self) -> str:
+    def vehicles_jsonl_chunks(self) -> Iterator[str]:
         """Per-vehicle log: one JSON object {id, lane, entry_t, a, c, delay} per line.
 
-        Formatted by columns, with the bytes json.dumps writes per record:
-        json writes floats with float.__repr__, and every value is finite
-        (parse_config rejects non-finite entry times, _summarize non-finite
-        crossing times).
+        Yields the text of JSONL_CHUNK records at a time, each line ending
+        in "\n", so a writer never holds the whole log. Formatted by
+        columns, with the bytes json.dumps writes per record: json writes
+        floats with float.__repr__, and every value is finite (parse_config
+        rejects non-finite entry times, _summarize non-finite crossing
+        times).
         """
-        columns = zip(
-            (self.lane0 + 1).tolist(),
-            self.entry.tolist(),
-            self.a.tolist(),
-            self.c.tolist(),
-            self.delay.tolist(),
-        )
-        return "\n".join(
-            f'{{"id": {i}, "lane": {lane}, "entry_t": {e!r}, "a": {a!r}, '
-            f'"c": {c!r}, "delay": {d!r}}}'
-            for i, (lane, e, a, c, d) in enumerate(columns)
-        ) + "\n"
+        for lo in range(0, self.c.size, JSONL_CHUNK):
+            part = slice(lo, lo + JSONL_CHUNK)
+            columns = zip(
+                (self.lane0[part] + 1).tolist(),
+                self.entry[part].tolist(),
+                self.a[part].tolist(),
+                self.c[part].tolist(),
+                (self.c[part] - self.a[part]).tolist(),
+            )
+            yield "".join(
+                f'{{"id": {i}, "lane": {lane}, "entry_t": {e!r}, "a": {a!r}, '
+                f'"c": {c!r}, "delay": {d!r}}}\n'
+                for i, (lane, e, a, c, d) in enumerate(columns, lo)
+            )
 
 
 def batch_means_ci(x: np.ndarray, n_batches: int = N_BATCHES) -> float:

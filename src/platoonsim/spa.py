@@ -26,14 +26,14 @@ same bytes as calling evaluate per sample and csv.writer per row.
 """
 from __future__ import annotations
 
-import csv
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .core import PlatoonError, SimParams, Vehicle
+from .core import PlatoonError, SimParams, Vehicle, write_atomic
 
 __all__ = [
     "Trajectory",
@@ -500,17 +500,23 @@ def plan_schedule(
 
 # ===================== CSV export =====================
 
+def _segment_rows(traj: Trajectory) -> str:
+    """One trajectory's rows of the segment table, as csv.writer writes them."""
+    return "".join(
+        f"{traj.vehicle_id},{i},{s.t_start:.10g},{s.duration:.10g},{s.accel:.10g},"
+        f"{s.x_start:.10g},{s.v_start:.10g}\r\n"
+        for i, s in enumerate(traj.segments)
+    )
+
+
 def write_segments_csv(trajectories: Sequence[Trajectory], path: str) -> None:
-    """Exact segment table: vehicle_id, segment_index, t_start, duration, accel, x_start, v_start."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        w = csv.writer(fh)
-        w.writerow(["vehicle_id", "segment_index", "t_start", "duration",
-                    "accel", "x_start", "v_start"])
-        for traj in trajectories:
-            for i, s in enumerate(traj.segments):
-                w.writerow([traj.vehicle_id, i,
-                            f"{s.t_start:.10g}", f"{s.duration:.10g}", f"{s.accel:.10g}",
-                            f"{s.x_start:.10g}", f"{s.v_start:.10g}"])
+    """Exact segment table: vehicle_id, segment_index, t_start, duration, accel, x_start, v_start.
+
+    Cells are 10-significant-digit floats and rows end in \\r\\n; the file
+    is written atomically (write_atomic), one trajectory at a time.
+    """
+    header = "vehicle_id,segment_index,t_start,duration,accel,x_start,v_start\r\n"
+    write_atomic(path, itertools.chain((header,), map(_segment_rows, trajectories)))
 
 
 def _sample_times(t0: float, t_f: float, dt: float) -> np.ndarray:
@@ -581,11 +587,10 @@ def write_sampled_csv(trajectories: Sequence[Trajectory], path: str, dt: float =
     Per trajectory the rows are the times t0, t0 + dt, ... below t_f, then
     t_f, each with evaluate's (x, v, a); cells are 10-significant-digit
     floats and rows end in \\r\\n, as csv.writer writes them. The rows are
-    computed with numpy and written one trajectory at a time.
+    computed with numpy and written atomically (write_atomic), one
+    trajectory at a time.
     """
     if not dt > 0.0:
         raise ValueError(f"dt must be > 0, got {dt}")
-    with open(path, "w", newline="", encoding="utf-8") as fh:
-        fh.write("vehicle_id,t,x,v,a\r\n")
-        for traj in trajectories:
-            fh.write(_sampled_rows(traj, dt))
+    rows = (_sampled_rows(traj, dt) for traj in trajectories)
+    write_atomic(path, itertools.chain(("vehicle_id,t,x,v,a\r\n",), rows))

@@ -8,11 +8,12 @@ import csv
 import json
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from platoonsim import cli
+from platoonsim import cli, sim, spa
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SYM = os.path.join(ROOT, "configs", "sym.json")
@@ -22,6 +23,22 @@ TRAJ = os.path.join(ROOT, "configs", "traj.json")
 def read_csv(path):
     with open(path, newline="") as fh:
         return list(csv.DictReader(fh))
+
+
+def fail_on_second_call(fn):
+    calls = []
+
+    def wrapper(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise RuntimeError("formatter failed")
+        return fn(*args)
+    return wrapper
+
+
+def assert_previous_artifact_kept(out, name):
+    assert (out / name).read_bytes() == b"previous artifact\n"
+    assert list(out.glob("*.tmp")) == []
 
 
 # ===================== run =====================
@@ -47,6 +64,26 @@ def test_run_writes_results_and_log(tmp_path, capsys):
     rec = json.loads(lines[0])
     assert set(rec) == {"id", "lane", "entry_t", "a", "c", "delay"}
     assert capsys.readouterr().out.startswith("run: exhaustive")
+
+
+def test_run_failure_keeps_previous_log(tmp_path, monkeypatch):
+    # A formatter that fails after its first chunk of records.
+    chunks = sim.RunResult.vehicles_jsonl_chunks
+
+    def failing_chunks(res):
+        yield next(chunks(res))
+        raise RuntimeError("formatter failed")
+
+    monkeypatch.setattr(sim.RunResult, "vehicles_jsonl_chunks", failing_chunks)
+    config = tmp_path / "long.json"
+    config.write_text(json.dumps({"n": 2, "lambda": [0.25, 0.25],
+                                  "horizon_vehicles": 3 * sim.JSONL_CHUNK}))
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "vehicles.jsonl").write_bytes(b"previous artifact\n")
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        cli.main(["run", "--config", str(config), "--out", str(out)])
+    assert_previous_artifact_kept(out, "vehicles.jsonl")
 
 
 def test_run_seed_override_is_reproducible(tmp_path):
@@ -234,6 +271,24 @@ def test_sweep_asymmetric_split(tmp_path):
     assert float(lane["1"]["approx_delay"]) < float(lane["2"]["approx_delay"])
 
 
+@pytest.mark.parametrize("command, message", [
+    ("approx", "error: approximation undefined at rho=1.1 >= 1\n"),
+    ("sweep", "error: sweep point rho=1.1 >= 1 (use --transient to allow)\n"),
+])
+def test_refused_grid_stops_at_first_unstable_point(tmp_path, capsys, command, message):
+    # A million points, refused at the second; building them all first
+    # peaked at 32 MB of traced memory.
+    tracemalloc.start()
+    try:
+        code = cli.main([command, "--config", SYM, "--out", str(tmp_path), "--rho", "0.1:1e6:1"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 3
+    assert capsys.readouterr().err == message
+    assert peak < 2 ** 20
+
+
 @pytest.mark.parametrize(
     "grid", ["0.5", "0.5:0.4:0.1", "0.2:0.4:0", "a:b:c", "0:0.5:0.1", "-0.1:0.5:0.1",
              "nan:0.5:0.1", "0.1:inf:0.1", "0.1:1e308:1e-300"]
@@ -296,6 +351,18 @@ def test_traj_writes_segment_and_sample_files(tmp_path, capsys):
     for r in sampled:
         final_x[r["vehicle_id"]] = float(r["x"])
     assert all(abs(x) < 1e-6 for x in final_x.values())
+
+
+@pytest.mark.parametrize(
+    "formatter, name",
+    [("_segment_rows", "traj_segments.csv"), ("_sampled_rows", "traj_sampled.csv")],
+)
+def test_traj_failure_keeps_previous_file(tmp_path, monkeypatch, formatter, name):
+    monkeypatch.setattr(spa, formatter, fail_on_second_call(getattr(spa, formatter)))
+    (tmp_path / name).write_bytes(b"previous artifact\n")
+    with pytest.raises(RuntimeError, match="formatter failed"):
+        cli.main(["traj", "--config", TRAJ, "--out", str(tmp_path)])
+    assert_previous_artifact_kept(tmp_path, name)
 
 
 def test_traj_min_accel_objective(tmp_path):
