@@ -7,10 +7,15 @@ lists in C. It implements the disciplines of the object-level reference
 in pfa with the same floating-point operations in the same order, so its
 schedules are bit-identical to pfa's, which the test suite verifies.
 
+The state holds the live queue, not the horizon: the arrivals are read
+BLOCK at a time, and once more than BLOCK slots have departed their
+crossing times go to the result array and the slots are deleted, all but
+the last, whose crossing time and lane the next arrival reads.
+
 Scheduling state:
-  cs/ln/ai   crossing time, 0-based lane and arrival index per slot, sorted
-             by crossing time; slots [0, head) have departed and keep their
-             final crossing times, slots [head, len) are live
+  cs/ln/ai   crossing time, 0-based lane and global arrival index per slot,
+             sorted by crossing time; slots [0, head) have departed (at most
+             BLOCK of them), slots [head, len) are live
   lastsched  exhaustive only: per lane, slot of the lane's last scheduled
              vehicle (departed once below head), or -1
   pf/pt/pn   gated and batch only: per lane, the live platoons' starts,
@@ -19,6 +24,7 @@ Scheduling state:
 from __future__ import annotations
 
 from bisect import bisect_right
+from itertools import chain
 
 import numpy as np
 
@@ -26,6 +32,7 @@ from .core import InconsistentGateBook, PlatoonError
 from .pfa import TIE_TOL
 
 USE_NUMBA = False  # for callers that record the engine; there is no compiled variant
+BLOCK = 8192  # arrivals read, and departed slots compacted, at a time
 
 
 def _shift_after(xs, lo, anchor, delta):
@@ -116,12 +123,14 @@ def _invariants_hold(cs, ln, ai, head, arr_a, B, S, prev_cs, prev_ai, k, pf, pt,
 def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, warm_start, check):
     """Run one full arrival stream through a scheduling discipline.
 
-    arr_a: ascending earliest crossing times as Python floats (vertical
-    queue: these are also the event times). arr_lane: 0-based lanes as
-    Python ints. B, S: per-lane headway / clearance. pfa: "exhaustive",
-    "gated" or "batch" (cap applies). warm_start: first arrival index that
-    counts toward the fairness sums. check: verify the schedule and
-    bookkeeping invariants after every arrival (slow, for tests).
+    arr_a: ascending earliest crossing times as a float64 numpy array
+    (vertical queue: these are also the event times). arr_lane: 0-based
+    lanes as an integer numpy array. Both are read BLOCK entries at a time
+    as Python floats and ints. B, S: per-lane headway / clearance. pfa:
+    "exhaustive", "gated" or "batch" (cap applies). warm_start: first
+    arrival index that counts toward the fairness sums. check: verify the
+    schedule and bookkeeping invariants after every arrival (slow, for
+    tests).
 
     Returns (final_c, sum_ahead, sum_total, max_queue, fallback_count,
     max_platoon); final_c is a float64 numpy array, max_platoon the size
@@ -132,6 +141,11 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, warm_start, check):
     """
     exhaustive = pfa == "exhaustive"
     capped = pfa == "batch"
+    final_c = np.empty(len(arr_a))
+    arrivals = chain.from_iterable(
+        zip(arr_a[lo:lo + BLOCK].tolist(), arr_lane[lo:lo + BLOCK].tolist())
+        for lo in range(0, len(arr_a), BLOCK)
+    )
     cs, ln, ai = [], [], []
     head = 0
     lastsched = [-1] * n
@@ -148,8 +162,8 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, warm_start, check):
     fallback_count = 0
     max_platoon = 0
 
-    for k, (a, d) in enumerate(zip(arr_a, arr_lane)):
-        tail = k  # one slot per earlier arrival
+    for k, (a, d) in enumerate(arrivals):
+        tail = len(cs)
 
         # ----- departures due at or before the arrival instant -----
         while head < tail:
@@ -168,6 +182,17 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, warm_start, check):
                         max_platoon = pn[d0][0]
                     del pf[d0][0], ends[0], pn[d0][0]
             head += 1
+
+        if head > BLOCK:
+            # Retire the departed slots but the last one, which the free
+            # test and the fallback read; slot numbers drop by the cut.
+            cut = head - 1
+            final_c[ai[:cut]] = cs[:cut]
+            del cs[:cut], ln[:cut], ai[:cut]
+            head = 1
+            tail -= cut
+            if exhaustive:
+                lastsched = [slot - cut if slot >= cut else -1 for slot in lastsched]
 
         if check:
             prev_cs = cs[head:]
@@ -285,6 +310,5 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, warm_start, check):
             raise PlatoonError(f"scheduling invariant violated at arrival {k}")
 
     max_platoon = max([max_platoon] + [max(counts) for counts in pn if counts])
-    final_c = np.empty(len(cs))
     final_c[ai] = cs
     return final_c, sum_ahead, sum_total, max_queue, fallback_count, max_platoon

@@ -26,6 +26,7 @@ from .core import (
     Vehicle,
     load_config,
     write_atomic,
+    write_together,
 )
 from .polling import (
     DISCIPLINES,
@@ -151,9 +152,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     res = sim.run(cfg, steady_state=not args.transient)
     rho = cfg.params.rho
     rows = sim.result_rows(res, cfg.params, rho)
-    _write_csv(os.path.join(args.out, "results.csv"), sim.RUN_CSV_HEADER, rows)
-
-    write_atomic(os.path.join(args.out, "vehicles.jsonl"), res.vehicles_jsonl_chunks())
+    with write_together():
+        _write_csv(os.path.join(args.out, "results.csv"), sim.RUN_CSV_HEADER, rows)
+        write_atomic(os.path.join(args.out, "vehicles.jsonl"), res.vehicles_jsonl_chunks())
     print(
         f"run: {cfg.pfa} rho={rho:.6g} mean_delay={res.mean:.6g} "
         f"fairness={res.fairness:.6g} -> {args.out}/results.csv, vehicles.jsonl"
@@ -221,9 +222,10 @@ def cmd_traj(args: argparse.Namespace) -> int:
         print(err, file=sys.stderr)  # planner messages name the vehicle
 
     seg_path = os.path.join(args.out, "traj_segments.csv")
-    spa.write_segments_csv(planned.trajectories, seg_path)
     sam_path = os.path.join(args.out, "traj_sampled.csv")
-    spa.write_sampled_csv(planned.trajectories, sam_path)
+    with write_together():
+        spa.write_segments_csv(planned.trajectories, seg_path)
+        spa.write_sampled_csv(planned.trajectories, sam_path)
     print(
         f"traj: {len(planned.trajectories)} trajectories ({len(planned.failures)} failed)"
         f" -> {seg_path}, {sam_path}"

@@ -4,17 +4,20 @@ The central objects are Vehicle (lane, earliest crossing time, scheduled
 crossing time), SimParams (intersection geometry and traffic parameters),
 Schedule (the crossing-time ordering maintained by the scheduling
 algorithms) and GateBook (per-lane platoon start/end bookkeeping used by
-the gated and batch disciplines). write_atomic writes every artifact file.
+the gated and batch disciplines). write_atomic writes every artifact file;
+inside write_together, a command's artifacts replace the previous ones
+only once all of them are written.
 """
 from __future__ import annotations
 
 import bisect
+import contextlib
 import json
 import math
 import os
 import warnings
 from dataclasses import dataclass, field, replace
-from typing import Iterable, List, Optional, Sequence, Tuple, Union
+from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
 
 __all__ = [
     "PlatoonError",
@@ -35,6 +38,7 @@ __all__ = [
     "load_config",
     "parse_config",
     "write_atomic",
+    "write_together",
 ]
 
 
@@ -460,11 +464,16 @@ def load_config(path: str) -> RunConfig:
 
 # ===================== artifact files =====================
 
+# Inside write_together: the paths whose ".tmp" file awaits its rename.
+_staged: Optional[List[str]] = None
+
+
 def write_atomic(path: str, chunks: Iterable[str]) -> None:
     """Write the concatenated chunks to path as UTF-8, all or nothing.
 
     The text goes to path + ".tmp", which replaces path only once every
-    chunk is written; on any exception the temp file is removed and the
+    chunk is written (inside write_together: once every file of the block
+    is written); on any exception the temp file is removed and the
     previous file at path is left as it was. Chunks are written as they
     come, so a generator never holds the whole text.
     """
@@ -472,10 +481,43 @@ def write_atomic(path: str, chunks: Iterable[str]) -> None:
     try:
         with open(tmp, "w", newline="", encoding="utf-8") as fh:
             fh.writelines(chunks)
-        os.replace(tmp, path)
+        if _staged is None:
+            os.replace(tmp, path)
+        else:
+            _staged.append(path)
     except BaseException:
-        try:
-            os.remove(tmp)
-        except FileNotFoundError:
-            pass
+        _remove_tmp(path)
         raise
+
+
+@contextlib.contextmanager
+def write_together() -> Iterator[None]:
+    """Make the write_atomic calls of the block one all-or-nothing set.
+
+    Each file stays at path + ".tmp" until the block ends without an
+    exception; then every file is renamed over its path. On any exception
+    every ".tmp" of the block is removed and all previous files are left
+    as they were, so a failed command never leaves a new artifact beside
+    an old one.
+    """
+    global _staged
+    if _staged is not None:
+        raise RuntimeError("write_together blocks do not nest")
+    _staged = staged = []
+    try:
+        yield
+        for path in staged:
+            os.replace(path + ".tmp", path)
+    except BaseException:
+        for path in staged:
+            _remove_tmp(path)
+        raise
+    finally:
+        _staged = None
+
+
+def _remove_tmp(path: str) -> None:
+    try:
+        os.remove(path + ".tmp")
+    except FileNotFoundError:
+        pass

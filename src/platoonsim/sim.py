@@ -273,8 +273,8 @@ def run(config: RunConfig, check: bool = False, steady_state: bool = True) -> Ru
     entry, a, lane0, warmup = _prepare(config, steady_state)
     params = config.params
     final_c, sum_ahead, sum_total, max_queue, fallback_count, max_platoon = _kernels.simulate_arrivals(
-        a.tolist(),
-        lane0.tolist(),
+        a,
+        lane0,
         params.n,
         params.B,
         params.S,

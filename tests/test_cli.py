@@ -36,8 +36,14 @@ def fail_on_second_call(fn):
     return wrapper
 
 
-def assert_previous_artifact_kept(out, name):
-    assert (out / name).read_bytes() == b"previous artifact\n"
+def seed_previous_artifacts(out, *names):
+    for name in names:
+        (out / name).write_bytes(b"previous artifact\n")
+
+
+def assert_previous_artifacts_kept(out, *names):
+    for name in names:
+        assert (out / name).read_bytes() == b"previous artifact\n"
     assert list(out.glob("*.tmp")) == []
 
 
@@ -80,10 +86,11 @@ def test_run_failure_keeps_previous_log(tmp_path, monkeypatch):
                                   "horizon_vehicles": 3 * sim.JSONL_CHUNK}))
     out = tmp_path / "out"
     out.mkdir()
-    (out / "vehicles.jsonl").write_bytes(b"previous artifact\n")
+    # results.csv is written before the log fails: neither may be replaced.
+    seed_previous_artifacts(out, "results.csv", "vehicles.jsonl")
     with pytest.raises(RuntimeError, match="formatter failed"):
         cli.main(["run", "--config", str(config), "--out", str(out)])
-    assert_previous_artifact_kept(out, "vehicles.jsonl")
+    assert_previous_artifacts_kept(out, "results.csv", "vehicles.jsonl")
 
 
 def test_run_seed_override_is_reproducible(tmp_path):
@@ -358,11 +365,13 @@ def test_traj_writes_segment_and_sample_files(tmp_path, capsys):
     [("_segment_rows", "traj_segments.csv"), ("_sampled_rows", "traj_sampled.csv")],
 )
 def test_traj_failure_keeps_previous_file(tmp_path, monkeypatch, formatter, name):
+    # Whichever file's formatter fails (name), both keep their previous bytes.
     monkeypatch.setattr(spa, formatter, fail_on_second_call(getattr(spa, formatter)))
-    (tmp_path / name).write_bytes(b"previous artifact\n")
+    names = ("traj_segments.csv", "traj_sampled.csv")
+    seed_previous_artifacts(tmp_path, *names)
     with pytest.raises(RuntimeError, match="formatter failed"):
         cli.main(["traj", "--config", TRAJ, "--out", str(tmp_path)])
-    assert_previous_artifact_kept(tmp_path, name)
+    assert_previous_artifacts_kept(tmp_path, *names)
 
 
 def test_traj_min_accel_objective(tmp_path):

@@ -3,16 +3,21 @@
 The kernel and the reference implement the same disciplines twice
 (list state machine vs Schedule/GateBook objects), so every run is a
 cross-check. check=True makes both verify schedule invariants after
-each arrival.
+each arrival. The kernel keeps only the live queue: the compaction tests
+run horizons around its block size and bound its memory.
 """
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from platoonsim import _kernels
+from platoonsim._kernels import BLOCK
 from platoonsim.core import PFA_KINDS, RunConfig, SimParams, load_config
-from platoonsim.sim import run, run_reference
+from platoonsim.sim import make_arrivals, run, run_reference
 from test_pfa_properties import arrival_sequences, disciplines
 
 TRAJ = Path(__file__).resolve().parents[1] / "configs" / "traj.json"
@@ -90,3 +95,114 @@ def test_paths_agree_on_scripted_ties(case, discipline, per_lane):
         seed=1,
     )
     assert_same_result(run(config, check=True), run_reference(config, check=True))
+
+
+# ===================== compaction of departed slots =====================
+
+def departed_at_arrivals(res, b):
+    """Vehicles departed at each arrival instant, all lanes with headway b.
+
+    A vehicle has departed once c + b <= a; later arrivals cross no earlier
+    than a, so counting over all vehicles counts the earlier ones.
+    """
+    return np.searchsorted(np.sort(res.c + b), res.a, side="right")
+
+
+def first_compaction(res, b):
+    """Index of the arrival at which the kernel first retires departed slots
+    (more than BLOCK departed), or None."""
+    over = np.flatnonzero(departed_at_arrivals(res, b) > BLOCK)
+    return int(over[0]) if over.size else None
+
+
+COMPACTION_CASES = {
+    # Three lanes: exhaustive's lastsched points into the compacted lists.
+    "exhaustive-3": dict(pfa="exhaustive", n=3, rho=0.8, cap=100),
+    "gated": dict(pfa="gated", n=2, rho=0.8, cap=100),
+    # The cap binds (largest platoon 6, gated's 15) and the queue grows.
+    "batch-cap6": dict(pfa="batch", n=2, rho=0.6, cap=6),
+}
+
+
+def compaction_config(case, horizon):
+    spec = COMPACTION_CASES[case]
+    params = SimParams(n=spec["n"], lam=(0.1,) * spec["n"]).with_rho(spec["rho"])
+    return RunConfig(
+        params=params, pfa=spec["pfa"], batch_cap=spec["cap"], horizon_vehicles=horizon, seed=7
+    )
+
+
+@pytest.mark.parametrize("case", sorted(COMPACTION_CASES))
+@pytest.mark.parametrize("horizon", [BLOCK - 1, BLOCK, BLOCK + 1, BLOCK + 2, 2 * BLOCK + 1])
+def test_paths_agree_across_block_edges(case, horizon):
+    config = compaction_config(case, horizon)
+    fast = run(config)
+    assert_same_result(fast, run_reference(config))
+    if horizon == 2 * BLOCK + 1:
+        assert first_compaction(fast, 1.0) is not None
+    if case == "batch-cap6":
+        assert fast.max_platoon == 6
+
+
+def test_compaction_keeps_invariants():
+    # check=True reads each live slot's earliest time by its global index.
+    config = compaction_config("exhaustive-3", 2 * BLOCK + 1)
+    fast = run(config, check=True)
+    assert_same_result(fast, run_reference(config))
+    assert first_compaction(fast, 1.0) is not None
+
+
+def test_busy_period_spans_compaction():
+    # Sparse arrivals until just below BLOCK departures, then a 200-vehicle
+    # burst over three lanes that builds a queue; departed slots pass BLOCK
+    # while that queue is still live.
+    sparse = BLOCK - 10
+    arrivals = [[1 + i % 3, 10.0 * i] for i in range(sparse)]
+    arrivals += [[1 + i % 3, 10.0 * sparse + 0.5 * i] for i in range(200)]
+    arrivals += [[1 + i % 3, 10.0 * sparse + 200.0 + 10.0 * i] for i in range(20)]
+    params = SimParams(n=3, lam=(0.1,) * 3)
+    for pfa in PFA_KINDS:
+        config = RunConfig(params=params, pfa=pfa, batch_cap=4, arrivals=arrivals, seed=1)
+        fast = run(config)
+        assert_same_result(fast, run_reference(config))
+        k = first_compaction(fast, 1.0)
+        assert k is not None and k > sparse
+        assert k - departed_at_arrivals(fast, 1.0)[k] > 10  # queue at the compaction
+
+
+@given(
+    case=arrival_sequences(),
+    discipline=disciplines,
+    block=st.integers(min_value=1, max_value=4),
+)
+@settings(max_examples=200, deadline=None)
+def test_paths_agree_with_tiny_blocks(case, discipline, block):
+    # A block of 1-4 compacts at almost every arrival, through the exact
+    # ties of the scripted sequences.
+    n, arrivals = case
+    pfa, _, cap = discipline.partition(":")
+    config = RunConfig(
+        params=SimParams(n=n, lam=(0.2,) * n),
+        pfa=pfa,
+        batch_cap=int(cap or 100),
+        arrivals=[list(x) for x in arrivals],
+        seed=1,
+    )
+    with mock.patch.object(_kernels, "BLOCK", block):
+        fast = run(config, check=True)
+    assert_same_result(fast, run_reference(config, check=True))
+
+
+def test_kernel_memory_is_bounded_by_live_queue():
+    # 100 000 vehicles at rho 0.6: the kernel's own allocations stay below
+    # 3 MB (about 2 MB with compaction; 9.5 MB when every slot was kept).
+    params = SimParams().with_rho(0.6)
+    entry, lane0 = make_arrivals(params, 100_000, 3)
+    a = entry + params.free_flow_offset
+    tracemalloc.start()
+    try:
+        _kernels.simulate_arrivals(a, lane0, params.n, params.B, params.S, "gated", 100, 0, False)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3e6
