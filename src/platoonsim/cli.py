@@ -2,8 +2,9 @@
 
 Four subcommands, one JSON config schema, CSV/JSONL artifacts written
 atomically into an output directory. Exit codes: 0 success, 1 internal
-scheduling error, 2 configuration or usage error, 3 unstable load without
---transient.
+scheduling error, 2 configuration or usage error (a request larger than
+the memory available included: one line naming the command and config,
+no traceback), 3 unstable load without --transient.
 """
 from __future__ import annotations
 
@@ -305,6 +306,14 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except PlatoonError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except MemoryError as exc:
+        detail = " ".join(str(exc).split())  # numpy names the allocation
+        print(
+            f"error: not enough memory for {args.command} --config {args.config}"
+            + (f": {detail}" if detail else ""),
+            file=sys.stderr,
+        )
+        return EXIT_CONFIG
 
 
 if __name__ == "__main__":

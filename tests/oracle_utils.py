@@ -1,6 +1,6 @@
-"""Shared audit helpers for the trajectory planners.
+"""Shared audit helpers for the trajectory planners and the arrival streams.
 
-Five jobs:
+Six jobs:
 
 * search the single-dip profile family by brute force on a grid of
   breakpoints (oracle_min), draw random feasible planning instances and
@@ -15,7 +15,10 @@ Five jobs:
   reference for spa.verify_separation's exact minimum gap,
 * state two conditions in closed form that the package does not ship:
   schedule regularity (assert_regular) and the overcrowding bound of a
-  linked platoon (check_overcrowding).
+  linked platoon (check_overcrowding),
+* merge the per-lane arrival streams whole, then sort and slice
+  (make_arrivals_reference), the reference for sim.make_arrivals, which
+  cuts each stream at the horizon first.
 """
 from __future__ import annotations
 
@@ -538,3 +541,47 @@ def check_overcrowding(x0: float, t_f: float, t_full: float, params: SimParams) 
     must not exceed the entry distance |x0|.
     """
     return (t_f - t_full) * params.v_max + params.v_max ** 2 / params.a_max <= abs(x0)
+
+
+# ===================== arrival streams =====================
+
+def make_arrivals_reference(params: SimParams, n_total: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
+    """First n_total merged Poisson arrivals, one RNG stream per lane.
+
+    Returns (entry_times float64[n_total], lanes int64[n_total] 0-based),
+    merged in time order. Lane streams come from SeedSequence(seed).spawn,
+    so the same seed and parameters reproduce the same arrivals exactly,
+    independently of the discipline they are later scheduled under. Streams
+    are extended until the merged prefix is provably uncensored (every lane
+    generated past the n_total-th merged arrival).
+    """
+    if n_total <= 0:
+        return np.empty(0, np.float64), np.empty(0, np.int64)
+    children = np.random.SeedSequence(seed).spawn(params.n)
+    gens = [np.random.Generator(np.random.PCG64(c)) for c in children]
+    lam_total = sum(params.lam)
+    times: List[np.ndarray] = []
+    for lane0, gen in enumerate(gens):
+        lam = params.lam[lane0]
+        size = int(n_total * (lam / lam_total) * 1.2) + 64
+        times.append(np.cumsum(gen.exponential(1.0 / lam, size)))
+    while True:
+        merged_len = sum(t.size for t in times)
+        if merged_len >= n_total:
+            horizon = np.partition(np.concatenate(times), n_total - 1)[n_total - 1]
+            short = [i for i, t in enumerate(times) if t[-1] < horizon]
+            if not short:
+                break
+        else:
+            short = list(range(params.n))
+        for lane0 in short:
+            lam = params.lam[lane0]
+            grow = max(64, times[lane0].size // 2)
+            more = times[lane0][-1] + np.cumsum(gens[lane0].exponential(1.0 / lam, grow))
+            times[lane0] = np.concatenate([times[lane0], more])
+    entry = np.concatenate(times)
+    lanes = np.concatenate(
+        [np.full(t.size, lane0, np.int64) for lane0, t in enumerate(times)]
+    )
+    order = np.argsort(entry, kind="stable")
+    return entry[order][:n_total], lanes[order][:n_total]

@@ -93,6 +93,27 @@ def test_run_failure_keeps_previous_log(tmp_path, monkeypatch):
     assert_previous_artifacts_kept(out, "results.csv", "vehicles.jsonl")
 
 
+def test_run_out_of_memory_is_one_line(tmp_path, monkeypatch, capsys):
+    # Nothing is allocated for real: make_arrivals raises as numpy does
+    # when asked for 10**13 arrivals.
+    def out_of_memory(*args):
+        raise MemoryError("Unable to allocate 86.3 TiB for an array with shape "
+                          "(12000000000064,) and data type float64")
+
+    monkeypatch.setattr(sim, "make_arrivals", out_of_memory)
+    config = tmp_path / "huge.json"
+    config.write_text(json.dumps({"n": 2, "lambda": [0.25, 0.25],
+                                  "horizon_vehicles": 10 ** 13}))
+    out = tmp_path / "out"
+    out.mkdir()
+    seed_previous_artifacts(out, "results.csv", "vehicles.jsonl")
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"error: not enough memory for run --config {config}: Unable")
+    assert_previous_artifacts_kept(out, "results.csv", "vehicles.jsonl")
+
+
 def test_run_seed_override_is_reproducible(tmp_path):
     out_a, out_b, out_c = (str(tmp_path / d) for d in "abc")
     for out in (out_a, out_b):

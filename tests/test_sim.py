@@ -35,6 +35,7 @@ from platoonsim.sim import (
     run_reference,
     sweep_rows,
 )
+from oracle_utils import make_arrivals_reference
 from test_pfa_properties import arrival_sequences
 
 SCRIPT = [[1, 0.0], [2, 0.3], [1, 0.9], [2, 2.0], [2, 2.5]]
@@ -62,6 +63,75 @@ def test_arrivals_deterministic(params):
     a3 = make_arrivals(params, 1000, seed=6)
     assert np.array_equal(a1[0], a2[0]) and np.array_equal(a1[1], a2[1])
     assert not np.array_equal(a1[0], a3[0])
+
+
+ARRIVAL_RATES = [
+    (0.4,),
+    (0.25, 0.25),
+    (0.3, 0.2, 0.1),
+    (0.5, 0.05, 0.02, 0.001),
+    (0.1, 0.1, 0.1, 0.1, 1e-4),
+]
+
+
+REAL_GENERATOR = np.random.Generator
+
+
+class ShortFirstDraw:
+    """A Generator whose first draw returns a third of the gaps asked for.
+
+    A lane's first stream then ends short of the horizon, so the generator
+    has to extend it, often more than once.
+    """
+
+    draws = 0
+
+    def __init__(self, bit_generator):
+        self._gen = REAL_GENERATOR(bit_generator)
+        self._first = True
+
+    def exponential(self, scale, size):
+        ShortFirstDraw.draws += 1
+        if self._first:
+            self._first, size = False, max(1, size // 3)
+        return self._gen.exponential(scale, size)
+
+
+@pytest.mark.parametrize("short_first_draw", [False, True], ids=["drawn", "extended"])
+@pytest.mark.parametrize("lam", ARRIVAL_RATES, ids=lambda lam: f"{len(lam)}lanes")
+def test_make_arrivals_matches_reference(lam, short_first_draw, monkeypatch):
+    if short_first_draw:
+        monkeypatch.setattr(np.random, "Generator", ShortFirstDraw)
+    params = SimParams(n=len(lam), lam=lam)
+    for n_total in (1, 2, 63, 64, 65, 1000, 30011):
+        for seed in (0, 7):
+            ShortFirstDraw.draws = 0
+            want = make_arrivals_reference(params, n_total, seed)
+            extensions = ShortFirstDraw.draws - len(lam)
+            got = make_arrivals(params, n_total, seed)
+            case = (lam, n_total, seed)
+            assert got[0].dtype == np.float64 and got[1].dtype == np.int64, case
+            assert got[0].tobytes() == want[0].tobytes(), case
+            assert got[1].tobytes() == want[1].tobytes(), case
+            if short_first_draw and n_total >= 1000:
+                assert extensions > 0, case  # the extension path ran
+
+
+def test_make_arrivals_holds_only_what_it_returns():
+    # run-jsonl's 3:2:1 lanes. Each lane draws 1.2 times its share plus
+    # 64; the streams are cut at the horizon and freed before the sort, so
+    # the peak is about 2.0 times the returned bytes (3.6 when the merged
+    # oversampled streams were sorted whole).
+    params = SimParams(n=3, lam=(0.3, 0.2, 0.1))
+    tracemalloc.start()
+    try:
+        entry, lane0 = make_arrivals(params, 100_000, 11)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert entry.size == lane0.size == 100_000
+    assert entry.base is None and lane0.base is None
+    assert peak < 2.5 * (entry.nbytes + lane0.nbytes)
 
 
 # ===================== frozen scripted traces =====================
