@@ -28,8 +28,7 @@ from itertools import chain
 
 import numpy as np
 
-from .core import InconsistentGateBook, PlatoonError
-from .pfa import TIE_TOL
+from .core import TIE_TOL, InconsistentGateBook, PlatoonError
 
 USE_NUMBA = False  # for callers that record the engine; there is no compiled variant
 BLOCK = 8192  # arrivals read, and departed slots compacted, at a time
@@ -120,22 +119,22 @@ def _invariants_hold(cs, ln, ai, head, arr_a, B, S, prev_cs, prev_ai, k, pf, pt,
     return True
 
 
-def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, warm_start, check):
+def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, check):
     """Run one full arrival stream through a scheduling discipline.
 
     arr_a: ascending earliest crossing times as a float64 numpy array
     (vertical queue: these are also the event times). arr_lane: 0-based
     lanes as an integer numpy array. Both are read BLOCK entries at a time
     as Python floats and ints. B, S: per-lane headway / clearance. pfa:
-    "exhaustive", "gated" or "batch" (cap applies). warm_start: first
-    arrival index that counts toward the fairness sums. check: verify the
+    "exhaustive", "gated" or "batch" (cap applies). check: verify the
     schedule and bookkeeping invariants after every arrival (slow, for
     tests).
 
-    Returns (final_c, sum_ahead, sum_total, max_queue, fallback_count,
-    max_platoon); final_c is a float64 numpy array, max_platoon the size
-    of the largest platoon the book held (0 for exhaustive), read as each
-    platoon leaves the book and from the live ones at the end. Raises
+    Returns (final_c, fallback_count, max_platoon); final_c is a float64
+    numpy array, max_platoon the size of the largest platoon the book held
+    (0 for exhaustive), read as each platoon leaves the book and from the
+    live ones at the end. The queue statistics follow from final_c and are
+    computed by the caller (sim._queue_counts). Raises
     InconsistentGateBook when the platoon book diverges from the schedule
     and PlatoonError when check finds a violated invariant.
     """
@@ -156,9 +155,6 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, warm_start, check):
     scan = [list(range(d - 1, -1, -1)) + list(range(n - 1, d, -1)) for d in range(n)]
     prev_cs = prev_ai = None
 
-    sum_ahead = 0
-    sum_total = 0
-    max_queue = 0
     fallback_count = 0
     max_platoon = 0
 
@@ -297,12 +293,6 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, warm_start, check):
             old = lastsched[d]
             lastsched[d] = pos if old < head or cs[old] < c0 else old
 
-        if k >= warm_start:
-            sum_ahead += pos - head
-            sum_total += tail - head
-        if tail + 1 - head > max_queue:
-            max_queue = tail + 1 - head
-
         if check and not _invariants_hold(
             cs, ln, ai, head, arr_a, B, S, prev_cs, prev_ai, k, pf, pt, pn,
             cap if capped else None,
@@ -311,4 +301,4 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, warm_start, check):
 
     max_platoon = max([max_platoon] + [max(counts) for counts in pn if counts])
     final_c[ai] = cs
-    return final_c, sum_ahead, sum_total, max_queue, fallback_count, max_platoon
+    return final_c, fallback_count, max_platoon

@@ -219,14 +219,14 @@ def cmd_traj(args: argparse.Namespace) -> int:
         for i in range(res.a.size)
     ]
     planned = spa.plan_schedule(vehicles, cfg.params, kind=args.spa, best_effort=True)
-    for _, err in planned.failures:
-        print(err, file=sys.stderr)  # planner messages name the vehicle
-
     seg_path = os.path.join(args.out, "traj_segments.csv")
     sam_path = os.path.join(args.out, "traj_sampled.csv")
     with write_together():
         spa.write_segments_csv(planned.trajectories, seg_path)
         spa.write_sampled_csv(planned.trajectories, sam_path)
+    # Refusals describe the files written, so a failed write prints only its error.
+    for _, err in planned.failures:
+        print(err, file=sys.stderr)  # planner messages name the vehicle
     print(
         f"traj: {len(planned.trajectories)} trajectories ({len(planned.failures)} failed)"
         f" -> {seg_path}, {sam_path}"

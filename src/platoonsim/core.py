@@ -34,12 +34,19 @@ __all__ = [
     "GateBook",
     "RunConfig",
     "PFA_KINDS",
+    "TIE_TOL",
     "validate_params",
     "load_config",
     "parse_config",
     "write_atomic",
     "write_together",
 ]
+
+
+# Tolerance for exact-coincidence checks (platoon-start landing, scan safety,
+# gate pruning). Real gaps are either ~B/~S or zero up to ulp-scale shift
+# drift, so anything well below B works; 1e-9 s is the package-wide choice.
+TIE_TOL = 1e-9
 
 
 # ===================== errors =====================
@@ -330,13 +337,17 @@ _CONFIG_KEYS = {
 
 
 def _number(value: object, name: str) -> float:
-    """A JSON number as a float; bools, strings and nulls are refused."""
+    """A JSON number as a float; bools, strings, nulls and json's Infinity are
+    refused. NaN is left to each value's range check, whose message names it."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{name} must be a number, got {value!r}")
     try:
-        return float(value)
+        x = float(value)
     except OverflowError as exc:
         raise ConfigError(f"{name} is out of range: {exc}") from exc
+    if math.isinf(x):
+        raise ConfigError(f"{name} must be finite, got {x}")
+    return x
 
 
 def _integer(value: object, name: str) -> int:
@@ -388,6 +399,8 @@ def parse_config(data: dict) -> RunConfig:
     problem = _non_positive(params) or _clearance_below_headway(params)
     if problem is not None:
         raise ConfigError(problem)
+    if not math.isfinite(params.free_flow_offset):
+        raise ConfigError("(region_pfa_m + region_spa_m) / v_max must be finite, got inf")
 
     cfg = RunConfig(params=params)
     if "pfa" in data:

@@ -20,6 +20,7 @@ import bisect
 from typing import Iterator, List, Optional
 
 from .core import (
+    TIE_TOL,
     DepartureOutOfOrder,
     GateBook,
     InconsistentGateBook,
@@ -38,11 +39,6 @@ __all__ = [
     "gap_violations",
     "reverse_cyclic_lanes",
 ]
-
-# Tolerance for exact-coincidence checks (platoon-start landing, scan safety,
-# gate pruning). Real gaps are either ~B/~S or zero up to ulp-scale shift
-# drift, so anything well below B works; 1e-9 s is the package-wide choice.
-TIE_TOL = 1e-9
 
 
 def reverse_cyclic_lanes(d: int, n: int) -> Iterator[int]:

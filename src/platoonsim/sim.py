@@ -12,6 +12,9 @@ command runs the reference, which is the semantic anchor the tests compare
 against. Sweeps run their grid points serially: the kernel is pure Python
 and holds the interpreter lock.
 
+The kernel and the reference only schedule: _queue_counts reads fairness
+and the largest queue from the final (a, c, lane), their one definition.
+
 Batch is gated with a cap on platoon size (k-limited gated service), and
 the two disciplines part only when a join meets a full platoon. So where
 gated's largest platoon stays within the cap, batch's schedule is gated's
@@ -155,9 +158,9 @@ class RunResult:
     c: np.ndarray           # scheduled (final) crossing time per vehicle (s)
     mean: float             # mean delay, post-warmup (s)
     ci95: float             # batch-means 95% half-width (s)
-    fairness: float         # sum(ahead) / sum(present) over post-warmup arrivals
+    fairness: float         # sum_ahead / sum_total of _queue_counts (NaN if 0 / 0)
     lanes: List[LaneStats]
-    max_queue: int
+    max_queue: int          # most vehicles scheduled at once, the arrival included
     fallback_count: int
     max_platoon: int        # largest platoon in the gate book (0 for exhaustive)
 
@@ -191,39 +194,71 @@ class RunResult:
             )
 
 
-def batch_means_ci(x: np.ndarray, n_batches: int = N_BATCHES) -> float:
-    """95% half-width from contiguous batch means; NaN when undersampled."""
-    if x.size < n_batches * 2:
+def batch_means_ci(x: np.ndarray) -> float:
+    """95% half-width from N_BATCHES contiguous batch means; NaN when undersampled."""
+    if x.size < N_BATCHES * 2:
         return float("nan")
-    means = np.array([b.mean() for b in np.array_split(x, n_batches)])
+    means = np.array([b.mean() for b in np.array_split(x, N_BATCHES)])
     s = means.std(ddof=1)
-    return float(T_95_19DF * s / np.sqrt(n_batches))
+    return float(T_95_19DF * s / np.sqrt(N_BATCHES))
+
+
+def _queue_counts(
+    a: np.ndarray, c: np.ndarray, lane0: np.ndarray, B: Sequence[float], warmup: int
+) -> Tuple[int, int, int]:
+    """(sum_ahead, sum_total, max_queue) of a final schedule.
+
+    Vehicle j < k is present at arrival k iff leave_j = c_j + B_j > a_k,
+    exactly, since a departed vehicle never moves and a live one only
+    moves later. Over k >= warmup, sum_total counts those present and
+    sum_ahead those that cross before k; max_queue is 1 + the most present
+    at any arrival. As every j >= k has leave_j > a_k, present_k = k -
+    #{j : leave_j <= a_k}. The present ones crossing after k are the
+    inversions c_k < c_j, counted one offset k - j at a time; k came while
+    j was present, so k - j < reach_j = #{i : a_i < leave_j} - j. Only the
+    sorted leave is held whole; the rest is built BLOCK at a time.
+    """
+    n = c.size
+    if n == 0:
+        return 0, 0, 0
+    block = _kernels.BLOCK
+    leave = np.take(np.asarray(B, dtype=np.float64), lane0)
+    leave += c
+    reach = 1
+    for lo in range(0, n, block):
+        part = np.searchsorted(a, leave[lo:lo + block])
+        part -= np.arange(lo, lo + part.size)
+        reach = max(reach, int(part.max()))
+    leave.sort()
+    sum_total = 0
+    most = 0
+    for lo in range(0, n, block):
+        part = a[lo:lo + block]
+        present = np.arange(lo, lo + part.size) - np.searchsorted(leave, part, "right")
+        most = max(most, int(present.max()))
+        sum_total += int(present[max(warmup - lo, 0):].sum())
+    del leave
+    inversions = 0
+    for offset in range(1, reach):
+        lo = max(offset, warmup)
+        inversions += int(np.count_nonzero(c[lo:] < c[lo - offset:n - offset]))
+    return sum_total - inversions, sum_total, most + 1
 
 
 def _summarize(
-    discipline: str,
-    seed: int,
-    warmup: int,
-    entry: np.ndarray,
-    a: np.ndarray,
-    lane0: np.ndarray,
-    c: np.ndarray,
-    sum_ahead: int,
-    sum_total: int,
-    max_queue: int,
-    fallback_count: int,
-    max_platoon: int,
-    n_lanes: int,
+    config: RunConfig, warmup: int, entry: np.ndarray, a: np.ndarray, lane0: np.ndarray,
+    c: np.ndarray, fallback_count: int, max_platoon: int,
 ) -> RunResult:
     if not np.isfinite(c).all():
         raise PlatoonError("internal error: some vehicles were never scheduled")
+    sum_ahead, sum_total, max_queue = _queue_counts(a, c, lane0, config.params.B, warmup)
     post = c[warmup:] - a[warmup:]  # only the post-warmup delays are held
     mean = float(post.mean()) if post.size else float("nan")
     ci = batch_means_ci(post)
     fairness = (sum_ahead / sum_total) if sum_total > 0 else float("nan")
     lanes = []
     post_lane = lane0[warmup:]
-    for i in range(n_lanes):
+    for i in range(config.params.n):
         sel = post[post_lane == i]
         lanes.append(
             LaneStats(
@@ -234,8 +269,8 @@ def _summarize(
             )
         )
     return RunResult(
-        discipline=discipline,
-        seed=seed,
+        discipline=config.pfa,
+        seed=config.seed,
         warmup=warmup,
         entry=entry,
         a=a,
@@ -281,32 +316,10 @@ def run(config: RunConfig, check: bool = False, steady_state: bool = True) -> Ru
     """
     entry, a, lane0, warmup = _prepare(config, steady_state)
     params = config.params
-    final_c, sum_ahead, sum_total, max_queue, fallback_count, max_platoon = _kernels.simulate_arrivals(
-        a,
-        lane0,
-        params.n,
-        params.B,
-        params.S,
-        config.pfa,
-        config.batch_cap,
-        warmup,
-        check,
+    final_c, fallback_count, max_platoon = _kernels.simulate_arrivals(
+        a, lane0, params.n, params.B, params.S, config.pfa, config.batch_cap, check
     )
-    return _summarize(
-        config.pfa,
-        config.seed,
-        warmup,
-        entry,
-        a,
-        lane0,
-        final_c,
-        sum_ahead,
-        sum_total,
-        max_queue,
-        fallback_count,
-        max_platoon,
-        params.n,
-    )
+    return _summarize(config, warmup, entry, a, lane0, final_c, fallback_count, max_platoon)
 
 
 # ===================== reference path =====================
@@ -326,9 +339,6 @@ def run_reference(config: RunConfig, check: bool = False, steady_state: bool = T
 
     n = a.size
     final_c = np.full(n, np.nan)
-    sum_ahead = 0
-    sum_total = 0
-    max_queue = 0
     max_platoon = 0
     for k in range(n):
         now = float(a[k])
@@ -341,18 +351,12 @@ def run_reference(config: RunConfig, check: bool = False, steady_state: bool = T
             else:
                 break
         v0 = Vehicle(id=k, lane=int(lane0[k]) + 1, a=now)
-        n_before = len(sched)
         if kind == "exhaustive":
             schedule_exhaustive(sched, v0, params)
         elif kind == "gated":
             schedule_gated(sched, gates, v0, params)
         else:
             schedule_batch(sched, gates, v0, params, config.batch_cap)
-        if k >= warmup:
-            sum_ahead += sched.ordering.index(v0)
-            sum_total += n_before
-        if len(sched) > max_queue:
-            max_queue = len(sched)
         if gates is not None:
             # Counts only grow, and only on the new vehicle's lane.
             for e in gates.entries(v0.lane):
@@ -366,21 +370,7 @@ def run_reference(config: RunConfig, check: bool = False, steady_state: bool = T
                 gates.validate()
     for v in sched.ordering:
         final_c[v.id] = v.c
-    return _summarize(
-        kind,
-        config.seed,
-        warmup,
-        entry,
-        a,
-        lane0,
-        final_c,
-        sum_ahead,
-        sum_total,
-        max_queue,
-        sched.fallback_count,
-        max_platoon,
-        params.n,
-    )
+    return _summarize(config, warmup, entry, a, lane0, final_c, sched.fallback_count, max_platoon)
 
 
 # ===================== sweeps =====================

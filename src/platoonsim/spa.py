@@ -527,6 +527,8 @@ def _sample_times(t0: float, t_f: float, dt: float) -> np.ndarray:
     """
     stop = t_f - 1e-12
     n = max(int((stop - t0) / dt), 0) + 3  # the estimate plus rounding slack
+    if n > np.iinfo(np.intp).max // 8:  # more bytes than an array can index
+        raise MemoryError(f"cannot sample {n:.3g} times from t={t0} to t={t_f} at dt={dt}")
     ts = np.full(n, dt, dtype=np.float64)
     ts[0] = t0
     np.cumsum(ts, out=ts)

@@ -1,6 +1,6 @@
 """Shared audit helpers for the trajectory planners and the arrival streams.
 
-Six jobs:
+Seven jobs:
 
 * search the single-dip profile family by brute force on a grid of
   breakpoints (oracle_min), draw random feasible planning instances and
@@ -18,7 +18,10 @@ Six jobs:
   linked platoon (check_overcrowding),
 * merge the per-lane arrival streams whole, then sort and slice
   (make_arrivals_reference), the reference for sim.make_arrivals, which
-  cuts each stream at the horizon first.
+  cuts each stream at the horizon first,
+* replay a final schedule arrival by arrival to count the vehicles
+  present and ahead (queue_counts_by_replay), the reference for
+  sim._queue_counts.
 """
 from __future__ import annotations
 
@@ -541,6 +544,29 @@ def check_overcrowding(x0: float, t_f: float, t_full: float, params: SimParams) 
     must not exceed the entry distance |x0|.
     """
     return (t_f - t_full) * params.v_max + params.v_max ** 2 / params.a_max <= abs(x0)
+
+
+def queue_counts_by_replay(
+    a: np.ndarray, c: np.ndarray, lane0: np.ndarray, B: Sequence[float], warmup: int
+) -> Tuple[int, int, int]:
+    """(sum_ahead, sum_total, max_queue) straight from the definitions.
+
+    At each arrival k the vehicles present are those j < k that have not
+    left the stop line, c_j + B_j > a_k, and the ones ahead of k are those
+    of them with c_j < c_k. sum_total and sum_ahead add both counts over
+    k >= warmup; max_queue is 1 + the most present at any arrival. Plain
+    Python, quadratic: for at most a few thousand vehicles.
+    """
+    a, c, lanes = a.tolist(), c.tolist(), lane0.tolist()
+    leave = [cj + B[lane] for cj, lane in zip(c, lanes)]
+    sum_ahead = sum_total = max_queue = 0
+    for k, (ak, ck) in enumerate(zip(a, c)):
+        present = [j for j in range(k) if leave[j] > ak]
+        max_queue = max(max_queue, len(present) + 1)
+        if k >= warmup:
+            sum_total += len(present)
+            sum_ahead += sum(1 for j in present if c[j] < ck)
+    return sum_ahead, sum_total, max_queue
 
 
 # ===================== arrival streams =====================

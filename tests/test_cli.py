@@ -114,6 +114,32 @@ def test_run_out_of_memory_is_one_line(tmp_path, monkeypatch, capsys):
     assert_previous_artifacts_kept(out, "results.csv", "vehicles.jsonl")
 
 
+@pytest.mark.parametrize(
+    "command, base, changes, message",
+    [
+        ("run", SYM, {"S": float("inf")}, "error: S must be finite, got inf"),
+        ("traj", TRAJ, {"v_max": float("inf")}, "error: v_max must be finite, got inf"),
+        # Finite values, infinite free-flow offset.
+        ("run", SYM, {"region_pfa_m": 1e308, "v_max": 0.5},
+         "error: (region_pfa_m + region_spa_m) / v_max must be finite, got inf"),
+        # A finite offset of about 6.7e306 s: more samples than an array holds.
+        ("traj", TRAJ, {"region_spa_m": 1e308}, "error: not enough memory for traj"),
+    ],
+)
+def test_non_finite_config_is_one_line(tmp_path, capsys, command, base, changes, message):
+    with open(base) as fh:
+        cfg = json.load(fh)
+    cfg.update(changes)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))  # writes inf as Infinity, which json reads back
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and captured.err.startswith(message)
+    assert not out.exists() or os.listdir(out) == []
+
+
 def test_run_seed_override_is_reproducible(tmp_path):
     out_a, out_b, out_c = (str(tmp_path / d) for d in "abc")
     for out in (out_a, out_b):

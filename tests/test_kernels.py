@@ -28,6 +28,8 @@ def assert_same_result(fast, slow):
     assert np.array_equal(fast.a, slow.a)
     assert np.array_equal(fast.entry, slow.entry)
     assert np.array_equal(fast.lane0, slow.lane0)
+    # Both paths read these from c through sim._queue_counts, which
+    # test_queue_counts.py checks against a replay and recorded counts.
     # NaN when no arrival found another vehicle present.
     assert np.array_equal([fast.fairness], [slow.fairness], equal_nan=True)
     assert fast.max_queue == slow.max_queue
@@ -201,7 +203,7 @@ def test_kernel_memory_is_bounded_by_live_queue():
     a = entry + params.free_flow_offset
     tracemalloc.start()
     try:
-        _kernels.simulate_arrivals(a, lane0, params.n, params.B, params.S, "gated", 100, 0, False)
+        _kernels.simulate_arrivals(a, lane0, params.n, params.B, params.S, "gated", 100, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
