@@ -16,8 +16,10 @@ Scheduling state:
   cs/ln/ai   crossing time, 0-based lane and global arrival index per slot,
              sorted by crossing time; slots [0, head) have departed (at most
              BLOCK of them), slots [head, len) are live
-  lastsched  exhaustive only: per lane, slot of the lane's last scheduled
-             vehicle (departed once below head), or -1
+  tl         exhaustive only: per lane, the crossing time of the lane's last
+             scheduled vehicle, or -inf; that vehicle is live iff
+             tl + B > a, as departures leave in crossing order and c + B
+             grows along the schedule
   pf/pt/pn   gated and batch only: per lane, the live platoons' starts,
              ends and sizes, ascending
 """
@@ -39,6 +41,13 @@ def _shift_after(xs, lo, anchor, delta):
     if xs[-1] > anchor:
         j = bisect_right(xs, anchor, lo)
         xs[j:] = [x + delta for x in xs[j:]]
+
+
+def _shift_lanes(cs, head, tl, anchor, delta):
+    """_shift_after on cs, and the same shift of each lane's last crossing time."""
+    if cs[-1] > anchor:
+        _shift_after(cs, head, anchor, delta)
+        tl[:] = [t + delta if t > anchor else t for t in tl]
 
 
 def _shift_platoons(pf, pt, anchor, delta):
@@ -147,7 +156,7 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, check):
     )
     cs, ln, ai = [], [], []
     head = 0
-    lastsched = [-1] * n
+    tl = [-np.inf] * n
     pf = [[] for _ in range(n)]
     pt = [[] for _ in range(n)]
     pn = [[] for _ in range(n)]
@@ -181,14 +190,12 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, check):
 
         if head > BLOCK:
             # Retire the departed slots but the last one, which the free
-            # test and the fallback read; slot numbers drop by the cut.
+            # test and the fallback read.
             cut = head - 1
             final_c[ai[:cut]] = cs[:cut]
             del cs[:cut], ln[:cut], ai[:cut]
             head = 1
             tail -= cut
-            if exhaustive:
-                lastsched = [slot - cut if slot >= cut else -1 for slot in lastsched]
 
         if check:
             prev_cs = cs[head:]
@@ -209,20 +216,17 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, check):
                     c0 = a
         elif exhaustive:
             b_d = B[d]
-            tds = lastsched[d]
-            if tds >= head and cs[tds] + b_d > a:
-                anchor = cs[tds]
-                _shift_after(cs, head, anchor, b_d)
+            anchor = tl[d]
+            if anchor + b_d > a:  # the lane's last vehicle is live: join it
+                _shift_lanes(cs, head, tl, anchor, b_d)
                 c0 = anchor + b_d
             else:
                 s_d = S[d]
                 for lane in scan[d]:
-                    tls = lastsched[lane]
-                    gap = B[lane] + s_d
-                    if tls >= head and cs[tls] + gap > a:
-                        anchor = cs[tls]
-                        _shift_after(cs, head, anchor, b_d + s_d)
-                        c0 = anchor + gap
+                    anchor = tl[lane]
+                    if anchor + B[lane] > a:
+                        _shift_lanes(cs, head, tl, anchor, b_d + s_d)
+                        c0 = anchor + (B[lane] + s_d)
                         break
                 else:
                     fallback_count += 1
@@ -286,12 +290,7 @@ def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, check):
         ln.insert(pos, d)
         ai.insert(pos, k)
         if exhaustive:
-            if pos < tail:
-                for lane, slot in enumerate(lastsched):
-                    if slot >= pos:
-                        lastsched[lane] = slot + 1
-            old = lastsched[d]
-            lastsched[d] = pos if old < head or cs[old] < c0 else old
+            tl[d] = c0
 
         if check and not _invariants_hold(
             cs, ln, ai, head, arr_a, B, S, prev_cs, prev_ai, k, pf, pt, pn,

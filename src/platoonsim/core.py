@@ -1,16 +1,15 @@
 """Domain types, configuration, and validation shared by the whole package.
 
 The central objects are Vehicle (lane, earliest crossing time, scheduled
-crossing time), SimParams (intersection geometry and traffic parameters),
-Schedule (the crossing-time ordering maintained by the scheduling
-algorithms) and GateBook (per-lane platoon start/end bookkeeping used by
-the gated and batch disciplines). write_atomic writes every artifact file;
+crossing time) and SimParams (intersection geometry and traffic
+parameters); RunConfig and parse_config read a run's JSON configuration.
+The reference scheduler's object model (Schedule, GateBook) lives in pfa
+with the reference itself. write_atomic writes every artifact file;
 inside write_together, a command's artifacts replace the previous ones
 only once all of them are written.
 """
 from __future__ import annotations
 
-import bisect
 import contextlib
 import json
 import math
@@ -26,12 +25,8 @@ __all__ = [
     "UnstableLoad",
     "ConfigError",
     "InconsistentGateBook",
-    "DepartureOutOfOrder",
     "Vehicle",
     "SimParams",
-    "Schedule",
-    "PlatoonEntry",
-    "GateBook",
     "RunConfig",
     "PFA_KINDS",
     "TIE_TOL",
@@ -73,10 +68,6 @@ class ConfigError(PlatoonError):
 
 class InconsistentGateBook(PlatoonError):
     """Internal platoon bookkeeping violated an invariant (implementation bug)."""
-
-
-class DepartureOutOfOrder(PlatoonError):
-    """depart() was called at a time that does not match the head vehicle."""
 
 
 # ===================== vehicles and parameters =====================
@@ -202,113 +193,6 @@ def validate_params(params: SimParams, steady_state: bool = True) -> SimParams:
     return params
 
 
-# ===================== schedule =====================
-
-class Schedule:
-    """Crossing plan: vehicles sorted by scheduled time, plus departure history.
-
-    The ordering is kept sorted by (c, id); ties in c are impossible by
-    construction (consecutive gaps are at least B > 0) but the id tiebreak
-    keeps sorting deterministic anyway.
-    """
-
-    def __init__(self, n: int):
-        self.n = n
-        self.ordering: List[Vehicle] = []
-        self.last_departed: Optional[Vehicle] = None
-        self.fallback_count = 0  # times the schedulers hit the tie-only fallback branch
-
-    def last(self) -> Optional[Vehicle]:
-        """Last vehicle in the ordering, or the last departed one if empty."""
-        if self.ordering:
-            return self.ordering[-1]
-        return self.last_departed
-
-    def t_lane(self, lane: int) -> Optional[float]:
-        """Crossing time of the last scheduled vehicle in a lane, or None."""
-        for v in reversed(self.ordering):
-            if v.lane == lane:
-                return v.c
-        return None
-
-    def insert(self, vehicle: Vehicle) -> int:
-        """Insert a scheduled vehicle; returns its position in the ordering."""
-        pos = bisect.bisect_right(self.ordering, (vehicle.c, vehicle.id), key=lambda w: (w.c, w.id))
-        self.ordering.insert(pos, vehicle)
-        return pos
-
-    def shift_after(self, anchor: float, delta: float) -> None:
-        """Add delta to the crossing time of every vehicle with c > anchor."""
-        start = bisect.bisect_right(self.ordering, anchor, key=lambda w: w.c)
-        for v in self.ordering[start:]:
-            v.c += delta
-
-    def pop_head(self) -> Vehicle:
-        head = self.ordering.pop(0)
-        self.last_departed = head
-        return head
-
-    def __len__(self) -> int:
-        return len(self.ordering)
-
-
-# ===================== gate book =====================
-
-@dataclass
-class PlatoonEntry:
-    f: float        # platoon start: crossing time of its first vehicle (s)
-    t: float        # platoon end: crossing time of its last vehicle (s)
-    count: int = 1  # number of vehicles assigned to the platoon
-
-    def __post_init__(self) -> None:
-        if self.count < 1:
-            raise InconsistentGateBook(f"platoon count must be >= 1, got {self.count}")
-
-
-class GateBook:
-    """Per-lane lists of live platoons (start, end, size), ascending in time."""
-
-    def __init__(self, n: int):
-        self.n = n
-        self._lanes: List[List[PlatoonEntry]] = [[] for _ in range(n)]
-
-    def entries(self, lane: int) -> List[PlatoonEntry]:
-        return self._lanes[lane - 1]
-
-    def register(self, lane: int, entry: PlatoonEntry) -> None:
-        """Append a new platoon; entries must stay ascending by start time."""
-        lst = self._lanes[lane - 1]
-        if lst and entry.f <= lst[-1].t:
-            raise InconsistentGateBook(
-                f"new platoon start {entry.f} not after lane {lane} last end {lst[-1].t}"
-            )
-        lst.append(entry)
-
-    def shift_after(self, anchor: float, delta: float) -> None:
-        """Shift every platoon whose start is strictly after the anchor."""
-        for lst in self._lanes:
-            for e in lst:
-                if e.f > anchor:
-                    e.f += delta
-                    e.t += delta
-
-    def prune_front(self, lane: int) -> PlatoonEntry:
-        return self._lanes[lane - 1].pop(0)
-
-    def validate(self) -> None:
-        """Raise InconsistentGateBook unless all structural invariants hold."""
-        for lane0, lst in enumerate(self._lanes):
-            prev_t = -math.inf
-            for e in lst:
-                if e.f > e.t:
-                    raise InconsistentGateBook(f"lane {lane0 + 1}: start {e.f} > end {e.t}")
-                if e.f <= prev_t:
-                    raise InconsistentGateBook(f"lane {lane0 + 1}: platoons overlap or are out of order")
-                if e.count < 1:
-                    raise InconsistentGateBook(f"lane {lane0 + 1}: count {e.count} < 1")
-                prev_t = e.t
-
-
 # ===================== run configuration =====================
 
 @dataclass
@@ -399,8 +283,14 @@ def parse_config(data: dict) -> RunConfig:
     problem = _non_positive(params) or _clearance_below_headway(params)
     if problem is not None:
         raise ConfigError(problem)
-    if not math.isfinite(params.free_flow_offset):
+    offset = params.free_flow_offset
+    if not math.isfinite(offset):
         raise ConfigError("(region_pfa_m + region_spa_m) / v_max must be finite, got inf")
+    if math.ulp(offset) > TIE_TOL:  # from 2**23 s up, ties among crossing times blur
+        raise ConfigError(
+            f"(region_pfa_m + region_spa_m) / v_max = {offset:.6g} s is too long: times that"
+            f" large are {math.ulp(offset):.3g} s apart, above the tie tolerance {TIE_TOL} s"
+        )
 
     cfg = RunConfig(params=params)
     if "pfa" in data:

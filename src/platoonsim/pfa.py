@@ -1,9 +1,11 @@
 """Platoon-forming schedulers: exhaustive, gated, and capacity-capped batch.
 
-This is the reference implementation, written against the object model in
-core. It favors clarity. No command runs it: every command schedules
-through the list-based kernel in _kernels, and the tests compare that
-kernel against this module bit for bit.
+This is the whole object-level reference: its object model (Schedule,
+PlatoonEntry, GateBook), the three schedulers, departures, and the replay
+loop simulate, which sim.run_reference wraps. It favors clarity. No
+command runs or loads it: every command schedules through the list-based
+kernel in _kernels, and the tests compare that kernel against this module
+bit for bit.
 
 All three schedulers mutate the Schedule (and GateBook) in place, set the
 new vehicle's crossing time, and keep two invariants after every call:
@@ -17,28 +19,138 @@ new vehicle's crossing time, and keep two invariants after every call:
 from __future__ import annotations
 
 import bisect
-from typing import Iterator, List, Optional
+import math
+from dataclasses import dataclass
+from typing import Iterator, List, Optional, Tuple
 
-from .core import (
-    TIE_TOL,
-    DepartureOutOfOrder,
-    GateBook,
-    InconsistentGateBook,
-    PlatoonEntry,
-    Schedule,
-    SimParams,
-    Vehicle,
-)
+import numpy as np
+
+from .core import TIE_TOL, InconsistentGateBook, PlatoonError, SimParams, Vehicle
 
 __all__ = [
-    "TIE_TOL",
+    "DepartureOutOfOrder",
+    "Schedule",
+    "PlatoonEntry",
+    "GateBook",
     "schedule_exhaustive",
     "schedule_gated",
     "schedule_batch",
     "depart",
     "gap_violations",
     "reverse_cyclic_lanes",
+    "simulate",
 ]
+
+
+class DepartureOutOfOrder(PlatoonError):
+    """depart() was called at a time that does not match the head vehicle."""
+
+
+# ===================== schedule =====================
+
+class Schedule:
+    """Crossing plan: vehicles sorted by scheduled time, plus departure history.
+
+    The ordering is kept sorted by (c, id); ties in c are impossible by
+    construction (consecutive gaps are at least B > 0) but the id tiebreak
+    keeps sorting deterministic anyway.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.ordering: List[Vehicle] = []
+        self.last_departed: Optional[Vehicle] = None
+        self.fallback_count = 0  # times the schedulers hit the tie-only fallback branch
+
+    def last(self) -> Optional[Vehicle]:
+        """Last vehicle in the ordering, or the last departed one if empty."""
+        if self.ordering:
+            return self.ordering[-1]
+        return self.last_departed
+
+    def t_lane(self, lane: int) -> Optional[float]:
+        """Crossing time of the last scheduled vehicle in a lane, or None."""
+        for v in reversed(self.ordering):
+            if v.lane == lane:
+                return v.c
+        return None
+
+    def insert(self, vehicle: Vehicle) -> int:
+        """Insert a scheduled vehicle; returns its position in the ordering."""
+        pos = bisect.bisect_right(self.ordering, (vehicle.c, vehicle.id), key=lambda w: (w.c, w.id))
+        self.ordering.insert(pos, vehicle)
+        return pos
+
+    def shift_after(self, anchor: float, delta: float) -> None:
+        """Add delta to the crossing time of every vehicle with c > anchor."""
+        start = bisect.bisect_right(self.ordering, anchor, key=lambda w: w.c)
+        for v in self.ordering[start:]:
+            v.c += delta
+
+    def pop_head(self) -> Vehicle:
+        head = self.ordering.pop(0)
+        self.last_departed = head
+        return head
+
+    def __len__(self) -> int:
+        return len(self.ordering)
+
+
+# ===================== gate book =====================
+
+@dataclass
+class PlatoonEntry:
+    f: float        # platoon start: crossing time of its first vehicle (s)
+    t: float        # platoon end: crossing time of its last vehicle (s)
+    count: int = 1  # number of vehicles assigned to the platoon
+
+    def __post_init__(self) -> None:
+        if self.count < 1:
+            raise InconsistentGateBook(f"platoon count must be >= 1, got {self.count}")
+
+
+class GateBook:
+    """Per-lane lists of live platoons (start, end, size), ascending in time."""
+
+    def __init__(self, n: int):
+        self.n = n
+        self._lanes: List[List[PlatoonEntry]] = [[] for _ in range(n)]
+
+    def entries(self, lane: int) -> List[PlatoonEntry]:
+        return self._lanes[lane - 1]
+
+    def register(self, lane: int, entry: PlatoonEntry) -> None:
+        """Append a new platoon; entries must stay ascending by start time."""
+        lst = self._lanes[lane - 1]
+        if lst and entry.f <= lst[-1].t:
+            raise InconsistentGateBook(
+                f"new platoon start {entry.f} not after lane {lane} last end {lst[-1].t}"
+            )
+        lst.append(entry)
+
+    def shift_after(self, anchor: float, delta: float) -> None:
+        """Shift every platoon whose start is strictly after the anchor."""
+        for lst in self._lanes:
+            for e in lst:
+                if e.f > anchor:
+                    e.f += delta
+                    e.t += delta
+
+    def prune_front(self, lane: int) -> PlatoonEntry:
+        return self._lanes[lane - 1].pop(0)
+
+    def validate(self) -> None:
+        """Raise InconsistentGateBook unless all structural invariants hold."""
+        for lane0, lst in enumerate(self._lanes):
+            prev_t = -math.inf
+            for e in lst:
+                if e.f > e.t:
+                    raise InconsistentGateBook(f"lane {lane0 + 1}: start {e.f} > end {e.t}")
+                if e.f <= prev_t:
+                    raise InconsistentGateBook(f"lane {lane0 + 1}: platoons overlap or are out of order")
+                if e.count < 1:
+                    raise InconsistentGateBook(f"lane {lane0 + 1}: count {e.count} < 1")
+                prev_t = e.t
 
 
 def reverse_cyclic_lanes(d: int, n: int) -> Iterator[int]:
@@ -309,3 +421,54 @@ def gap_violations(sched: Schedule, params: SimParams, tol: float = TIE_TOL) -> 
                 f" and id={w.id} (lane {w.lane}, c={w.c})"
             )
     return out
+
+
+# ===================== replay =====================
+
+def simulate(
+    a: np.ndarray, lane0: np.ndarray, params: SimParams, kind: str, cap: int, check: bool
+) -> Tuple[np.ndarray, int, int]:
+    """Run one arrival stream through the reference scheduler.
+
+    a: ascending earliest crossing times, also the event times; lane0:
+    0-based lanes. check=True validates the gap invariant and the platoon
+    book after every arrival. Returns what _kernels.simulate_arrivals
+    returns: (final_c, fallback_count, max_platoon), max_platoon 0 for
+    exhaustive.
+    """
+    sched = Schedule(params.n)
+    gates: Optional[GateBook] = None if kind == "exhaustive" else GateBook(params.n)
+    n = a.size
+    final_c = np.full(n, np.nan)
+    max_platoon = 0
+    for k in range(n):
+        now = float(a[k])
+        while sched.ordering:
+            head = sched.ordering[0]
+            due = head.c + params.B_of(head.lane)
+            if due <= now:
+                gone = depart(sched, gates, due, params)
+                final_c[gone.id] = gone.c
+            else:
+                break
+        v0 = Vehicle(id=k, lane=int(lane0[k]) + 1, a=now)
+        if kind == "exhaustive":
+            schedule_exhaustive(sched, v0, params)
+        elif kind == "gated":
+            schedule_gated(sched, gates, v0, params)
+        else:
+            schedule_batch(sched, gates, v0, params, cap)
+        if gates is not None:
+            # Counts only grow, and only on the new vehicle's lane.
+            for e in gates.entries(v0.lane):
+                if e.count > max_platoon:
+                    max_platoon = e.count
+        if check:
+            problems = gap_violations(sched, params)
+            if problems:
+                raise PlatoonError(f"after arrival {k}: {problems[0]}")
+            if gates is not None:
+                gates.validate()
+    for v in sched.ordering:
+        final_c[v.id] = v.c
+    return final_c, sched.fallback_count, max_platoon

@@ -6,11 +6,13 @@ vehicle shares the same offset, so delays (c - a) are unaffected by it. The
 simulator therefore works directly on the earliest-crossing times a.
 
 Two execution paths produce bit-identical results: the list-based kernel
-in _kernels (run) and the object-level reference runner built on the pfa
-module (run_reference). Every command schedules through the kernel; no
-command runs the reference, which is the semantic anchor the tests compare
-against. Sweeps run their grid points serially: the kernel is pure Python
-and holds the interpreter lock.
+in _kernels (run) and the object-level reference in pfa (run_reference,
+which imports pfa only when called). Both share the arrival preparation
+(_prepare) and the statistics (_summarize) and differ only in the
+scheduler. Every command schedules through the kernel; no command runs
+the reference, which is the semantic anchor the tests compare against.
+Sweeps run their grid points serially: the kernel is pure Python and
+holds the interpreter lock.
 
 The kernel and the reference only schedule: _queue_counts reads fairness
 and the largest queue from the final (a, c, lane), their one definition.
@@ -29,17 +31,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .core import (
-    PFA_KINDS,
-    GateBook,
-    PlatoonError,
-    RunConfig,
-    Schedule,
-    SimParams,
-    Vehicle,
-    validate_params,
-)
-from .pfa import depart, gap_violations, schedule_batch, schedule_exhaustive, schedule_gated
+from .core import PFA_KINDS, PlatoonError, RunConfig, SimParams, validate_params
 from .polling import DISCIPLINES, approx_mean_delay
 
 __all__ = [
@@ -325,52 +317,19 @@ def run(config: RunConfig, check: bool = False, steady_state: bool = True) -> Ru
 # ===================== reference path =====================
 
 def run_reference(config: RunConfig, check: bool = False, steady_state: bool = True) -> RunResult:
-    """Simulate one run through the object-level scheduler (pfa module).
+    """Simulate one run through the object-level reference, pfa.simulate.
 
     The reference for run(): bit-identical by construction, and the tests
-    assert it. No command calls it. check=True
-    validates the gap invariant and the platoon book after every arrival.
+    assert it. No command calls it. check=True validates the gap
+    invariant and the platoon book after every arrival.
     """
-    entry, a, lane0, warmup = _prepare(config, steady_state)
-    params = config.params
-    kind = config.pfa
-    sched = Schedule(params.n)
-    gates: Optional[GateBook] = None if kind == "exhaustive" else GateBook(params.n)
+    from . import pfa  # here: every command loads sim, and none runs the reference
 
-    n = a.size
-    final_c = np.full(n, np.nan)
-    max_platoon = 0
-    for k in range(n):
-        now = float(a[k])
-        while sched.ordering:
-            head = sched.ordering[0]
-            due = head.c + params.B_of(head.lane)
-            if due <= now:
-                gone = depart(sched, gates, due, params)
-                final_c[gone.id] = gone.c
-            else:
-                break
-        v0 = Vehicle(id=k, lane=int(lane0[k]) + 1, a=now)
-        if kind == "exhaustive":
-            schedule_exhaustive(sched, v0, params)
-        elif kind == "gated":
-            schedule_gated(sched, gates, v0, params)
-        else:
-            schedule_batch(sched, gates, v0, params, config.batch_cap)
-        if gates is not None:
-            # Counts only grow, and only on the new vehicle's lane.
-            for e in gates.entries(v0.lane):
-                if e.count > max_platoon:
-                    max_platoon = e.count
-        if check:
-            problems = gap_violations(sched, params)
-            if problems:
-                raise PlatoonError(f"after arrival {k}: {problems[0]}")
-            if gates is not None:
-                gates.validate()
-    for v in sched.ordering:
-        final_c[v.id] = v.c
-    return _summarize(config, warmup, entry, a, lane0, final_c, sched.fallback_count, max_platoon)
+    entry, a, lane0, warmup = _prepare(config, steady_state)
+    final_c, fallback_count, max_platoon = pfa.simulate(
+        a, lane0, config.params, config.pfa, config.batch_cap, check
+    )
+    return _summarize(config, warmup, entry, a, lane0, final_c, fallback_count, max_platoon)
 
 
 # ===================== sweeps =====================

@@ -78,20 +78,20 @@ class InfeasibleCrossingTime(TrajectoryError):
     """The crossing time cannot be met by the planner's profile family."""
 
 
-class NegativeDiscriminant(TrajectoryError):
+class SingleDipViolation(TrajectoryError):
+    """Schedule requires a profile outside the single-dip family."""
+
+
+class NegativeDiscriminant(SingleDipViolation):
     """No single-dip profile closes the distance (entry spacing violated)."""
 
 
-class OvercrowdingViolation(TrajectoryError):
+class OvercrowdingViolation(SingleDipViolation):
     """The approach segment is too short to absorb the required delay."""
 
 
 class SeparationViolation(TrajectoryError):
     """Planned trajectory gets closer than l_min to its predecessor."""
-
-
-class SingleDipViolation(TrajectoryError):
-    """Schedule requires a profile outside the single-dip family."""
 
 
 class OutOfDomain(TrajectoryError):
@@ -453,11 +453,9 @@ def plan_schedule(
 
     Planner errors, whose messages start with "vehicle <id>: ", are
     re-raised; with best_effort=True they are collected in .failures
-    instead and the failed vehicle drops out of its chain.
-    NegativeDiscriminant and OvercrowdingViolation are collected as
-    SingleDipViolation with the same message. Refusals are not limited to
-    capped platoons: on physically spaced arrivals at rho 0.4, uncapped
-    gated min-distance schedules refuse some vehicles with a
+    instead and the failed vehicle drops out of its chain. Refusals are
+    not limited to capped platoons: on physically spaced arrivals at rho
+    0.4, uncapped gated min-distance schedules refuse some vehicles with a
     SeparationViolation whose minimum gap is often negative (the follower
     passes through its leader), and exhaustive min-accel ones with minimum
     gaps of 3.1-5 m against l_min = 5 m.
@@ -489,8 +487,6 @@ def plan_schedule(
         except TrajectoryError as exc:
             if not best_effort:
                 raise
-            if isinstance(exc, (NegativeDiscriminant, OvercrowdingViolation)):
-                exc = SingleDipViolation(str(exc))
             failures.append((v.id, exc))
             continue
         out.append(traj)

@@ -31,7 +31,8 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from platoonsim.core import RunConfig, Schedule, SimParams, Vehicle
+from platoonsim.core import RunConfig, SimParams, Vehicle
+from platoonsim.pfa import Schedule
 from platoonsim.sim import run_reference
 from platoonsim.spa import (
     FEAS_TOL,

@@ -39,9 +39,8 @@ from oracle_utils import (
     oracle_gap_rows,
 )
 from platoonsim.cli import main
-from platoonsim.core import RunConfig, SimParams, Vehicle
+from platoonsim.core import TIE_TOL, RunConfig, SimParams, Vehicle
 from platoonsim.pfa import (
-    TIE_TOL,
     GateBook,
     Schedule,
     depart,

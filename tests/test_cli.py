@@ -8,6 +8,8 @@ import csv
 import json
 import os
 import re
+import subprocess
+import sys
 import tracemalloc
 
 import numpy as np
@@ -122,8 +124,11 @@ def test_run_out_of_memory_is_one_line(tmp_path, monkeypatch, capsys):
         # Finite values, infinite free-flow offset.
         ("run", SYM, {"region_pfa_m": 1e308, "v_max": 0.5},
          "error: (region_pfa_m + region_spa_m) / v_max must be finite, got inf"),
-        # A finite offset of about 6.7e306 s: more samples than an array holds.
-        ("traj", TRAJ, {"region_spa_m": 1e308}, "error: not enough memory for traj"),
+        # Finite offsets whose crossing times are further apart than TIE_TOL.
+        ("traj", TRAJ, {"region_spa_m": 1e308},
+         "error: (region_pfa_m + region_spa_m) / v_max = 6.66667e+306 s is too long"),
+        ("run", SYM, {"region_spa_m": 1e20},
+         "error: (region_pfa_m + region_spa_m) / v_max = 6.66667e+18 s is too long"),
     ],
 )
 def test_non_finite_config_is_one_line(tmp_path, capsys, command, base, changes, message):
@@ -138,6 +143,33 @@ def test_non_finite_config_is_one_line(tmp_path, capsys, command, base, changes,
     assert captured.out == ""
     assert captured.err.count("\n") == 1 and captured.err.startswith(message)
     assert not out.exists() or os.listdir(out) == []
+
+
+def test_long_finite_region_still_runs(tmp_path):
+    # An offset of 6.67e6 s, below 2**23 s: crossing times keep a spacing
+    # finer than TIE_TOL, so the delays are the default region's to rounding.
+    means = []
+    for region in (300.0, 1e8):
+        with open(SYM) as fh:
+            cfg = json.load(fh)
+        cfg.update(region_spa_m=region, horizon_vehicles=4000)
+        path = tmp_path / f"region_{region:g}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"out_{region:g}"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        means.append(float(read_csv(out / "results.csv")[0]["sim_delay_mean"]))
+    assert means[0] > 1.0
+    assert means[1] == pytest.approx(means[0], rel=1e-6)
+
+
+def test_cli_import_leaves_the_reference_unloaded():
+    # pfa is the tests' reference; no command runs it, so none loads it.
+    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    code = "import sys, platoonsim.cli; print(sorted(m for m in sys.modules if 'pfa' in m))"
+    env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                         text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_run_seed_override_is_reproducible(tmp_path):
@@ -452,7 +484,7 @@ def test_traj_short_region_plans_sparse_arrivals(tmp_path, capsys):
 @pytest.mark.parametrize("spa", ["min-distance", "min-accel"])
 def test_traj_refusals_name_the_vehicle_once(tmp_path, capsys, spa):
     # Dense arrivals on the short segment refuse vehicles both for spacing
-    # and for having no single-dip profile (relabelled SingleDipViolation).
+    # and for having no single-dip profile (SingleDipViolation).
     rng = np.random.default_rng(1)
     times = np.cumsum(rng.exponential(2.0, 80)).round(3)
     arrivals = [[int(lane), float(t)] for lane, t in zip(rng.integers(1, 3, 80), times)]

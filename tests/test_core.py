@@ -8,13 +8,10 @@ from hypothesis import given, settings, strategies as st
 from platoonsim.core import (
     _CONFIG_KEYS,
     ConfigError,
-    GateBook,
     InconsistentGateBook,
     NonPositiveParameter,
-    PlatoonEntry,
     RunConfig,
     SClearanceBelowB,
-    Schedule,
     SimParams,
     UnstableLoad,
     Vehicle,
@@ -22,6 +19,7 @@ from platoonsim.core import (
     parse_config,
     validate_params,
 )
+from platoonsim.pfa import GateBook, PlatoonEntry, Schedule
 
 
 # ===================== params =====================

@@ -7,16 +7,12 @@ symmetric cases below.
 """
 import pytest
 
-from platoonsim.core import (
+from platoonsim.core import InconsistentGateBook, SimParams, Vehicle
+from platoonsim.pfa import (
     DepartureOutOfOrder,
     GateBook,
-    InconsistentGateBook,
     PlatoonEntry,
     Schedule,
-    SimParams,
-    Vehicle,
-)
-from platoonsim.pfa import (
     depart,
     gap_violations,
     reverse_cyclic_lanes,

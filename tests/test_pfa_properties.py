@@ -14,9 +14,10 @@ import copy
 
 from hypothesis import given, settings, strategies as st
 
-from platoonsim.core import GateBook, Schedule, SimParams, Vehicle
+from platoonsim.core import TIE_TOL, SimParams, Vehicle
 from platoonsim.pfa import (
-    TIE_TOL,
+    GateBook,
+    Schedule,
     depart,
     gap_violations,
     schedule_batch,

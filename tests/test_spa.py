@@ -30,6 +30,7 @@ from platoonsim.spa import (
     SingleDipViolation,
     Trajectory,
     _build_segments,
+    _sample_times,
     accel_cost,
     area,
     evaluate,
@@ -410,3 +411,9 @@ def test_sampled_export_follows_running_sum_drift(tmp_path):
     assert text.count("\r\n") == 1 + 101
     with pytest.raises(ValueError, match="does not advance"):
         write_sampled_csv([traj], str(tmp_path / "stuck.csv"), dt=0.4 * 2.0 ** -32)
+
+
+def test_sample_times_refuses_an_unindexable_count():
+    # About 1e301 samples: refused before numpy is asked for the array.
+    with pytest.raises(MemoryError, match="cannot sample"):
+        _sample_times(0.0, 1e300, 0.1)
