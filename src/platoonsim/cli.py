@@ -4,7 +4,8 @@ Four subcommands, one JSON config schema, CSV/JSONL artifacts written
 atomically into an output directory. Exit codes: 0 success, 1 internal
 scheduling error, 2 configuration or usage error (a request larger than
 the memory available included: one line naming the command and config,
-no traceback), 3 unstable load without --transient.
+no traceback), 3 unstable load without --transient. Warnings, such as a
+transient run at rho >= 1, print as one "warning: ..." line on stderr.
 """
 from __future__ import annotations
 
@@ -14,6 +15,7 @@ import io
 import math
 import os
 import sys
+import warnings
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
@@ -57,6 +59,11 @@ def _fmt(x: object) -> str:
             return ""
         return f"{x:.10g}"
     return str(x)
+
+
+def _one_line_warning(message, category, filename, lineno, line=None) -> str:
+    """A warning as the CLI prints it, without Python's source location."""
+    return f"warning: {message}\n"
 
 
 def _write_csv(path: str, header: Sequence[str], rows: Sequence[Dict[str, object]]) -> None:
@@ -295,6 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    # Only the text is swapped: the warnings are still UserWarnings, which
+    # library callers and pytest.warns see unchanged.
+    python_format, warnings.formatwarning = warnings.formatwarning, _one_line_warning
     try:
         return args.fn(args)
     except UnstableLoad as exc:
@@ -314,6 +324,8 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             file=sys.stderr,
         )
         return EXIT_CONFIG
+    finally:
+        warnings.formatwarning = python_format
 
 
 if __name__ == "__main__":

@@ -71,9 +71,10 @@ RUN_CSV_HEADER = (
 def make_arrivals(params: SimParams, n_total: int, seed: int) -> Tuple[np.ndarray, np.ndarray]:
     """First n_total merged Poisson arrivals, one RNG stream per lane.
 
-    Returns (entry_times float64[n_total], lanes int64[n_total] 0-based),
-    merged in time order; each array owns exactly its n_total entries.
-    Lane streams come from SeedSequence(seed).spawn, so the same seed and
+    Returns (entry_times float64[n_total], lanes 0-based), merged in time
+    order; each array owns exactly its n_total entries. The lanes are of
+    np.min_scalar_type(params.n), one byte up to 255 lanes, so lane + 1
+    never overflows. Lane streams come from SeedSequence(seed).spawn, so the same seed and
     parameters reproduce the same arrivals exactly, independently of the
     discipline they are later scheduled under. Each lane draws 1.2 times
     its share of n_total plus 64, and streams are extended until the merged
@@ -81,8 +82,9 @@ def make_arrivals(params: SimParams, n_total: int, seed: int) -> Tuple[np.ndarra
     the n_total-th merged arrival). Each stream is then cut at the horizon
     before the merge, so the oversampled tails are freed before the sort.
     """
+    lane_type = np.min_scalar_type(params.n)
     if n_total <= 0:
-        return np.empty(0, np.float64), np.empty(0, np.int64)
+        return np.empty(0, np.float64), np.empty(0, lane_type)
     children = np.random.SeedSequence(seed).spawn(params.n)
     gens = [np.random.Generator(np.random.PCG64(c)) for c in children]
     lam_total = sum(params.lam)
@@ -110,8 +112,10 @@ def make_arrivals(params: SimParams, n_total: int, seed: int) -> Tuple[np.ndarra
     entry = np.concatenate([t[:k] for t, k in zip(times, counts)])
     del times
     order = np.argsort(entry, kind="stable")[:n_total]
-    entry = entry[order]  # the unsorted merge is freed before the lane column is built
-    return entry, np.repeat(np.arange(params.n, dtype=np.int64), counts)[order]
+    # The narrow lane column is built first, so the unsorted merge and order
+    # leave two column-sized holes that the caller's a and c can reuse.
+    lanes = np.repeat(np.arange(params.n, dtype=lane_type), counts)[order]
+    return entry[order], lanes
 
 
 def _arrival_times(gen: np.random.Generator, lam: float, size: int) -> np.ndarray:
@@ -123,7 +127,7 @@ def _arrival_times(gen: np.random.Generator, lam: float, size: int) -> np.ndarra
 def _scripted_arrays(config: RunConfig) -> Tuple[np.ndarray, np.ndarray]:
     arr = config.arrivals or []
     entry = np.array([t for _, t in arr], np.float64)
-    lanes = np.array([lane - 1 for lane, _ in arr], np.int64)
+    lanes = np.array([lane - 1 for lane, _ in arr], np.min_scalar_type(config.params.n))
     return entry, lanes
 
 
@@ -146,7 +150,7 @@ class RunResult:
     warmup: int
     entry: np.ndarray       # control-region entry time per vehicle (s)
     a: np.ndarray           # earliest feasible crossing time (s)
-    lane0: np.ndarray       # 0-based lane per vehicle
+    lane0: np.ndarray       # 0-based lane per vehicle, of np.min_scalar_type(n)
     c: np.ndarray           # scheduled (final) crossing time per vehicle (s)
     mean: float             # mean delay, post-warmup (s)
     ci95: float             # batch-means 95% half-width (s)
@@ -208,14 +212,17 @@ def _queue_counts(
     #{j : leave_j <= a_k}. The present ones crossing after k are the
     inversions c_k < c_j, counted one offset k - j at a time; k came while
     j was present, so k - j < reach_j = #{i : a_i < leave_j} - j. Only the
-    sorted leave is held whole; the rest is built BLOCK at a time.
+    sorted leave is held whole; the rest is built BLOCK at a time. Each
+    lane's B is added in place under a lane mask: np.take would cast a
+    narrow lane0 to an 8-byte index.
     """
     n = c.size
     if n == 0:
         return 0, 0, 0
     block = _kernels.BLOCK
-    leave = np.take(np.asarray(B, dtype=np.float64), lane0)
-    leave += c
+    leave = c.copy()
+    for i, b in enumerate(B):
+        np.add(leave, b, out=leave, where=lane0 == i)
     reach = 1
     for lo in range(0, n, block):
         part = np.searchsorted(a, leave[lo:lo + block])
@@ -247,11 +254,13 @@ def _summarize(
     post = c[warmup:] - a[warmup:]  # only the post-warmup delays are held
     mean = float(post.mean()) if post.size else float("nan")
     ci = batch_means_ci(post)
+    del post  # freed before any lane's delays are gathered
     fairness = (sum_ahead / sum_total) if sum_total > 0 else float("nan")
     lanes = []
-    post_lane = lane0[warmup:]
+    post_c, post_a, post_lane = c[warmup:], a[warmup:], lane0[warmup:]
     for i in range(config.params.n):
-        sel = post[post_lane == i]
+        on = post_lane == i
+        sel = post_c[on] - post_a[on]
         lanes.append(
             LaneStats(
                 lane=i + 1,
@@ -260,6 +269,7 @@ def _summarize(
                 n=int(sel.size),
             )
         )
+        del on, sel  # not held while the next lane's delays are gathered
     return RunResult(
         discipline=config.pfa,
         seed=config.seed,

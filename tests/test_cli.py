@@ -162,14 +162,35 @@ def test_long_finite_region_still_runs(tmp_path):
     assert means[1] == pytest.approx(means[0], rel=1e-6)
 
 
+def run_python(*args):
+    """A fresh interpreter on this package, with Python's default warning filters."""
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+UNNEEDED_MODULES = (
+    "sorted(m for m in sys.modules if 'pfa' in m or m.split('.')[:2] == ['numpy', 'random'])"
+)
+
+
 def test_cli_import_leaves_the_reference_unloaded():
     # pfa is the tests' reference; no command runs it, so none loads it.
-    src = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
-    code = "import sys, platoonsim.cli; print(sorted(m for m in sys.modules if 'pfa' in m))"
-    env = dict(os.environ, PYTHONPATH=src)
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
-                         text=True, check=True).stdout
-    assert out.strip() == "[]"
+    # numpy.random (5.4 MB of RSS) is loaded only by the commands that draw
+    # Poisson arrivals, run and sweep.
+    done = run_python("-c", f"import sys, platoonsim.cli; print({UNNEEDED_MODULES})")
+    assert done.stdout.strip() == "[]", done.stderr
+
+
+def test_traj_leaves_numpy_random_unloaded(tmp_path):
+    # Scripted arrivals are read, never drawn.
+    done = run_python(
+        "-c",
+        "import sys, platoonsim.cli as cli\n"
+        f"rc = cli.main(['traj', '--config', {TRAJ!r}, '--out', {str(tmp_path)!r}])\n"
+        f"print(rc, {UNNEEDED_MODULES})",
+    )
+    assert done.stdout.splitlines()[-1] == "0 []", done.stderr
 
 
 def test_run_seed_override_is_reproducible(tmp_path):
@@ -222,6 +243,30 @@ def test_run_unstable_load_exit_code(tmp_path):
     assert cli.main(["run", "--config", str(path), "--out", out]) == 3
     with pytest.warns(UserWarning):
         assert cli.main(["run", "--config", str(path), "--out", out, "--transient"]) == 0
+
+
+def test_transient_warning_is_one_line_per_point(tmp_path):
+    # In its own interpreter, so Python's warning filters, not pytest's,
+    # decide what reaches stderr: one line per load, however many runs
+    # (the sweep's three disciplines) share it.
+    with open(SYM) as fh:
+        cfg = json.load(fh)
+    cfg.update(horizon_vehicles=500)
+    sweep_path = tmp_path / "sweep.json"
+    sweep_path.write_text(json.dumps(cfg))
+    cfg.update({"lambda": [0.6, 0.6]})
+    run_path = tmp_path / "run.json"
+    run_path.write_text(json.dumps(cfg))
+    for argv, rhos in (
+        (["run", "--config", str(run_path)], ["1.2000"]),
+        (["sweep", "--config", str(sweep_path), "--rho", "1.1:1.3:0.1"],
+         ["1.1000", "1.2000", "1.3000"]),
+    ):
+        done = run_python("-m", "platoonsim.cli", *argv, "--out", str(tmp_path), "--transient")
+        assert done.returncode == 0, done.stderr
+        assert done.stderr.splitlines() == [
+            f"warning: rho={rho} >= 1: transient run, no steady state exists" for rho in rhos
+        ]
 
 
 @pytest.mark.parametrize(

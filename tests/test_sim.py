@@ -110,9 +110,10 @@ def test_make_arrivals_matches_reference(lam, short_first_draw, monkeypatch):
             extensions = ShortFirstDraw.draws - len(lam)
             got = make_arrivals(params, n_total, seed)
             case = (lam, n_total, seed)
-            assert got[0].dtype == np.float64 and got[1].dtype == np.int64, case
+            # One byte a lane, holding exactly the int64 reference's values.
+            assert got[0].dtype == np.float64 and got[1].dtype == np.uint8, case
             assert got[0].tobytes() == want[0].tobytes(), case
-            assert got[1].tobytes() == want[1].tobytes(), case
+            assert want[1].dtype == np.int64 and np.array_equal(got[1], want[1]), case
             if short_first_draw and n_total >= 1000:
                 assert extensions > 0, case  # the extension path ran
 
@@ -120,8 +121,9 @@ def test_make_arrivals_matches_reference(lam, short_first_draw, monkeypatch):
 def test_make_arrivals_holds_only_what_it_returns():
     # run-jsonl's 3:2:1 lanes. Each lane draws 1.2 times its share plus
     # 64; the streams are cut at the horizon and freed before the sort, so
-    # the peak is about 2.0 times the returned bytes (3.6 when the merged
-    # oversampled streams were sorted whole).
+    # the peak is about 3.1 times entry's bytes (4.0 with int64 lanes, 7.2
+    # when the merged oversampled streams were sorted whole). The bound is
+    # the one that held 2.5 times the returned bytes while lanes were int64.
     params = SimParams(n=3, lam=(0.3, 0.2, 0.1))
     tracemalloc.start()
     try:
@@ -131,7 +133,7 @@ def test_make_arrivals_holds_only_what_it_returns():
         tracemalloc.stop()
     assert entry.size == lane0.size == 100_000
     assert entry.base is None and lane0.base is None
-    assert peak < 2.5 * (entry.nbytes + lane0.nbytes)
+    assert peak < 5.0 * entry.nbytes
 
 
 # ===================== frozen scripted traces =====================
@@ -171,6 +173,17 @@ def test_vehicle_records_schema(params):
         assert r["delay"] == pytest.approx(r["c"] - r["a"])
 
 
+def test_vehicle_log_prints_lane_256():
+    # 256 lanes take a two-byte lane column, so lane0 + 1 prints 256.
+    params = SimParams(n=256, lam=(1e-3,) * 256)
+    config = RunConfig(params=params, pfa="gated", arrivals=[[1, 0.0], [256, 0.5], [255, 1.0]],
+                       seed=1)
+    res = run(config, check=True)
+    assert res.lane0.dtype == np.uint16
+    recs = [json.loads(line) for line in "".join(res.vehicles_jsonl_chunks()).splitlines()]
+    assert [r["lane"] for r in recs] == [1, 256, 255]
+
+
 @pytest.mark.parametrize(
     "count", [1, JSONL_CHUNK - 1, JSONL_CHUNK, JSONL_CHUNK + 1, 2 * JSONL_CHUNK + 1]
 )
@@ -205,6 +218,23 @@ def test_vehicle_log_streams_in_chunks(tmp_path, params):
 
 
 # ===================== stochastic runs =====================
+
+def test_run_memory_per_vehicle():
+    # run-jsonl's 3:2:1 lanes, gated, 100 000 vehicles. run returns 25
+    # bytes a vehicle (entry, a and c as float64, a one-byte lane); its
+    # traced peak is about 37 bytes a vehicle (46 with an int64 lane column
+    # and the per-lane delays gathered beside the whole delay array).
+    config = RunConfig(params=SimParams(n=3, lam=(0.3, 0.2, 0.1)), pfa="gated",
+                       horizon_vehicles=100_000, seed=3)
+    run(dataclasses.replace(config, horizon_vehicles=1000))  # imports numpy.random
+    tracemalloc.start()
+    try:
+        run(config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 42 * 100_000
+
 
 def test_run_deterministic(params):
     config = RunConfig(params=params, pfa="gated", horizon_vehicles=5000, seed=9)
