@@ -225,7 +225,7 @@ def cmd_traj(args: argparse.Namespace) -> int:
         Vehicle(id=i, lane=int(res.lane0[i]) + 1, a=float(res.a[i]), c=float(res.c[i]))
         for i in range(res.a.size)
     ]
-    planned = spa.plan_schedule(vehicles, cfg.params, kind=args.spa, best_effort=True)
+    planned = spa.plan_schedule(vehicles, cfg.params, kind=args.spa)
     seg_path = os.path.join(args.out, "traj_segments.csv")
     sam_path = os.path.join(args.out, "traj_sampled.csv")
     with write_together():
@@ -303,10 +303,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     # Only the text is swapped: the warnings are still UserWarnings, which
-    # library callers and pytest.warns see unchanged.
+    # library callers and pytest.warns see unchanged. The filter prints
+    # each distinct one once, whatever the interpreter's (-W error too).
     python_format, warnings.formatwarning = warnings.formatwarning, _one_line_warning
     try:
-        return args.fn(args)
+        with warnings.catch_warnings():
+            warnings.simplefilter("default", UserWarning)
+            return args.fn(args)
     except UnstableLoad as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE

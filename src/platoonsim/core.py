@@ -331,6 +331,12 @@ def parse_config(data: dict) -> RunConfig:
                 raise ConfigError(f"arrival lane {lane} outside 1..{params.n}")
             if not math.isfinite(entry_t):
                 raise ConfigError(f"arrival entry time must be finite, got {entry_t}")
+            if math.ulp(entry_t + offset) > TIE_TOL:  # the offset's rule, at this time
+                raise ConfigError(
+                    f"arrival entry time {entry_t} s is out of range: crossing times near it"
+                    f" are {math.ulp(entry_t + offset):.3g} s apart, above the tie tolerance"
+                    f" {TIE_TOL} s"
+                )
             arr.append((lane, entry_t))
         if not arr:
             raise ConfigError("scripted arrivals must list at least one vehicle")

@@ -3,18 +3,21 @@
 Given a frozen crossing schedule, each vehicle gets a profile on the
 approach segment that starts at distance |x0| upstream and reaches the
 stop line (x = 0) exactly at its scheduled crossing time, at full speed.
-Two closed-form planners are provided:
+Every profile has one shape, the single dip: cruise until t_dec, brake at
+a_max until t_stop, hold the speed until t_acc, accelerate at a_max to
+full speed at t_full, cruise to the stop line. One builder (_plan) makes
+every trajectory; two closed forms choose only its breakpoints:
 
 * plan_min_distance: stays as far ahead as possible (minimum area between
-  the stop line and the path); cruise, one deceleration to a possible
-  full stop, then one acceleration back to full speed.
-* plan_min_accel: minimizes the total applied |acceleration|; one shallow
-  dip to an intermediate cruise speed, then back to full speed.
+  the stop line and the path); a dwell at a standstill from t_stop to
+  t_acc, or a dip with t_stop = t_acc that bottoms out early.
+* plan_min_accel: minimizes the total applied |acceleration|; brakes
+  from entry (t_dec = t0) to a shallow cruise speed held until t_acc.
 
 Platoon members crossing exactly B apart share the instant they regain
 full speed, which makes their profiles time-shifted copies and keeps the
-spacing constant; plan_* link a trajectory to its predecessor's when the
-crossing gap matches B. Each trajectory is checked against its
+spacing constant; the builder links a trajectory to its predecessor's
+when the crossing gap matches B. Each trajectory is checked against its
 predecessor by the exact minimum of their gap, which is one quadratic in
 t between the breakpoints of the two trajectories.
 
@@ -29,7 +32,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -117,7 +120,6 @@ class Trajectory:
     v0: float            # entry speed (m/s)
     segments: List[Segment]
     t_full: float        # instant full speed is regained for good (s)
-    kind: str = "free_flow"          # min_distance | min_accel | oracle | free_flow
     vehicle_id: int = -1
     breakpoints: Dict[str, float] = field(default_factory=dict)
     diagnostics: Dict[str, float] = field(default_factory=dict)
@@ -266,110 +268,21 @@ def _check_pred(traj: Trajectory, pred: Optional[Trajectory], params: SimParams)
     return traj
 
 
-# ===================== minimum-distance planner =====================
+# ===================== the single-dip profile =====================
 
-def plan_min_distance(
-    x0: float,
-    t_f: float,
-    params: SimParams,
-    pred: Optional[Trajectory] = None,
-    link_gap: Optional[float] = None,
-    t0: float = 0.0,
-    vehicle_id: int = -1,
-) -> Trajectory:
-    """Plan the profile that stays closest to the stop line (entry at full speed).
-
-    Cruise at full speed as long as possible, brake once, possibly dwell
-    at a standstill, then accelerate back to full speed at t_full. The
-    full-stop form applies when the distance coverable around a stop,
-    L = v_max * (t_f - t0 - v_max / a_max), reaches |x0|; otherwise the
-    dip bottoms out early with deceleration time
-    sqrt(((t_f - t0) * v_max - |x0|) / a_max).
-    """
-    if x0 >= 0.0:
-        raise ValueError(f"x0 must be negative (upstream), got {x0}")
-    v_m, a_m = params.v_max, params.a_max
-    dist = -x0
-    T = t_f - t0
-    if T < dist / v_m - FEAS_TOL:
-        raise InfeasibleCrossingTime(
-            f"vehicle {vehicle_id}: t_f - t0 = {T} < free-flow time {dist / v_m}"
-        )
-    if link_gap is None:
-        link_gap = params.B_of(1)
-    t_full = _linked_t_full(t_f, pred, link_gap)
-    tf_rel = t_full - t0
-    brake = v_m / a_m
-
-    L = v_m * (T - brake)
-    if L >= dist:
-        # Full stop: cruise, brake to standstill, dwell, accelerate.
-        t_acc = tf_rel - brake
-        t_stop = t_acc - (T - brake - dist / v_m)
-        t_dec = t_stop - brake
-        if t_dec < -FEAS_TOL:
-            raise OvercrowdingViolation(
-                f"vehicle {vehicle_id}: required dwell starts {-t_dec:.6f} s before entry"
-            )
-        t_dec = max(t_dec, 0.0)
-        pieces = [
-            (t_dec, 0.0),
-            (t_stop - t_dec, -a_m),
-            (t_acc - t_stop, 0.0),
-            (tf_rel - t_acc, a_m),
-            (T - tf_rel, 0.0),
-        ]
-        bp = {"t_dec": t0 + t_dec, "t_stop": t0 + t_stop, "t_acc": t0 + t_acc}
-        diag = {"L": L}
-    else:
-        # No stop: symmetric dip, deceleration time t_tilde on each side.
-        # T may lie up to FEAS_TOL below the free-flow time; that is no dip.
-        t_tilde = math.sqrt(max((T * v_m - dist) / a_m, 0.0))
-        t_acc = tf_rel - t_tilde
-        t_dec = t_acc - t_tilde
-        if t_dec < -FEAS_TOL:
-            raise OvercrowdingViolation(
-                f"vehicle {vehicle_id}: dip of {t_tilde:.6f} s starts before entry"
-            )
-        t_dec = max(t_dec, 0.0)
-        pieces = [
-            (t_dec, 0.0),
-            (t_acc - t_dec, -a_m),
-            (tf_rel - t_acc, a_m),
-            (T - tf_rel, 0.0),
-        ]
-        bp = {"t_dec": t0 + t_dec, "t_stop": t0 + t_acc, "t_acc": t0 + t_acc}
-        diag = {"L": L, "t_tilde": t_tilde}
-
-    traj = Trajectory(
-        t0=t0, t_f=t_f, x0=x0, v0=v_m,
-        segments=_build_segments(t0, x0, v_m, pieces),
-        t_full=t_full, kind="min_distance", vehicle_id=vehicle_id,
-        breakpoints=dict(bp, t_full=t_full), diagnostics=diag,
-    )
-    return _check_pred(traj, pred, params)
+# dip(T, tf_rel, dist, v0, params, vehicle_id) -> (t_dec, t_stop, t_acc, diagnostics)
+Dip = Callable[..., Tuple[float, float, float, Dict[str, float]]]
 
 
-# ===================== minimum-acceleration planner =====================
+def _plan(dip: Dip, x0: float, v0: float, t_f: float, params: SimParams,
+          pred: Optional[Trajectory], link_gap: Optional[float], t0: float,
+          vehicle_id: int) -> Trajectory:
+    """The single-dip trajectory on the breakpoints dip chooses.
 
-def plan_min_accel(
-    x0: float,
-    v0: float,
-    t_f: float,
-    params: SimParams,
-    pred: Optional[Trajectory] = None,
-    link_gap: Optional[float] = None,
-    t0: float = 0.0,
-    vehicle_id: int = -1,
-) -> Trajectory:
-    """Plan the single-dip profile minimizing total applied |acceleration|.
-
-    Decelerate immediately for t1, cruise at the dip speed v1, then
-    accelerate so full speed is regained exactly at t_full. With
-    w = (v_max - v0) / a_max and M = (t_full - t0) - w, the dip times
-    solve a quadratic: t1 = (M - sqrt(disc)) / 2, t2 = M - t1, where
-    disc = M^2 - (4 / a_max) * (v_max (t_f - t0)
-           - (v_max - v0) (t_full - t0) + (v_max - v0)^2 / (2 a_max) - |x0|).
+    dip gets the crossing time T and full-speed instant tf_rel (both after
+    entry), |x0| and v0, and raises its planner's own refusals. The rest is
+    shared: input checks, free-flow feasibility, B-linkage, the five pieces
+    (those of zero length drop out) and the predecessor check.
     """
     if x0 >= 0.0:
         raise ValueError(f"x0 must be negative (upstream), got {x0}")
@@ -383,11 +296,69 @@ def plan_min_accel(
         raise InfeasibleCrossingTime(
             f"vehicle {vehicle_id}: t_f - t0 = {T} < free-flow time {dist / v_m}"
         )
-    if link_gap is None:
-        link_gap = params.B_of(1)
-    t_full = _linked_t_full(t_f, pred, link_gap)
+    t_full = _linked_t_full(t_f, pred, params.B_of(1) if link_gap is None else link_gap)
     tf_rel = t_full - t0
+    t_dec, t_stop, t_acc, diag = dip(T, tf_rel, dist, v0, params, vehicle_id)
+    pieces = [(t_dec, 0.0), (t_stop - t_dec, -a_m), (t_acc - t_stop, 0.0),
+              (tf_rel - t_acc, a_m), (T - tf_rel, 0.0)]
+    breakpoints = {"t_dec": t0 + t_dec, "t_stop": t0 + t_stop, "t_acc": t0 + t_acc,
+                   "t_full": t_full}
+    traj = Trajectory(t0=t0, t_f=t_f, x0=x0, v0=v0,
+                      segments=_build_segments(t0, x0, v0, pieces), t_full=t_full,
+                      vehicle_id=vehicle_id, breakpoints=breakpoints, diagnostics=diag)
+    return _check_pred(traj, pred, params)
 
+
+# ===================== minimum-distance planner =====================
+
+def _min_distance_dip(T: float, tf_rel: float, dist: float, v0: float,
+                      params: SimParams, vehicle_id: int):
+    v_m, a_m = params.v_max, params.a_max
+    brake = v_m / a_m
+    L = v_m * (T - brake)
+    if L >= dist:
+        # Full stop: cruise, brake to standstill, dwell, accelerate.
+        t_acc = tf_rel - brake
+        t_stop = t_acc - (T - brake - dist / v_m)
+        t_dec = t_stop - brake
+        if t_dec < -FEAS_TOL:
+            raise OvercrowdingViolation(
+                f"vehicle {vehicle_id}: required dwell starts {-t_dec:.6f} s before entry"
+            )
+        return max(t_dec, 0.0), t_stop, t_acc, {"L": L}
+    # No stop: symmetric dip, deceleration time t_tilde on each side.
+    # T may lie up to FEAS_TOL below the free-flow time; that is no dip.
+    t_tilde = math.sqrt(max((T * v_m - dist) / a_m, 0.0))
+    t_acc = tf_rel - t_tilde
+    t_dec = t_acc - t_tilde
+    if t_dec < -FEAS_TOL:
+        raise OvercrowdingViolation(
+            f"vehicle {vehicle_id}: dip of {t_tilde:.6f} s starts before entry"
+        )
+    return max(t_dec, 0.0), t_acc, t_acc, {"L": L, "t_tilde": t_tilde}
+
+
+def plan_min_distance(x0: float, t_f: float, params: SimParams,
+                      pred: Optional[Trajectory] = None, link_gap: Optional[float] = None,
+                      t0: float = 0.0, vehicle_id: int = -1) -> Trajectory:
+    """Plan the profile that stays closest to the stop line (entry at full speed).
+
+    Cruise at full speed as long as possible, brake once, possibly dwell
+    at a standstill, then accelerate back to full speed at t_full. The
+    full-stop form applies when the distance coverable around a stop,
+    L = v_max * (t_f - t0 - v_max / a_max), reaches |x0|; otherwise the
+    dip bottoms out early with deceleration time
+    sqrt(((t_f - t0) * v_max - |x0|) / a_max), and t_stop = t_acc.
+    """
+    return _plan(_min_distance_dip, x0, params.v_max, t_f, params, pred, link_gap, t0,
+                 vehicle_id)
+
+
+# ===================== minimum-acceleration planner =====================
+
+def _min_accel_dip(T: float, tf_rel: float, dist: float, v0: float,
+                   params: SimParams, vehicle_id: int):
+    v_m, a_m = params.v_max, params.a_max
     w = (v_m - v0) / a_m
     M = tf_rel - w
     disc = M * M - (4.0 / a_m) * (
@@ -411,22 +382,23 @@ def plan_min_accel(
         raise NegativeDiscriminant(
             f"vehicle {vehicle_id}: dip speed {v1:.6f} m/s below zero (stop required)"
         )
-    v1 = max(v1, 0.0)
+    return 0.0, t1, t2, {"t1": t1, "t2": t2, "v1": max(v1, 0.0), "disc": disc}
 
-    pieces = [
-        (t1, -a_m),
-        (t2 - t1, 0.0),
-        (tf_rel - t2, a_m),
-        (T - tf_rel, 0.0),
-    ]
-    traj = Trajectory(
-        t0=t0, t_f=t_f, x0=x0, v0=v0,
-        segments=_build_segments(t0, x0, v0, pieces),
-        t_full=t_full, kind="min_accel", vehicle_id=vehicle_id,
-        breakpoints={"t_cruise": t0 + t1, "t_acc": t0 + t2, "t_full": t_full},
-        diagnostics={"t1": t1, "t2": t2, "v1": v1, "disc": disc},
-    )
-    return _check_pred(traj, pred, params)
+
+def plan_min_accel(x0: float, v0: float, t_f: float, params: SimParams,
+                   pred: Optional[Trajectory] = None, link_gap: Optional[float] = None,
+                   t0: float = 0.0, vehicle_id: int = -1) -> Trajectory:
+    """Plan the single-dip profile minimizing total applied |acceleration|.
+
+    Decelerate immediately for t1 (t_dec = t0, t_stop = t0 + t1), cruise
+    at the dip speed v1, then accelerate from t_acc = t0 + t2 so full
+    speed is regained exactly at t_full. With w = (v_max - v0) / a_max and
+    M = (t_full - t0) - w, the dip times solve a quadratic:
+    t1 = (M - sqrt(disc)) / 2, t2 = M - t1, where
+    disc = M^2 - (4 / a_max) * (v_max (t_f - t0)
+           - (v_max - v0) (t_full - t0) + (v_max - v0)^2 / (2 a_max) - |x0|).
+    """
+    return _plan(_min_accel_dip, x0, v0, t_f, params, pred, link_gap, t0, vehicle_id)
 
 
 # ===================== whole-schedule planning =====================
@@ -437,56 +409,43 @@ class PlannedSchedule:
     failures: List[Tuple[int, TrajectoryError]]  # (vehicle id, error)
 
 
-def plan_schedule(
-    vehicles: Sequence[Vehicle],
-    params: SimParams,
-    kind: str = "min-distance",
-    best_effort: bool = False,
-) -> PlannedSchedule:
+_DIPS: Dict[str, Dip] = {"min-distance": _min_distance_dip, "min-accel": _min_accel_dip}
+
+
+def plan_schedule(vehicles: Sequence[Vehicle], params: SimParams,
+                  kind: str = "min-distance") -> PlannedSchedule:
     """Plan one trajectory per scheduled vehicle, chained per lane.
 
     Vehicles enter the profiling segment at full speed, one segment
     length upstream, timed so a free-flow run reaches the stop line at
     their earliest crossing time a. Within each lane, every trajectory is
     planned against its predecessor (full-speed linkage on B-spaced
-    crossings, spacing checked by verify_separation).
+    crossings, spacing checked by verify_separation); kind picks the
+    breakpoints of the one single-dip profile.
 
-    Planner errors, whose messages start with "vehicle <id>: ", are
-    re-raised; with best_effort=True they are collected in .failures
-    instead and the failed vehicle drops out of its chain. Refusals are
-    not limited to capped platoons: on physically spaced arrivals at rho
-    0.4, uncapped gated min-distance schedules refuse some vehicles with a
-    SeparationViolation whose minimum gap is often negative (the follower
-    passes through its leader), and exhaustive min-accel ones with minimum
-    gaps of 3.1-5 m against l_min = 5 m.
+    A vehicle the planner refuses goes into .failures with its error,
+    whose message starts with "vehicle <id>: ", and drops out of its lane
+    chain, so the next vehicle is planned against the last one planned.
+    Refusals are not limited to capped platoons: on physically spaced
+    arrivals at rho 0.4, uncapped gated min-distance schedules refuse
+    some vehicles with a SeparationViolation whose minimum gap is often
+    negative (the follower passes through its leader), and exhaustive
+    min-accel ones with minimum gaps of 3.1-5 m against l_min = 5 m.
     """
-    if kind not in ("min-distance", "min-accel"):
+    dip = _DIPS.get(kind)
+    if dip is None:
         raise ValueError(f"kind must be min-distance or min-accel, got {kind!r}")
-    v_m = params.v_max
-    x0 = -params.region_spa_m
+    x0, v_m = -params.region_spa_m, params.v_max
     entry_lead = params.region_spa_m / v_m
 
-    ordered = sorted(vehicles, key=lambda v: (v.c, v.id))
     last_in_lane: Dict[int, Trajectory] = {}
     out: List[Trajectory] = []
     failures: List[Tuple[int, TrajectoryError]] = []
-    for v in ordered:
-        pred = last_in_lane.get(v.lane)
-        t0 = v.a - entry_lead
+    for v in sorted(vehicles, key=lambda v: (v.c, v.id)):
         try:
-            if kind == "min-distance":
-                traj = plan_min_distance(
-                    x0, v.c, params, pred=pred,
-                    link_gap=params.B_of(v.lane), t0=t0, vehicle_id=v.id,
-                )
-            else:
-                traj = plan_min_accel(
-                    x0, v_m, v.c, params, pred=pred,
-                    link_gap=params.B_of(v.lane), t0=t0, vehicle_id=v.id,
-                )
+            traj = _plan(dip, x0, v_m, v.c, params, last_in_lane.get(v.lane),
+                         params.B_of(v.lane), v.a - entry_lead, v.id)
         except TrajectoryError as exc:
-            if not best_effort:
-                raise
             failures.append((v.id, exc))
             continue
         out.append(traj)

@@ -187,7 +187,7 @@ def oracle_min(
     return Trajectory(
         t0=t0, t_f=t_f, x0=x0, v0=v0,
         segments=_build_segments(t0, x0, v0, pieces),
-        t_full=t_full, kind="oracle",
+        t_full=t_full,
         breakpoints={"t_full": t_full},
         diagnostics={"p": p, "delta": delta, "q": q, "r": r, "v1": v1},
     )

@@ -154,7 +154,7 @@ def test_trajectory_feasibility(capsys):
         Vehicle(id=i, lane=int(res.lane0[i]) + 1, a=float(res.a[i]), c=float(res.c[i]))
         for i in range(res.a.size)
     ]
-    planned = plan_schedule(vehicles, params, kind="min-distance", best_effort=True)
+    planned = plan_schedule(vehicles, params, kind="min-distance")
     traj_bad = sum(1 for traj in planned.trajectories if audit_trajectory(traj, params))
     sep_bad = audit_separation(planned, vehicles, params)
     elapsed = time.perf_counter() - t0

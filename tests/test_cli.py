@@ -5,6 +5,7 @@ without spawning interpreters. The shipped configs under configs/ are
 the same ones the README documents.
 """
 import csv
+import hashlib
 import json
 import os
 import re
@@ -16,6 +17,9 @@ import numpy as np
 import pytest
 
 from platoonsim import cli, sim, spa
+from platoonsim.core import SimParams
+
+from oracle_utils import make_physical_arrivals
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SYM = os.path.join(ROOT, "configs", "sym.json")
@@ -162,10 +166,39 @@ def test_long_finite_region_still_runs(tmp_path):
     assert means[1] == pytest.approx(means[0], rel=1e-6)
 
 
-def run_python(*args):
-    """A fresh interpreter on this package, with Python's default warning filters."""
+def test_scripted_entry_times_stay_on_the_tie_grid(tmp_path, capsys):
+    # The offset's rule at each scripted time: from 2**23 s up, crossing
+    # times are further apart than TIE_TOL (2 s at 1e16 s), so such a script
+    # is refused; 8 388 000 s plus the 26.7 s offset stays below and runs
+    # with the delays of the same script at 0 s.
+    means = []
+    for start in (0.0, 8_388_000.0, 1e16):
+        with open(SYM) as fh:
+            cfg = json.load(fh)
+        cfg["arrivals"] = [[1 + i % 2, start + 2.0 * i] for i in range(4)]
+        path = tmp_path / f"script_{start:g}.json"
+        path.write_text(json.dumps(cfg))
+        out = tmp_path / f"out_{start:g}"
+        code = cli.main(["run", "--config", str(path), "--out", str(out)])
+        err = capsys.readouterr().err
+        if start < 1e16:
+            assert code == 0, err
+            means.append(float(read_csv(out / "results.csv")[0]["sim_delay_mean"]))
+    assert code == 2
+    assert err == (
+        "error: arrival entry time 1e+16 s is out of range: crossing times near it are 2 s"
+        " apart, above the tie tolerance 1e-09 s\n"
+    )
+    assert means[0] > 1.0
+    assert means[1] == pytest.approx(means[0], abs=1e-6)
+
+
+def run_python(*args, **extra_env):
+    """A fresh interpreter on this package, with Python's default warning
+    filters unless extra_env sets PYTHONWARNINGS."""
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
     env["PYTHONPATH"] = os.path.dirname(os.path.dirname(os.path.abspath(cli.__file__)))
+    env.update(extra_env)
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
@@ -247,8 +280,9 @@ def test_run_unstable_load_exit_code(tmp_path):
 
 def test_transient_warning_is_one_line_per_point(tmp_path):
     # In its own interpreter, so Python's warning filters, not pytest's,
-    # decide what reaches stderr: one line per load, however many runs
-    # (the sweep's three disciplines) share it.
+    # are the ones the CLI faces: one line per load, however many runs
+    # (the sweep's three disciplines) share it, and no traceback when the
+    # interpreter turns warnings into errors.
     with open(SYM) as fh:
         cfg = json.load(fh)
     cfg.update(horizon_vehicles=500)
@@ -262,11 +296,13 @@ def test_transient_warning_is_one_line_per_point(tmp_path):
         (["sweep", "--config", str(sweep_path), "--rho", "1.1:1.3:0.1"],
          ["1.1000", "1.2000", "1.3000"]),
     ):
-        done = run_python("-m", "platoonsim.cli", *argv, "--out", str(tmp_path), "--transient")
-        assert done.returncode == 0, done.stderr
-        assert done.stderr.splitlines() == [
-            f"warning: rho={rho} >= 1: transient run, no steady state exists" for rho in rhos
-        ]
+        for extra_env in ({}, {"PYTHONWARNINGS": "error"}):
+            done = run_python("-m", "platoonsim.cli", *argv, "--out", str(tmp_path),
+                              "--transient", **extra_env)
+            assert done.returncode == 0, done.stderr
+            assert done.stderr.splitlines() == [
+                f"warning: rho={rho} >= 1: transient run, no steady state exists" for rho in rhos
+            ]
 
 
 @pytest.mark.parametrize(
@@ -541,6 +577,63 @@ def test_traj_refusals_name_the_vehicle_once(tmp_path, capsys, spa):
     for line in lines:
         assert re.match(r"vehicle \d+: ", line), line
         assert len(re.findall(r"vehicle \d+", line)) == 1, line
+
+
+# The traj byte contract: sha256 of traj_segments.csv, traj_sampled.csv and
+# stderr, and the refused vehicles, for each planner on configs/traj.json
+# and on 300 physically spaced gated arrivals at rho 0.4 (seed 77). A
+# change that moves any of them changes traj's artifacts, and re-pins them
+# on purpose.
+TRAJ_GOLDEN = {
+    ("traj", "min-distance"): (
+        "74e82bf1fd7b2b18226c303b1379ad271dc9564d3ebed9e46f7f2989481cc2fe",
+        "e3116789035322307568e0dc5483fc6800f72336015421f9c4c112e2043bb492",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        [],
+    ),
+    ("traj", "min-accel"): (
+        "e2f87f679980e57c7e58a681199953d284ec2d0036fe301db5633e3646e3f3cc",
+        "bc4cdf7c37afb1b23f5752c964efc49d9935b17f4435d053514394e392878efb",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+        [],
+    ),
+    ("physical", "min-distance"): (
+        "64bcdb7ae11f6e0c3549ad8dd7ecef3224a3e35b96dadcacff2f19997c142a6d",
+        "7f7909f5f35f1b40e993182b1542ce48f23aef32d808703dbb614eec31e0568e",
+        "2bbdb79cd7ca5bb9064933bc674d54f4f31e85b826fe751274c712df49bdb7de",
+        [32, 39, 120, 194, 210, 222],
+    ),
+    ("physical", "min-accel"): (
+        "c53098a6f3a92997908e2bb32dd100a27c6b9ae4c59bbf69461c178dce9acfef",
+        "60c3ab67bac377db016bd38795dedd90f0d6bd958bfb53d52aacad788cfa437b",
+        "e5ad4208b8eae7edc900f92e540336f9392a489b003ab0dd26eca7dbe830cc70",
+        [30, 36, 67, 73, 71, 77, 80, 82, 86, 95, 106, 120, 162, 192, 200, 206, 211, 227,
+         253, 269, 276, 282],
+    ),
+}
+
+
+@pytest.mark.parametrize("config,spa_kind", sorted(TRAJ_GOLDEN))
+def test_traj_golden_bytes(tmp_path, capsys, config, spa_kind):
+    if config == "traj":
+        path = TRAJ
+    else:
+        params = SimParams().with_rho(0.4)
+        arrivals = make_physical_arrivals(params, 300, seed=77)
+        path = str(tmp_path / "physical.json")
+        with open(path, "w") as fh:
+            json.dump({"n": 2, "lambda": list(params.lam), "pfa": "gated",
+                       "arrivals": arrivals}, fh)
+    out = tmp_path / "out"
+    assert cli.main(["traj", "--config", path, "--out", str(out), "--spa", spa_kind]) == 0
+    err = capsys.readouterr().err
+    digests = tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in ((out / "traj_segments.csv").read_bytes(),
+                     (out / "traj_sampled.csv").read_bytes(), err.encode())
+    )
+    refused = [int(re.match(r"vehicle (\d+): ", line).group(1)) for line in err.splitlines()]
+    assert digests + (refused,) == TRAJ_GOLDEN[config, spa_kind]
 
 
 def test_traj_needs_scripted_arrivals(tmp_path):

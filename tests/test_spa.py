@@ -27,7 +27,6 @@ from platoonsim.spa import (
     OutOfDomain,
     OvercrowdingViolation,
     SeparationViolation,
-    SingleDipViolation,
     Trajectory,
     _build_segments,
     _sample_times,
@@ -285,6 +284,7 @@ def test_plan_schedule_chains_per_lane(params):
 def test_plan_schedule_min_accel_same_crossings(params):
     dist = plan_schedule(schedule_fixture(), params, kind="min-distance")
     acc = plan_schedule(schedule_fixture(), params, kind="min-accel")
+    assert dist.failures == [] and acc.failures == []
     for td, ta in zip(dist.trajectories, acc.trajectories):
         assert td.t_f == ta.t_f
         assert accel_cost(ta) <= accel_cost(td) + 1e-9
@@ -293,6 +293,7 @@ def test_plan_schedule_min_accel_same_crossings(params):
 
 def test_plan_schedule_single_dip(params):
     planned = plan_schedule(schedule_fixture(), params, kind="min-distance")
+    assert planned.failures == []
     for traj in planned.trajectories:
         assert sum(1 for s in traj.segments if s.accel < 0.0) <= 1
 
@@ -300,14 +301,12 @@ def test_plan_schedule_single_dip(params):
 def test_plan_schedule_best_effort_reports_single_dip(params):
     tight = SimParams(region_spa_m=50.0)
     vehicles = [Vehicle(id=0, lane=1, a=20.0, c=28.0)]
-    with pytest.raises(OvercrowdingViolation):
-        plan_schedule(vehicles, tight, kind="min-distance")
-    planned = plan_schedule(vehicles, tight, kind="min-distance", best_effort=True)
+    planned = plan_schedule(vehicles, tight, kind="min-distance")
     assert planned.trajectories == []
     assert len(planned.failures) == 1
     vid, err = planned.failures[0]
     assert vid == 0
-    assert isinstance(err, SingleDipViolation)
+    assert isinstance(err, OvercrowdingViolation)
     assert str(err).startswith("vehicle 0: ") and str(err).count("vehicle") == 1
 
 
@@ -316,10 +315,75 @@ def test_plan_schedule_rejects_unknown_kind(params):
         plan_schedule([], params, kind="fastest")
 
 
+# ===================== one single-dip shape =====================
+
+def assert_single_dip(traj, params):
+    """t0 <= t_dec <= t_stop <= t_acc <= t_full <= t_f, and one segment of
+    acceleration 0, -a_max, 0, +a_max, 0 on each of those intervals that
+    has a length."""
+    bp = traj.breakpoints
+    edges = [traj.t0, bp["t_dec"], bp["t_stop"], bp["t_acc"], bp["t_full"], traj.t_f]
+    assert edges == sorted(edges), edges
+    accels = [0.0, -params.a_max, 0.0, params.a_max, 0.0]
+    want = [
+        (lo, hi, accel) for lo, hi, accel in zip(edges, edges[1:], accels) if hi - lo > 1e-12
+    ]
+    got = [(s.t_start, s.t_start + s.duration, s.accel) for s in traj.segments]
+    assert [accel for *_, accel in got] == [accel for *_, accel in want]
+    assert [t for lo, hi, _ in got for t in (lo, hi)] == pytest.approx(
+        [t for lo, hi, _ in want for t in (lo, hi)], abs=1e-9
+    )
+
+
+def single_dip_cases(params):
+    md_leader = plan_min_distance(-300.0, 25.0, params)
+    ma_leader = plan_min_accel(-300.0, params.v_max, 25.0, params)
+    return {
+        "min-distance full stop": plan_min_distance(-200.0, 20.0, params),
+        "min-distance dip": plan_min_distance(-100.0, 10.0, params),
+        "min-accel": plan_min_accel(-100.0, 15.0, 10.0, params),
+        "min-accel below full speed": plan_min_accel(-120.0, 11.0, 14.0, params),
+        "min-distance linked follower": plan_min_distance(
+            -300.0, 26.0, params, pred=md_leader, link_gap=1.0, t0=1.0),
+        "min-accel linked follower": plan_min_accel(
+            -300.0, params.v_max, 26.0, params, pred=ma_leader, link_gap=1.0, t0=1.0),
+    }
+
+
+@pytest.mark.parametrize("case", [
+    "min-distance full stop", "min-distance dip", "min-accel", "min-accel below full speed",
+    "min-distance linked follower", "min-accel linked follower",
+])
+def test_planners_share_one_single_dip_shape(params, case):
+    assert_single_dip(single_dip_cases(params)[case], params)
+
+
+def test_each_form_is_a_choice_of_breakpoints(params):
+    cases = {name: traj.breakpoints for name, traj in single_dip_cases(params).items()}
+    stop, dip = cases["min-distance full stop"], cases["min-distance dip"]
+    assert stop["t_stop"] < stop["t_acc"]   # dwell at a standstill
+    assert dip["t_stop"] == dip["t_acc"]    # no dwell
+    assert cases["min-accel"]["t_dec"] == 0.0  # brakes from entry
+    for name in ("min-distance linked follower", "min-accel linked follower"):
+        assert cases[name]["t_full"] == 25.0  # the leader's full-speed instant
+
+
+@pytest.mark.parametrize("kind", ["min-distance", "min-accel"])
+def test_planned_schedule_has_one_single_dip_shape(kind):
+    # 300 physically spaced gated crossings at rho 0.4 (seed 77): B-linked
+    # platoons, dips, full stops and refusals.
+    vehicles, params = physical_schedule("gated", 0.4, 300, seed=77)
+    planned = plan_schedule(vehicles, params, kind=kind)
+    assert planned.failures
+    for traj in planned.trajectories:
+        assert_single_dip(traj, params)
+
+
 # ===================== exporters =====================
 
 def test_segment_export_roundtrip(tmp_path, params):
     planned = plan_schedule(schedule_fixture(), params, kind="min-distance")
+    assert planned.failures == []
     path = tmp_path / "segments.csv"
     write_segments_csv(planned.trajectories, str(path))
     with open(path, newline="") as fh:
@@ -336,6 +400,7 @@ def test_segment_export_roundtrip(tmp_path, params):
 
 def test_sampled_export_shape(tmp_path, params):
     planned = plan_schedule(schedule_fixture(), params, kind="min-distance")
+    assert planned.failures == []
     path = tmp_path / "sampled.csv"
     write_sampled_csv(planned.trajectories, str(path), dt=0.5)
     with open(path, newline="") as fh:
@@ -370,7 +435,7 @@ def assert_sampled_matches_reference(trajectories, tmp_path, dt):
 def test_sampled_export_matches_reference_with_refusals(tmp_path, kind, dt):
     # 300 physically spaced gated crossings at rho 0.4 (seed 77).
     vehicles, params = physical_schedule("gated", 0.4, 300, seed=77)
-    planned = plan_schedule(vehicles, params, kind=kind, best_effort=True)
+    planned = plan_schedule(vehicles, params, kind=kind)
     assert planned.failures  # the refused vehicles drop out of the table
     assert_sampled_matches_reference(planned.trajectories, tmp_path, dt)
 

@@ -97,4 +97,5 @@ def test_audit_separation_on_planned_platoon(params):
         Vehicle(id=2, lane=2, a=33.0, c=35.375),
     ]
     planned = plan_schedule(vehicles, params, kind="min-distance")
+    assert planned.failures == []
     assert audit_separation(planned, vehicles, params) == []

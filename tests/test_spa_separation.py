@@ -42,9 +42,9 @@ def test_exact_verdicts_keep_grid_refusals(monkeypatch, pfa, kind, refused):
     # The uncapped schedules that refuse vehicles at rho 0.4 (5 000 vehicles,
     # seed 77): the exact minimum refuses what the grid refuses.
     vehicles, params = physical_schedule(pfa, 0.4, 5000, seed=77)
-    exact = spa.plan_schedule(vehicles, params, kind=kind, best_effort=True)
+    exact = spa.plan_schedule(vehicles, params, kind=kind)
     monkeypatch.setattr(spa, "verify_separation", grid_verify_separation)
-    grid = spa.plan_schedule(vehicles, params, kind=kind, best_effort=True)
+    grid = spa.plan_schedule(vehicles, params, kind=kind)
     assert len(grid.failures) == refused
     assert refusal_list(exact) == refusal_list(grid)
     assert exact.trajectories == grid.trajectories
