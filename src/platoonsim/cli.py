@@ -24,7 +24,6 @@ from .core import (
     ConfigError,
     PlatoonError,
     RunConfig,
-    SimParams,
     UnstableLoad,
     Vehicle,
     load_config,
@@ -120,43 +119,31 @@ def _parse_pfa_list(text: str) -> List[str]:
     return out
 
 
-def _apply_asymmetric(params: SimParams) -> SimParams:
-    """Rescale arrival rates to the 3:1 load split, keeping the total load."""
-    if params.n != 2:
-        raise ConfigError(f"--asymmetric needs a 2-lane config, got n={params.n}")
-    total = params.rho
-    lam1 = 3.0 * total / (4.0 * params.B[0])
-    lam2 = total / (4.0 * params.B[1])
-    return replace(params, lam=(lam1, lam2))
-
-
 def _load(args: argparse.Namespace) -> RunConfig:
     cfg = load_config(args.config)
     seed = getattr(args, "seed", None)
     if seed is not None:
         if seed < 0:
             raise ConfigError(f"--seed must be >= 0, got {seed}")
-        cfg.seed = seed
-    if getattr(args, "asymmetric", False):
-        cfg.params = _apply_asymmetric(cfg.params)
+        cfg = replace(cfg, seed=seed)
     os.makedirs(args.out, exist_ok=True)
     return cfg
 
 
-def _set_one_pfa(args: argparse.Namespace, cfg: RunConfig) -> None:
-    """Set cfg.pfa from --pfa, which run and traj read as one discipline."""
-    if args.pfa is not None:
-        kinds = _parse_pfa_list(args.pfa)
-        if len(kinds) != 1:
-            raise ConfigError(f"{args.command} takes exactly one --pfa discipline")
-        cfg.pfa = kinds[0]
+def _with_one_pfa(args: argparse.Namespace, cfg: RunConfig) -> RunConfig:
+    """cfg with the discipline of --pfa, which run and traj read as one discipline."""
+    if args.pfa is None:
+        return cfg
+    kinds = _parse_pfa_list(args.pfa)
+    if len(kinds) != 1:
+        raise ConfigError(f"{args.command} takes exactly one --pfa discipline")
+    return replace(cfg, pfa=kinds[0])
 
 
 # ===================== subcommands =====================
 
 def cmd_run(args: argparse.Namespace) -> int:
-    cfg = _load(args)
-    _set_one_pfa(args, cfg)
+    cfg = _with_one_pfa(args, _load(args))
     res = sim.run(cfg, steady_state=not args.transient)
     rho = cfg.params.rho
     rows = sim.result_rows(res, cfg.params, rho)
@@ -219,7 +206,7 @@ def cmd_traj(args: argparse.Namespace) -> int:
     cfg = _load(args)
     if cfg.arrivals is None:
         raise ConfigError("traj needs a config with a scripted 'arrivals' list")
-    _set_one_pfa(args, cfg)
+    cfg = _with_one_pfa(args, cfg)
     res = sim.run(cfg, check=True, steady_state=not args.transient)
     vehicles = [
         Vehicle(id=i, lane=int(res.lane0[i]) + 1, a=float(res.a[i]), c=float(res.c[i]))
@@ -266,11 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     grid = argparse.ArgumentParser(add_help=False)
     grid.add_argument(
         "--rho", default="0.1:0.9:0.1", help="load grid A:B:STEP (default %(default)s)"
-    )
-    grid.add_argument(
-        "--asymmetric",
-        action="store_true",
-        help="rescale arrival rates to the 3:1 load split (2 lanes)",
     )
 
     sub.add_parser(

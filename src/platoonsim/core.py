@@ -1,8 +1,11 @@
 """Domain types, configuration, and validation shared by the whole package.
 
 The central objects are Vehicle (lane, earliest crossing time, scheduled
-crossing time) and SimParams (intersection geometry and traffic
-parameters); RunConfig and parse_config read a run's JSON configuration.
+crossing time), SimParams (intersection geometry and traffic parameters)
+and RunConfig (one run). SimParams and RunConfig are frozen and refuse
+invalid values when built, so the CLI and library callers meet the same
+rules; parse_config checks only a JSON config's keys and types, and
+validate_params only the load.
 The reference scheduler's object model (Schedule, GateBook) lives in pfa
 with the reference itself. write_atomic writes every artifact file;
 inside write_together, a command's artifacts replace the previous ones
@@ -14,6 +17,7 @@ import contextlib
 import json
 import math
 import os
+import sys
 import warnings
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
@@ -63,7 +67,7 @@ class UnstableLoad(PlatoonError):
 
 
 class ConfigError(PlatoonError):
-    """Configuration file is missing, malformed, or has unknown keys."""
+    """A configuration (file or object) is missing, malformed, or has unknown keys."""
 
 
 class InconsistentGateBook(PlatoonError):
@@ -98,8 +102,12 @@ def _per_lane(value: PerLane, n: int, name: str) -> Tuple[float, ...]:
     return vals
 
 
-@dataclass
+@dataclass(frozen=True)
 class SimParams:
+    """Intersection geometry and traffic. Frozen; building it raises on the first
+    broken rule, so every instance has lambda_i, B_i, S_i, rho > 0 and
+    min(S) >= max(B). Only the load rho < 1 is left to validate_params."""
+
     n: int = 2                                  # number of lanes
     lam: Tuple[float, ...] = (0.25, 0.25)       # Poisson arrival rate per lane (veh/s)
     B: PerLane = 1.0                            # same-lane crossing headway (s)
@@ -111,9 +119,31 @@ class SimParams:
     region_spa_m: float = 300.0                 # length of the speed-profiling sub-region (m)
 
     def __post_init__(self) -> None:
-        self.lam = tuple(float(x) for x in self.lam)
-        self.B = _per_lane(self.B, self.n, "B")
-        self.S = _per_lane(self.S, self.n, "S")
+        if self.n < 1:
+            raise NonPositiveParameter(f"n must be >= 1, got {self.n}")
+        lam = tuple(float(x) for x in self.lam)
+        if len(lam) != self.n:
+            raise ConfigError(f"lambda must have n={self.n} entries, got {len(lam)}")
+        object.__setattr__(self, "lam", lam)
+        object.__setattr__(self, "B", _per_lane(self.B, self.n, "B"))
+        object.__setattr__(self, "S", _per_lane(self.S, self.n, "S"))
+        geometry = ("v_max", "a_max", "l_min", "region_pfa_m", "region_spa_m")
+        values = [(name, getattr(self, name)) for name in geometry]
+        for name, per_lane in (("lambda", self.lam), ("B", self.B), ("S", self.S)):
+            values += [(f"{name}[{i}]", v) for i, v in enumerate(per_lane, start=1)]
+        for name, val in values + [("rho", self.rho)]:  # rho: the products can underflow to 0
+            if not val > 0.0:  # NaN included
+                raise NonPositiveParameter(f"{name} must be > 0, got {val}")
+        if min(self.S) < max(self.B):  # the scheduling fallback needs S to cover every B
+            raise SClearanceBelowB(f"min(S)={min(self.S)} < max(B)={max(self.B)}")
+        offset = self.free_flow_offset
+        if not math.isfinite(offset):
+            raise ConfigError("(region_pfa_m + region_spa_m) / v_max must be finite, got inf")
+        if math.ulp(offset) > TIE_TOL:  # from 2**23 s up, ties among crossing times blur
+            raise ConfigError(
+                f"(region_pfa_m + region_spa_m) / v_max = {offset:.6g} s is too long: times that"
+                f" large are {math.ulp(offset):.3g} s apart, above the tie tolerance {TIE_TOL} s"
+            )
 
     # Per-lane accessors take 1-based lane indices, like Vehicle.lane.
     def B_of(self, lane: int) -> float:
@@ -134,57 +164,17 @@ class SimParams:
 
     def with_rho(self, rho: float) -> "SimParams":
         """Copy with all arrival rates scaled so the total load equals rho."""
-        cur = self.rho
-        if cur <= 0.0:
-            raise NonPositiveParameter("cannot rescale arrival rates from zero load")
-        scale = rho / cur
+        scale = rho / self.rho
         return replace(self, lam=tuple(l * scale for l in self.lam))
 
 
-def _non_positive(params: SimParams) -> Optional[str]:
-    """Message for the first parameter that must be > 0 and is not (NaN included)."""
-    values = [
-        ("v_max", params.v_max),
-        ("a_max", params.a_max),
-        ("l_min", params.l_min),
-        ("region_pfa_m", params.region_pfa_m),
-        ("region_spa_m", params.region_spa_m),
-    ]
-    for name, per_lane in (("lambda", params.lam), ("B", params.B), ("S", params.S)):
-        values += [(f"{name}[{i}]", v) for i, v in enumerate(per_lane, start=1)]
-    for name, val in values:
-        if not val > 0.0:
-            return f"{name} must be > 0, got {val}"
-    return None
-
-
-def _clearance_below_headway(params: SimParams) -> Optional[str]:
-    """Message if some clearance S is below some headway B, else None.
-
-    The scheduling fallback needs every clearance to cover every headway.
-    """
-    if min(params.S) < max(params.B):
-        return f"min(S)={min(params.S)} < max(B)={max(params.B)}"
-    return None
-
-
 def validate_params(params: SimParams, steady_state: bool = True) -> SimParams:
-    """Check SimParams invariants; return the params unchanged if they hold.
+    """Check the load of valid params; return them unchanged if it is allowed.
 
-    Raises NonPositiveParameter or SClearanceBelowB on hard violations.
-    A load rho >= 1 raises UnstableLoad when steady_state is True and only
-    warns otherwise (transient runs are allowed to be overloaded).
+    Every other rule holds from construction. A load rho >= 1 raises
+    UnstableLoad when steady_state is True and only warns otherwise
+    (transient runs are allowed to be overloaded).
     """
-    if params.n < 1:
-        raise NonPositiveParameter(f"n must be >= 1, got {params.n}")
-    if len(params.lam) != params.n:
-        raise ConfigError(f"lambda must have n={params.n} entries, got {len(params.lam)}")
-    problem = _non_positive(params)
-    if problem is not None:
-        raise NonPositiveParameter(problem)
-    problem = _clearance_below_headway(params)
-    if problem is not None:
-        raise SClearanceBelowB(problem)
     rho = params.rho
     if rho >= 1.0:
         if steady_state:
@@ -195,8 +185,14 @@ def validate_params(params: SimParams, steady_state: bool = True) -> SimParams:
 
 # ===================== run configuration =====================
 
-@dataclass
+PFA_KINDS = ("exhaustive", "gated", "batch")
+
+
+@dataclass(frozen=True)
 class RunConfig:
+    """One run's parameters, discipline, counts and script; frozen, and
+    refused with ConfigError when built if any value breaks a rule."""
+
     params: SimParams = field(default_factory=SimParams)
     pfa: str = "exhaustive"                     # exhaustive | gated | batch
     batch_cap: int = 100                        # max vehicles per platoon (batch only)
@@ -205,13 +201,63 @@ class RunConfig:
     seed: int = 1
     arrivals: Optional[List[Tuple[int, float]]] = None  # scripted (lane, entry time) list
 
+    def __post_init__(self) -> None:
+        if self.pfa not in PFA_KINDS:
+            raise ConfigError(f"pfa must be one of {PFA_KINDS}, got {self.pfa!r}")
+        if self.batch_cap < 1:
+            raise ConfigError(f"batch_cap must be >= 1, got {self.batch_cap}")
+        if self.horizon_vehicles < 1:
+            raise ConfigError(f"horizon_vehicles must be >= 1, got {self.horizon_vehicles}")
+        if self.horizon_vehicles > sys.maxsize:  # no array that long can be built
+            raise ConfigError(
+                f"horizon_vehicles must be <= {sys.maxsize}, got {self.horizon_vehicles}"
+            )
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.arrivals is not None:
+            object.__setattr__(self, "arrivals", _checked_script(self.arrivals, self.params))
+        warmup = self.warmup_vehicles
+        if warmup is None:
+            return
+        if warmup < 0:
+            raise ConfigError(f"warmup_vehicles must be >= 0, got {warmup}")
+        # sweep simulates the horizon even when run and traj follow a script.
+        if warmup >= self.horizon_vehicles:
+            raise ConfigError(
+                f"warmup_vehicles={warmup} must be below horizon_vehicles={self.horizon_vehicles}"
+            )
+        if self.arrivals is not None and warmup >= len(self.arrivals):
+            raise ConfigError(
+                f"warmup_vehicles={warmup} must be below the {len(self.arrivals)} scripted arrivals"
+            )
+
     def resolved_warmup(self) -> int:
         if self.warmup_vehicles is not None:
             return self.warmup_vehicles
         return self.horizon_vehicles // 10
 
 
-PFA_KINDS = ("exhaustive", "gated", "batch")
+def _checked_script(arrivals: Sequence, params: SimParams) -> List[Tuple[int, float]]:
+    """The scripted (lane, entry time) pairs as a new list, if every one is valid."""
+    offset = params.free_flow_offset
+    script = [(lane, entry_t) for lane, entry_t in arrivals]
+    for lane, entry_t in script:
+        if not 1 <= lane <= params.n:
+            raise ConfigError(f"arrival lane {lane} outside 1..{params.n}")
+        if not math.isfinite(entry_t):
+            raise ConfigError(f"arrival entry time must be finite, got {entry_t}")
+        if math.ulp(entry_t + offset) > TIE_TOL:  # the offset's rule, at this time
+            raise ConfigError(
+                f"arrival entry time {entry_t} s is out of range: crossing times near it"
+                f" are {math.ulp(entry_t + offset):.3g} s apart, above the tie tolerance"
+                f" {TIE_TOL} s"
+            )
+    if not script:
+        raise ConfigError("scripted arrivals must list at least one vehicle")
+    if any(later[1] < earlier[1] for earlier, later in zip(script, script[1:])):
+        raise ConfigError("scripted arrivals must be sorted by entry time")
+    return script
+
 
 _CONFIG_KEYS = {
     "n", "lambda", "B", "S", "v_max", "a_max", "l_min",
@@ -253,7 +299,9 @@ def _numbers(value: object, name: str) -> Tuple[float, ...]:
 def parse_config(data: dict) -> RunConfig:
     """Build a RunConfig from a decoded JSON object (strict about keys and types).
 
-    Every malformed value raises ConfigError.
+    Here only the JSON is checked: keys, types and the [lane, time] pair
+    shape. SimParams and RunConfig check the values when built, and any
+    PlatoonError they raise comes back as a ConfigError with its message.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
@@ -261,15 +309,10 @@ def parse_config(data: dict) -> RunConfig:
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     params_kwargs: dict = {}
-    n = _integer(data["n"], "n") if "n" in data else SimParams.n
-    if n < 1:
-        raise ConfigError(f"n must be >= 1, got {n}")
-    params_kwargs["n"] = n
+    if "n" in data:
+        params_kwargs["n"] = _integer(data["n"], "n")
     if "lambda" in data:
         params_kwargs["lam"] = _numbers(data["lambda"], "lambda")
-    lam = params_kwargs.get("lam", SimParams.lam)
-    if len(lam) != n:
-        raise ConfigError(f"lambda must have n={n} entries, got {len(lam)}")
     for key in ("B", "S"):
         if key in data:
             value = data[key]
@@ -279,44 +322,12 @@ def parse_config(data: dict) -> RunConfig:
     for key in ("v_max", "a_max", "l_min", "region_pfa_m", "region_spa_m"):
         if key in data:
             params_kwargs[key] = _number(data[key], key)
-    params = SimParams(**params_kwargs)
-    problem = _non_positive(params) or _clearance_below_headway(params)
-    if problem is not None:
-        raise ConfigError(problem)
-    offset = params.free_flow_offset
-    if not math.isfinite(offset):
-        raise ConfigError("(region_pfa_m + region_spa_m) / v_max must be finite, got inf")
-    if math.ulp(offset) > TIE_TOL:  # from 2**23 s up, ties among crossing times blur
-        raise ConfigError(
-            f"(region_pfa_m + region_spa_m) / v_max = {offset:.6g} s is too long: times that"
-            f" large are {math.ulp(offset):.3g} s apart, above the tie tolerance {TIE_TOL} s"
-        )
-
-    cfg = RunConfig(params=params)
+    run_kwargs: dict = {}
     if "pfa" in data:
-        if data["pfa"] not in PFA_KINDS:
-            raise ConfigError(f"pfa must be one of {PFA_KINDS}, got {data['pfa']!r}")
-        cfg.pfa = data["pfa"]
-    if "batch_cap" in data:
-        cap = _integer(data["batch_cap"], "batch_cap")
-        if cap < 1:
-            raise ConfigError(f"batch_cap must be >= 1, got {cap}")
-        cfg.batch_cap = cap
-    if "horizon_vehicles" in data:
-        horizon = _integer(data["horizon_vehicles"], "horizon_vehicles")
-        if horizon < 1:
-            raise ConfigError(f"horizon_vehicles must be >= 1, got {horizon}")
-        cfg.horizon_vehicles = horizon
-    if "warmup_vehicles" in data:
-        warmup = _integer(data["warmup_vehicles"], "warmup_vehicles")
-        if warmup < 0:
-            raise ConfigError(f"warmup_vehicles must be >= 0, got {warmup}")
-        cfg.warmup_vehicles = warmup
-    if "seed" in data:
-        seed = _integer(data["seed"], "seed")
-        if seed < 0:
-            raise ConfigError(f"seed must be >= 0, got {seed}")
-        cfg.seed = seed
+        run_kwargs["pfa"] = data["pfa"]
+    for key in ("batch_cap", "horizon_vehicles", "warmup_vehicles", "seed"):
+        if key in data:
+            run_kwargs[key] = _integer(data[key], key)
     if "arrivals" in data:
         items = data["arrivals"]
         if not isinstance(items, (list, tuple)):
@@ -325,36 +336,12 @@ def parse_config(data: dict) -> RunConfig:
         for item in items:
             if not (isinstance(item, (list, tuple)) and len(item) == 2):
                 raise ConfigError(f"arrival must be a [lane, entry time] pair, got {item!r}")
-            lane = _integer(item[0], "arrival lane")
-            entry_t = _number(item[1], "arrival entry time")
-            if not 1 <= lane <= params.n:
-                raise ConfigError(f"arrival lane {lane} outside 1..{params.n}")
-            if not math.isfinite(entry_t):
-                raise ConfigError(f"arrival entry time must be finite, got {entry_t}")
-            if math.ulp(entry_t + offset) > TIE_TOL:  # the offset's rule, at this time
-                raise ConfigError(
-                    f"arrival entry time {entry_t} s is out of range: crossing times near it"
-                    f" are {math.ulp(entry_t + offset):.3g} s apart, above the tie tolerance"
-                    f" {TIE_TOL} s"
-                )
-            arr.append((lane, entry_t))
-        if not arr:
-            raise ConfigError("scripted arrivals must list at least one vehicle")
-        if arr != sorted(arr, key=lambda x: x[1]):
-            raise ConfigError("scripted arrivals must be sorted by entry time")
-        cfg.arrivals = arr
-    warmup = cfg.warmup_vehicles
-    if warmup is not None:
-        # sweep simulates the horizon even when run and traj follow a script.
-        if warmup >= cfg.horizon_vehicles:
-            raise ConfigError(
-                f"warmup_vehicles={warmup} must be below horizon_vehicles={cfg.horizon_vehicles}"
-            )
-        if cfg.arrivals is not None and warmup >= len(cfg.arrivals):
-            raise ConfigError(
-                f"warmup_vehicles={warmup} must be below the {len(cfg.arrivals)} scripted arrivals"
-            )
-    return cfg
+            arr.append((_integer(item[0], "arrival lane"), _number(item[1], "arrival entry time")))
+        run_kwargs["arrivals"] = arr
+    try:
+        return RunConfig(params=SimParams(**params_kwargs), **run_kwargs)
+    except PlatoonError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def load_config(path: str) -> RunConfig:

@@ -50,8 +50,6 @@ def _check_lane(params: SimParams, lane: int) -> int:
 def _hatted(params: SimParams) -> Tuple[List[float], List[float]]:
     """The load split rho_hat_i = rho_i / rho and its rates lam_hat_i = rho_hat_i / B_i."""
     rho = params.rho
-    if rho <= 0.0:
-        raise ValueError("hatted load split undefined at zero total load")
     rho_hat = [l * b / rho for l, b in zip(params.lam, params.B)]
     return rho_hat, [rh / b for rh, b in zip(rho_hat, params.B)]
 
@@ -125,7 +123,5 @@ def approx_mean_delay(params: SimParams, discipline: str, lane: int) -> float:
     rho = params.rho
     if rho >= 1.0:
         raise UnstableLoad(f"rho={rho:.4f} >= 1")
-    if rho == 0.0:
-        return 0.0
     coef = approx_coefficients(params, discipline, lane)
     return (coef.k1 * rho + coef.k2 * rho * rho) / (1.0 - rho)

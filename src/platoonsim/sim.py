@@ -25,13 +25,15 @@ point instead of running the kernel again.
 """
 from __future__ import annotations
 
+import math
+import warnings
 from dataclasses import dataclass, replace
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from . import _kernels
-from .core import PFA_KINDS, PlatoonError, RunConfig, SimParams, validate_params
+from .core import PFA_KINDS, TIE_TOL, PlatoonError, RunConfig, SimParams, validate_params
 from .polling import DISCIPLINES, approx_mean_delay
 
 __all__ = [
@@ -170,8 +172,8 @@ class RunResult:
         Yields the text of JSONL_CHUNK records at a time, each line ending
         in "\n", so a writer never holds the whole log. Formatted by
         columns, with the bytes json.dumps writes per record: json writes
-        floats with float.__repr__, and every value is finite (parse_config
-        rejects non-finite entry times, _summarize non-finite crossing
+        floats with float.__repr__, and every value is finite (RunConfig
+        refuses non-finite entry times, _summarize non-finite crossing
         times).
         """
         for lo in range(0, self.c.size, JSONL_CHUNK):
@@ -250,6 +252,10 @@ def _summarize(
 ) -> RunResult:
     if not np.isfinite(c).all():
         raise PlatoonError("internal error: some vehicles were never scheduled")
+    last = float(c.max())  # RunConfig's rule for scripted times, here only a warning
+    if math.ulp(last) > TIE_TOL:
+        warnings.warn(f"crossing times reach {last:.6g} s, where they are {math.ulp(last):.3g} s"
+                      f" apart, above the tie tolerance {TIE_TOL} s", stacklevel=3)
     sum_ahead, sum_total, max_queue = _queue_counts(a, c, lane0, config.params.B, warmup)
     post = c[warmup:] - a[warmup:]  # only the post-warmup delays are held
     mean = float(post.mean()) if post.size else float("nan")
@@ -291,8 +297,6 @@ def _summarize(
 def _prepare(config: RunConfig, steady_state: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
     """Arrival arrays (entry, a, lane0) and the resolved warmup count."""
     validate_params(config.params, steady_state=steady_state)
-    if config.pfa not in PFA_KINDS:
-        raise PlatoonError(f"unknown discipline {config.pfa!r}")
     if config.arrivals is not None:
         entry, lane0 = _scripted_arrays(config)
         warmup = config.warmup_vehicles or 0
@@ -300,10 +304,6 @@ def _prepare(config: RunConfig, steady_state: bool) -> Tuple[np.ndarray, np.ndar
         entry, lane0 = make_arrivals(config.params, config.horizon_vehicles, config.seed)
         warmup = config.resolved_warmup()
     a = entry + config.params.free_flow_offset
-    if warmup >= entry.size and entry.size:
-        raise PlatoonError(
-            f"warmup {warmup} leaves no post-warmup arrivals out of {entry.size}"
-        )
     return entry, a, lane0, warmup
 
 

@@ -23,6 +23,7 @@ from oracle_utils import make_physical_arrivals
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SYM = os.path.join(ROOT, "configs", "sym.json")
+ASYM = os.path.join(ROOT, "configs", "asym.json")
 TRAJ = os.path.join(ROOT, "configs", "traj.json")
 
 
@@ -247,7 +248,8 @@ def test_run_rejects_multiple_disciplines(tmp_path):
 
 @pytest.mark.parametrize(
     "argv",
-    [["approx", "--transient"], ["approx", "--seed", "1"], ["traj", "--seed", "1"]],
+    [["approx", "--transient"], ["approx", "--seed", "1"], ["traj", "--seed", "1"],
+     ["sweep", "--asymmetric"]],
 )
 def test_flag_of_another_command_is_usage_error(tmp_path, argv):
     # Each command takes only the flags it reads; argparse exits 2.
@@ -305,10 +307,24 @@ def test_transient_warning_is_one_line_per_point(tmp_path):
             ]
 
 
+def test_crossing_times_past_the_tie_grid_print_one_warning(tmp_path):
+    # Rates of 1e-300 veh/s put the crossing times near 1e303 s, where
+    # floats are far apart: the run completes and says so on one line.
+    with open(SYM) as fh:
+        cfg = json.load(fh)
+    cfg.update({"lambda": [1e-300, 1e-300], "horizon_vehicles": 2000})
+    path = tmp_path / "sparse.json"
+    path.write_text(json.dumps(cfg))
+    done = run_python("-m", "platoonsim.cli", "run", "--config", str(path), "--out", str(tmp_path))
+    assert done.returncode == 0, done.stderr
+    lines = done.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("warning: crossing times reach"), lines
+
+
 @pytest.mark.parametrize(
     "key,value",
     [("warmup_vehicles", -3), ("horizon_vehicles", 0), ("horizon_vehicles", -5),
-     ("warmup_vehicles", 100000)],
+     ("warmup_vehicles", 100000), ("horizon_vehicles", 1e300)],
 )
 def test_run_rejects_bad_vehicle_counts(tmp_path, capsys, key, value):
     with open(SYM) as fh:
@@ -425,8 +441,8 @@ def test_sweep_asymmetric_split(tmp_path):
     out = str(tmp_path)
     code = cli.main(
         [
-            "sweep", "--config", SYM, "--out", out,
-            "--rho", "0.3:0.3:0.1", "--pfa", "exhaustive", "--asymmetric",
+            "sweep", "--config", ASYM, "--out", out,
+            "--rho", "0.3:0.3:0.1", "--pfa", "exhaustive",
         ]
     )
     assert code == 0

@@ -1,6 +1,7 @@
 """Core domain types: parameters, schedule, gate book, configuration."""
 import json
 import math
+from dataclasses import FrozenInstanceError
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -68,6 +69,9 @@ def test_validate_rejects_nonpositive():
         validate_params(SimParams(v_max=0.0))
     with pytest.raises(NonPositiveParameter):
         validate_params(SimParams(B=-1.0))
+    # Positive rates and headways whose products underflow leave no load split.
+    with pytest.raises(NonPositiveParameter, match=r"rho must be > 0, got 0\.0"):
+        SimParams(lam=(1e-200, 1e-200), B=1e-200, S=1e-200)
 
 
 def test_validate_rejects_clearance_below_headway():
@@ -241,6 +245,43 @@ def test_parse_config_rejects_malformed_values(data, message):
     with pytest.raises(ConfigError) as info:
         parse_config(data)
     assert message in str(info.value)
+
+
+@pytest.mark.parametrize(
+    "cls, kwargs, data, message",
+    [
+        (SimParams, {"region_spa_m": 1e20}, {"region_spa_m": 1e20},
+         "(region_pfa_m + region_spa_m) / v_max = 6.66667e+18 s is too long"),
+        (RunConfig, {"arrivals": [(1, 1e16), (2, 1e16 + 4.0)]},
+         {"arrivals": [[1, 1e16], [2, 1e16 + 4.0]]},
+         "arrival entry time 1e+16 s is out of range"),
+        (RunConfig, {"batch_cap": 0}, {"batch_cap": 0}, "batch_cap must be >= 1, got 0"),
+        (RunConfig, {"horizon_vehicles": 0}, {"horizon_vehicles": 0},
+         "horizon_vehicles must be >= 1, got 0"),
+        (RunConfig, {"arrivals": [(1, 1.0), (2, 0.5)]}, {"arrivals": [[1, 1.0], [2, 0.5]]},
+         "scripted arrivals must be sorted by entry time"),
+        (RunConfig, {"arrivals": [(3, 0.0)]}, {"arrivals": [[3, 0.0]]},
+         "arrival lane 3 outside 1..2"),
+        (RunConfig, {"seed": -1}, {"seed": -1}, "seed must be >= 0, got -1"),
+    ],
+    ids=["offset", "script-time", "batch-cap", "horizon", "unsorted", "lane", "seed"],
+)
+def test_library_refuses_what_the_config_refuses(cls, kwargs, data, message):
+    # One rule book: building the object in Python raises what the config
+    # file raises, word for word.
+    with pytest.raises(ConfigError) as built:
+        cls(**kwargs)
+    with pytest.raises(ConfigError) as parsed:
+        parse_config(data)
+    assert str(built.value) == str(parsed.value)
+    assert str(built.value).startswith(message)
+
+
+def test_params_and_config_are_frozen():
+    with pytest.raises(FrozenInstanceError):
+        SimParams().v_max = 30.0
+    with pytest.raises(FrozenInstanceError):
+        RunConfig().pfa = "gated"
 
 
 def test_parse_config_accepts_integral_floats():

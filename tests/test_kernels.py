@@ -7,6 +7,7 @@ each arrival. The kernel keeps only the live queue: the compaction tests
 run horizons around its block size and bound its memory.
 """
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -69,7 +70,7 @@ def test_paths_agree_on_scripted_arrivals(params, pfa, script):
         config = RunConfig(params=params, arrivals=arrivals, seed=1)
     else:
         config = load_config(TRAJ)
-    config.pfa = pfa
+    config = replace(config, pfa=pfa)
     assert_same_result(run(config, check=True), run_reference(config, check=True))
 
 

@@ -12,7 +12,7 @@ light-traffic expansion and the heavy-traffic constants:
 """
 import pytest
 
-from platoonsim.core import SimParams, UnstableLoad
+from platoonsim.core import NonPositiveParameter, SimParams, UnstableLoad
 from platoonsim.polling import (
     DISCIPLINES,
     UnsupportedDiscipline,
@@ -100,8 +100,9 @@ def test_approx_heavy_traffic_limit():
 
 
 def test_approx_zero_and_unstable():
-    idle = SimParams(lam=(0.0, 0.0))
-    assert approx_mean_delay(idle, "exhaustive", 1) == 0.0
+    with pytest.raises(NonPositiveParameter, match=r"lambda\[1\] must be > 0"):
+        SimParams(lam=(0.0, 0.0))
+    assert approx_mean_delay(sym_params(1e-12), "exhaustive", 1) < 1e-10
     with pytest.raises(UnstableLoad):
         approx_mean_delay(sym_params(1.0), "exhaustive", 1)
 

@@ -12,6 +12,7 @@ longer checks these values. Three anchors do:
 * a bound on the summary's memory, so the counts stay blockwise.
 """
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 from unittest import mock
 
@@ -101,8 +102,7 @@ def golden_config(name):
         return RunConfig(params=SimParams(), pfa=rest, arrivals=INLINE, seed=1)
     if kind == "traj":
         config = load_config(CONFIGS / "traj.json")
-        config.pfa = rest
-        return config
+        return replace(config, pfa=rest)
     if kind == "rings":
         arrivals = [[1, 0.1 * i] for i in range(4)]
         return RunConfig(params=SimParams(), pfa="batch", batch_cap=1, arrivals=arrivals, seed=1)

@@ -11,6 +11,7 @@ import dataclasses
 import json
 import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -356,6 +357,23 @@ def test_unstable_load_allowed_transient():
         res = run(config, steady_state=False)
     assert np.isfinite(res.mean)
     assert res.mean > 0.0
+
+
+def test_crossing_times_past_the_tie_grid_warn():
+    # 20 000 arrivals at 1e-3 veh/s per lane reach 9.9e6 s, past 2**23 s,
+    # where neighbouring floats are further apart than TIE_TOL.
+    params = SimParams(lam=(1e-3, 1e-3))
+    config = RunConfig(params=params, horizon_vehicles=20_000, seed=4)
+    with pytest.warns(UserWarning, match=r"crossing times reach 9\.9\d*e\+06 s") as caught:
+        res = run(config)
+    assert len(caught) == 1
+    assert np.isfinite(res.mean)
+
+
+def test_default_run_does_not_warn():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        run(RunConfig(horizon_vehicles=20_000, seed=4))
 
 
 # ===================== summary statistics =====================
