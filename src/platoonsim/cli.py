@@ -44,6 +44,9 @@ EXIT_ERROR = 1
 EXIT_CONFIG = 2
 EXIT_UNSTABLE = 3
 
+# The most points a --rho grid may hold: the list alone takes about 32 MB.
+MAX_RHO_POINTS = 1_000_000
+
 APPROX_CSV_HEADER = ("rho", "lane", "discipline", "K1", "K2", "omega", "approx_delay")
 
 
@@ -77,6 +80,7 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Dict[str, object
 def _parse_rho_grid(text: str, refuse: Optional[str] = None) -> List[float]:
     """The load grid A:B:STEP as a list of points, rounded to 10 decimals.
 
+    A grid of more than MAX_RHO_POINTS points is refused before any is built.
     With refuse, the first point >= 1 raises UnstableLoad with the message
     refuse.format(rho=point) before any later point is built, so refusing
     a long grid costs no more than refusing a short one.
@@ -92,11 +96,11 @@ def _parse_rho_grid(text: str, refuse: Optional[str] = None) -> List[float]:
         raise ConfigError(f"--rho must be finite, got {text!r}")
     if step <= 0 or hi < lo or lo <= 0:
         raise ConfigError(f"--rho needs A > 0, B >= A and STEP > 0, got {text!r}")
-    span = (hi - lo) / step
-    if not math.isfinite(span):
-        raise ConfigError(f"--rho grid has too many points, got {text!r}")
+    last = (hi - lo) / step + 1e-9  # the grid's points are 0 .. int(last)
+    if not last < MAX_RHO_POINTS:
+        raise ConfigError(f"--rho grid has more than {MAX_RHO_POINTS} points, got {text!r}")
     rhos = []
-    for i in range(int(span + 1e-9) + 1):
+    for i in range(int(last) + 1):
         rho = round(lo + i * step, 10)
         if refuse is not None and rho >= 1.0:
             raise UnstableLoad(refuse.format(rho=rho))

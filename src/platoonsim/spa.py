@@ -22,21 +22,17 @@ predecessor by the exact minimum of their gap, which is one quadratic in
 t between the breakpoints of the two trajectories.
 
 write_segments_csv exports the exact segments of a plan, and
-write_sampled_csv samples it at a fixed step for plotting. The sampler
-works on one trajectory at a time with numpy (running-sum sample times,
-a sorted segment lookup, evaluate's formulas on arrays) and writes the
-same bytes as calling evaluate per sample and csv.writer per row.
+write_sampled_csv samples it at a fixed step for plotting; both write
+through the _trajcsv module, which spa imports only when a table is
+written.
 """
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-import numpy as np
-
-from .core import PlatoonError, SimParams, Vehicle, write_atomic
+from .core import PlatoonError, SimParams, Vehicle
 
 __all__ = [
     "Trajectory",
@@ -52,8 +48,6 @@ __all__ = [
     "plan_min_distance",
     "plan_min_accel",
     "evaluate",
-    "area",
-    "accel_cost",
     "plan_schedule",
     "verify_separation",
     "write_segments_csv",
@@ -161,29 +155,6 @@ def evaluate(traj: Trajectory, t: float) -> Tuple[float, float, float]:
     x = seg.x_start + seg.v_start * dt + 0.5 * seg.accel * dt * dt
     v = seg.v_start + seg.accel * dt
     return x, v, seg.accel
-
-
-def area(traj: Trajectory) -> float:
-    """Integral of |x(t)| over [t0, t_f], exact per segment.
-
-    Analysis API: the objective plan_min_distance minimizes. No command
-    calls it. Positions are nonpositive on the approach (the vehicle never
-    passes the stop line before t_f), so |x| = -x and each segment
-    contributes a cubic antiderivative evaluated in closed form.
-    """
-    total = 0.0
-    for s in traj.segments:
-        d = s.duration
-        total -= s.x_start * d + 0.5 * s.v_start * d * d + s.accel * d * d * d / 6.0
-    return total
-
-
-def accel_cost(traj: Trajectory) -> float:
-    """Integral of |a(t)| over [t0, t_f]: sum of |accel| * duration.
-
-    Analysis API: the objective plan_min_accel minimizes. No command calls it.
-    """
-    return sum(abs(s.accel) * s.duration for s in traj.segments)
 
 
 # ===================== predecessor linkage and separation =====================
@@ -455,87 +426,15 @@ def plan_schedule(vehicles: Sequence[Vehicle], params: SimParams,
 
 # ===================== CSV export =====================
 
-def _segment_rows(traj: Trajectory) -> str:
-    """One trajectory's rows of the segment table, as csv.writer writes them."""
-    return "".join(
-        f"{traj.vehicle_id},{i},{s.t_start:.10g},{s.duration:.10g},{s.accel:.10g},"
-        f"{s.x_start:.10g},{s.v_start:.10g}\r\n"
-        for i, s in enumerate(traj.segments)
-    )
-
-
 def write_segments_csv(trajectories: Sequence[Trajectory], path: str) -> None:
     """Exact segment table: vehicle_id, segment_index, t_start, duration, accel, x_start, v_start.
 
     Cells are 10-significant-digit floats and rows end in \\r\\n; the file
-    is written atomically (write_atomic), one trajectory at a time.
+    is written atomically (core.write_atomic), a block of trajectories at a
+    time.
     """
-    header = "vehicle_id,segment_index,t_start,duration,accel,x_start,v_start\r\n"
-    write_atomic(path, itertools.chain((header,), map(_segment_rows, trajectories)))
-
-
-def _sample_times(t0: float, t_f: float, dt: float) -> np.ndarray:
-    """t0, t0 + dt, ... while below t_f - 1e-12, then t_f itself.
-
-    The times are running sums (t += dt, in order), not t0 + k * dt, so
-    each one has the bits a scalar loop would give.
-    """
-    stop = t_f - 1e-12
-    n = max(int((stop - t0) / dt), 0) + 3  # the estimate plus rounding slack
-    if n > np.iinfo(np.intp).max // 8:  # more bytes than an array can index
-        raise MemoryError(f"cannot sample {n:.3g} times from t={t0} to t={t_f} at dt={dt}")
-    ts = np.full(n, dt, dtype=np.float64)
-    ts[0] = t0
-    np.cumsum(ts, out=ts)
-    while ts[-1] < stop:  # rounding drift outran the estimate: sum on
-        more = np.full(n + 1, dt, dtype=np.float64)
-        more[0] = ts[-1]
-        np.cumsum(more, out=more)
-        if more[-1] == ts[-1]:
-            raise ValueError(f"step dt={dt} does not advance t={ts[-1]}")
-        ts = np.concatenate((ts, more[1:]))
-    k = int(ts.searchsorted(stop))  # ts ascends: the count of ts < stop
-    ts = ts[:k + 1]
-    ts[k] = t_f
-    return ts
-
-
-def _sampled_rows(traj: Trajectory, dt: float) -> str:
-    """One trajectory's rows of the sampled table, as evaluate gives them."""
-    if traj.t_f < traj.t0 - FEAS_TOL:
-        raise OutOfDomain(f"t={traj.t_f} outside [{traj.t0}, {traj.t_f}]")
-    segs = traj.segments
-    ts = _sample_times(traj.t0, traj.t_f, dt)
-    table = np.array(
-        [(s.t_start, s.duration, s.accel, s.x_start, s.v_start) for s in segs], dtype=np.float64
-    )
-    # evaluate's choice: segment j takes the times from its start up to the
-    # next segment's start; the first also takes any time before its start.
-    bounds = np.concatenate(([0], ts.searchsorted(table[1:, 0]), [ts.size]))
-    t_start, duration, accel, x_start, v_start = table.repeat(np.diff(bounds), axis=0).T
-    # min(max(t - t_start, 0), duration) with Python's tie and NaN rules.
-    d = ts - t_start
-    d = np.where(0.0 > d, 0.0, d)
-    d = np.where(duration < d, duration, d)
-    x = x_start + v_start * d + 0.5 * accel * d * d
-    v = v_start + accel * d
-    # A segment's rows share its acceleration cell, and its speed cell too
-    # when the speed keeps its bits (no acceleration): both formatted once.
-    t_l, x_l, v_l = ts.tolist(), x.tolist(), v.tolist()
-    v_bits = v.view(np.int64)
-    head = f"{traj.vehicle_id},%.10g,%.10g,"
-    parts: List[str] = []
-    cuts = bounds.tolist()
-    for seg, lo, hi in zip(segs, cuts, cuts[1:]):
-        if lo == hi:
-            continue
-        tail = f",{seg.accel:.10g}\r\n"
-        if (v_bits[lo:hi] == v_bits[lo]).all():
-            rows = map(f"{head}{v_l[lo]:.10g}{tail}".__mod__, zip(t_l[lo:hi], x_l[lo:hi]))
-        else:
-            rows = map(f"{head}%.10g{tail}".__mod__, zip(t_l[lo:hi], x_l[lo:hi], v_l[lo:hi]))
-        parts.extend(rows)
-    return "".join(parts)
+    from . import _trajcsv  # here: every command loads spa, and only traj writes tables
+    _trajcsv.write_segments_csv(trajectories, path)
 
 
 def write_sampled_csv(trajectories: Sequence[Trajectory], path: str, dt: float = 0.1) -> None:
@@ -544,10 +443,10 @@ def write_sampled_csv(trajectories: Sequence[Trajectory], path: str, dt: float =
     Per trajectory the rows are the times t0, t0 + dt, ... below t_f, then
     t_f, each with evaluate's (x, v, a); cells are 10-significant-digit
     floats and rows end in \\r\\n, as csv.writer writes them. The rows are
-    computed with numpy and written atomically (write_atomic), one
-    trajectory at a time.
+    computed with numpy and written atomically (core.write_atomic), one block
+    of trajectories at a time: whole trajectories whose sample matrix
+    (trajectories x the longest one's running-sum steps) fits in
+    _trajcsv.SAMPLE_BLOCK cells, or one longer trajectory.
     """
-    if not dt > 0.0:
-        raise ValueError(f"dt must be > 0, got {dt}")
-    rows = (_sampled_rows(traj, dt) for traj in trajectories)
-    write_atomic(path, itertools.chain(("vehicle_id,t,x,v,a\r\n",), rows))
+    from . import _trajcsv
+    _trajcsv.write_sampled_csv(trajectories, path, dt)

@@ -1,7 +1,8 @@
 """Shared audit helpers for the trajectory planners and the arrival streams.
 
-Seven jobs:
+Eight jobs:
 
+* state the two planners' objectives exactly (area, accel_cost),
 * search the single-dip profile family by brute force on a grid of
   breakpoints (oracle_min), draw random feasible planning instances and
   compare the closed-form planners against that search,
@@ -11,6 +12,8 @@ Seven jobs:
   the piecewise form allows it,
 * write the sampled trajectory table one evaluate call and one
   csv.writer row per sample, the reference for spa.write_sampled_csv,
+  and the segment table one csv.writer row per segment, the reference
+  for spa.write_segments_csv,
 * sample the separation of a trajectory pair on a fixed grid, the
   reference for spa.verify_separation's exact minimum gap,
 * state two conditions in closed form that the package does not ship:
@@ -41,12 +44,35 @@ from platoonsim.spa import (
     TrajectoryError,
     _build_segments,
     _linked_t_full,
-    accel_cost,
-    area,
     evaluate,
     plan_min_accel,
     plan_min_distance,
 )
+
+
+# ===================== planner objectives =====================
+
+def area(traj: Trajectory) -> float:
+    """Integral of |x(t)| over [t0, t_f], exact per segment.
+
+    The objective plan_min_distance minimizes. Positions are nonpositive
+    on the approach (the vehicle never passes the stop line before t_f),
+    so |x| = -x and each segment contributes a cubic antiderivative
+    evaluated in closed form.
+    """
+    total = 0.0
+    for s in traj.segments:
+        d = s.duration
+        total -= s.x_start * d + 0.5 * s.v_start * d * d + s.accel * d * d * d / 6.0
+    return total
+
+
+def accel_cost(traj: Trajectory) -> float:
+    """Integral of |a(t)| over [t0, t_f]: sum of |accel| * duration.
+
+    The objective plan_min_accel minimizes.
+    """
+    return sum(abs(s.accel) * s.duration for s in traj.segments)
 
 
 # ===================== discretized oracle =====================
@@ -480,6 +506,19 @@ def write_sampled_csv_reference(
             w.writerow(
                 [traj.vehicle_id, f"{traj.t_f:.10g}", f"{x:.10g}", f"{v:.10g}", f"{a:.10g}"]
             )
+
+
+def write_segments_csv_reference(trajectories: Sequence[Trajectory], path: str) -> None:
+    """The segment table by csv.writer, one row per segment."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        w = csv.writer(fh)
+        w.writerow(["vehicle_id", "segment_index", "t_start", "duration", "accel", "x_start",
+                    "v_start"])
+        for traj in trajectories:
+            for i, s in enumerate(traj.segments):
+                w.writerow([traj.vehicle_id, i] + [
+                    f"{v:.10g}" for v in (s.t_start, s.duration, s.accel, s.x_start, s.v_start)
+                ])
 
 
 def _sample_x(traj: Trajectory, ts: np.ndarray) -> np.ndarray:

@@ -32,6 +32,7 @@ import numpy as np
 import pytest
 
 from oracle_utils import (
+    accel_cost,
     assert_regular,
     audit_separation,
     audit_trajectory,
@@ -51,7 +52,7 @@ from platoonsim.pfa import (
 )
 from platoonsim.polling import approx_mean_delay, ht_omega, light_traffic_delay
 from platoonsim.sim import RunResult, make_arrivals, run
-from platoonsim.spa import accel_cost, plan_min_accel, plan_min_distance, plan_schedule
+from platoonsim.spa import plan_min_accel, plan_min_distance, plan_schedule
 
 ROOT = Path(__file__).resolve().parents[1]
 GRID = tuple(round(0.1 * k, 1) for k in range(1, 10))

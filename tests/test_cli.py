@@ -16,7 +16,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from platoonsim import cli, sim, spa
+from platoonsim import _trajcsv, cli, sim
 from platoonsim.core import SimParams
 
 from oracle_utils import make_physical_arrivals
@@ -262,6 +262,20 @@ def test_run_missing_config_is_usage_error(tmp_path):
     assert cli.main(["run", "--config", str(tmp_path / "nope.json"), "--out", str(tmp_path)]) == 2
 
 
+@pytest.mark.parametrize("text", ['{"seed": ' + "9" * 5000 + "}", '\xff{"seed": 1}',
+                                  "[" * 100_000 + "]" * 100_000],
+                         ids=["long-integer", "not-utf8", "deep-nesting"])
+def test_unreadable_config_is_one_line(tmp_path, capsys, text):
+    # An integer past Python's 4 300-digit conversion limit, a file that is
+    # not UTF-8, and nesting deeper than the decoder recurses: one error
+    # line, no traceback.
+    path = tmp_path / "bad.json"
+    path.write_bytes(text.encode("latin-1"))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.startswith(f"error: config file {path} cannot be read: ")
+
+
 def test_run_unstable_load_exit_code(tmp_path):
     cfg = {
         "n": 2,
@@ -472,6 +486,21 @@ def test_refused_grid_stops_at_first_unstable_point(tmp_path, capsys, command, m
     assert peak < 2 ** 20
 
 
+def test_oversized_rho_grid_is_refused_before_it_is_built(tmp_path, capsys):
+    # About 8e11 points: refused from the count, with no list allocated.
+    tracemalloc.start()
+    try:
+        code = cli.main(["sweep", "--config", SYM, "--out", str(tmp_path),
+                         "--rho", "0.1:0.9:1e-12"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 2
+    assert capsys.readouterr().err == (
+        f"error: --rho grid has more than {cli.MAX_RHO_POINTS} points, got '0.1:0.9:1e-12'\n")
+    assert peak < 2 ** 20
+
+
 @pytest.mark.parametrize(
     "grid", ["0.5", "0.5:0.4:0.1", "0.2:0.4:0", "a:b:c", "0:0.5:0.1", "-0.1:0.5:0.1",
              "nan:0.5:0.1", "0.1:inf:0.1", "0.1:1e308:1e-300"]
@@ -538,11 +567,14 @@ def test_traj_writes_segment_and_sample_files(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "formatter, name",
-    [("_segment_rows", "traj_segments.csv"), ("_sampled_rows", "traj_sampled.csv")],
+    [("_segment_block", "traj_segments.csv"), ("_sampled_block", "traj_sampled.csv")],
 )
 def test_traj_failure_keeps_previous_file(tmp_path, monkeypatch, formatter, name):
     # Whichever file's formatter fails (name), both keep their previous bytes.
-    monkeypatch.setattr(spa, formatter, fail_on_second_call(getattr(spa, formatter)))
+    # One trajectory per block, so the failing block follows a written one.
+    monkeypatch.setattr(_trajcsv, "SEGMENT_BLOCK", 1)
+    monkeypatch.setattr(_trajcsv, "SAMPLE_BLOCK", 1)
+    monkeypatch.setattr(_trajcsv, formatter, fail_on_second_call(getattr(_trajcsv, formatter)))
     names = ("traj_segments.csv", "traj_sampled.csv")
     seed_previous_artifacts(tmp_path, *names)
     with pytest.raises(RuntimeError, match="formatter failed"):

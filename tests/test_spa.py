@@ -29,9 +29,6 @@ from platoonsim.spa import (
     SeparationViolation,
     Trajectory,
     _build_segments,
-    _sample_times,
-    accel_cost,
-    area,
     evaluate,
     plan_min_accel,
     plan_min_distance,
@@ -41,7 +38,15 @@ from platoonsim.spa import (
     write_segments_csv,
 )
 
-from oracle_utils import check_overcrowding, physical_schedule, write_sampled_csv_reference
+from platoonsim._trajcsv import _sample_times
+
+from oracle_utils import (
+    accel_cost,
+    area,
+    check_overcrowding,
+    physical_schedule,
+    write_sampled_csv_reference,
+)
 
 T_TILDE = math.sqrt(12.5)
 

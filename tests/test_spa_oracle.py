@@ -10,8 +10,6 @@ import pytest
 
 from platoonsim.core import Vehicle
 from platoonsim.spa import (
-    accel_cost,
-    area,
     evaluate,
     plan_min_accel,
     plan_min_distance,
@@ -19,6 +17,8 @@ from platoonsim.spa import (
 )
 
 from oracle_utils import (
+    accel_cost,
+    area,
     audit_separation,
     audit_trajectory,
     oracle_gap_rows,
