@@ -8,8 +8,11 @@ block from one row-wise cumsum, gives each sample its segment by counting
 the later segment starts at or before it, and applies spa.evaluate's
 clamp and formulas to arrays. Every float cell of both tables is printed
 by one exact vectorised '%.10g' (_g10_cells), which leaves to Python only
-the values it cannot prove correctly rounded. The bytes are those of
-calling spa.evaluate per sample and csv.writer per row.
+the values it cannot prove correctly rounded; a segment without
+acceleration prints its held speed once for all its samples. The cells
+of a block go, one V{width} item each, into a bytearray-backed row
+matrix whose NUL padding is squeezed out in place. The bytes are those
+of calling spa.evaluate per sample and csv.writer per row.
 """
 from __future__ import annotations
 
@@ -23,10 +26,13 @@ from .core import write_atomic
 from .spa import FEAS_TOL, OutOfDomain, Trajectory
 
 # Sample-matrix cells (trajectories x the longest one's samples) of one
-# block of the sampled table; a longer trajectory is a block of its own.
-SAMPLE_BLOCK = 4096
+# block of the sampled table, about 9 800 rows on traj-plan's scenario; a
+# longer trajectory is a block of its own.
+SAMPLE_BLOCK = 12288
 # Trajectories per block of the segment table.
 SEGMENT_BLOCK = 512
+# Bytes of the row matrix squeezed at a time.
+SQUEEZE = 1 << 16
 
 
 @functools.lru_cache(maxsize=None)
@@ -56,11 +62,12 @@ _TENS_INT = 10 ** np.arange(17, dtype=np.int64)
 
 
 def _split_group(digits: np.ndarray, more: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """The last four digits and the rest; all of digits, when no group is left."""
+    """The last four digits (in place of digits) and the rest; all of digits when none is left."""
     if not more:
         return digits, None
     rest = digits // 10_000
-    return digits - rest * 10_000, rest
+    digits -= rest * 10_000
+    return digits, rest
 
 
 def _g10_cells(values: np.ndarray) -> np.ndarray:
@@ -83,33 +90,47 @@ def _g10_cells(values: np.ndarray) -> np.ndarray:
     Python's '%.10g': NaN, infinities, |v| below 1e-4 or from 1e10 up, m
     within 1e-5 of a tie, and m outside [10^9 - 1/2, 10^10 - 1/2), where
     log10 misplaced e next to a power of ten or N carries into the next
-    decade.
+    decade. Most steps work in place, and temporaries go once used up.
     """
     plain, lead, units, trail = _digit_tables()
     n = values.size
-    mag = np.abs(values)
-    fast = (mag < 1e10) & ((mag >= 1e-4) | (mag == 0.0))
-    mag = np.where(fast, mag, 0.0)
+    m = np.abs(values)
+    fast = (m < 1e10) & ((m >= 1e-4) | (m == 0.0))
+    np.copyto(m, 0.0, where=~fast)
     e = np.full(n, 9.0)
-    np.log10(mag, out=e, where=mag > 0.0)
-    q = np.clip(9.0 - np.floor(e), 0, 13).astype(np.intp)
+    np.log10(m, out=e, where=m > 0.0)
+    np.subtract(9.0, np.floor(e, out=e), out=e)
+    q = np.clip(e, 0, 13, out=e).astype(np.intp)
+    del e
     scale = _TENS[q]
-    m = mag * scale
+    m *= scale  # still 0 exactly where |v| is 0 or was set to 0
     big = np.rint(m)
-    fast &= (np.abs(m - big) < 0.5 - 1e-5) & (((m >= 999_999_999.5) & (m < 9_999_999_999.5))
-                                               | (mag == 0.0))
-    whole = np.floor(big / scale)  # exact, and so are the next two lines
-    frac = (big - whole * scale).astype(np.int64)
+    fast &= ((m >= 999_999_999.5) & (m < 9_999_999_999.5)) | (m == 0.0)
+    m -= big
+    fast &= np.abs(m, out=m) < 0.5 - 1e-5
+    del m
+    whole = big / scale
+    np.floor(whole, out=whole)  # exact, and so are the next two lines
+    scale *= whole
+    big -= scale
+    del scale
+    frac = big.astype(np.int64)
+    del big
     whole = whole.astype(np.int64)
     has_frac = frac != 0
     slow = np.flatnonzero(~fast)
+    del fast
     texts = [("%.10g" % v).encode() for v in values[slow].tolist()]
 
     negative = np.signbit(values)
     signed = bool(negative.any())
     top = int(whole.max()) if n else 0
     n_int = 1 if top < 10 ** 4 else 2 if top < 10 ** 8 else 3
-    n_frac = -(-int(q[has_frac].max()) // 4) if has_frac.any() else 0
+    n_frac = -(-int(np.where(has_frac, q, 0).max(initial=0)) // 4)
+    if n_frac:  # the fraction digits as 4 * n_frac digits, trailing zeros included
+        np.maximum(np.subtract(4 * n_frac, q, out=q), 0, out=q)
+        frac *= _TENS_INT[q]
+    del q
     width = signed + 4 * n_int + (1 + 4 * n_frac if n_frac else 0)
     width = max([width] + [len(t) for t in texts])
     cells = np.zeros((n, width), dtype=np.uint8)
@@ -124,16 +145,19 @@ def _g10_cells(values: np.ndarray) -> np.ndarray:
         low = units if k == 0 else lead
         put(signed + 4 * (n_int - 1 - k), low[g] if k == n_int - 1
             else np.where(whole > 0, plain[g], low[g]))
+    del g
     if n_frac:
         point = signed + 4 * n_int
         cells[:, point] = np.where(has_frac, ord("."), 0)
-        frac *= _TENS_INT[np.maximum(4 * n_frac - q, 0)]
         later = None  # a nonzero group after this one keeps its trailing zeros
         for k in range(n_frac):
             g, frac = _split_group(frac, k < n_frac - 1)
             put(point + 1 + 4 * (n_frac - 1 - k),
                 trail[g] if later is None else np.where(later, plain[g], trail[g]))
-            later = g > 0 if later is None else later | (g > 0)
+            if later is None:
+                later = g > 0
+            else:
+                later |= g > 0
     if texts:
         cells[slow] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     return cells
@@ -145,22 +169,62 @@ def _int_cells(values: Sequence[int]) -> np.ndarray:
     return texts.view(np.uint8).reshape(len(texts), texts.dtype.itemsize)
 
 
-def _csv_rows(columns: List[np.ndarray]) -> str:
-    """Rows of NUL-padded cells joined by commas, each ended by \\r\\n.
+def _items(cells: np.ndarray, width: int) -> np.ndarray:
+    """Each cell of a cell matrix as one V{width} item, NUL-padded on the right to width."""
+    if cells.shape[1] < width:
+        cells = np.concatenate(
+            [cells, np.zeros((cells.shape[0], width - cells.shape[1]), np.uint8)], axis=1)
+    return cells.view(f"V{width}")[:, 0]
 
-    Takes the cells out of columns one by one, so each is freed once copied.
+
+# One part of a column: cell matrix, the cell of each row (None: one cell
+# per row, in order) and the rows it fills (None: every row, in order).
+Part = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
+
+
+def _put_column(text: bytearray, width: int, start: int, parts: List[Part]) -> int:
+    """Write a column and its comma at byte start of every row; the next column's start.
+
+    The parts are written in turn, each at the column's width, so a later
+    part overwrites the rows it fills whole.
     """
-    n = columns[0].shape[0]
-    rows = np.empty((n, sum(c.shape[1] for c in columns) + len(columns) + 1), dtype=np.uint8)
-    o = 0
+    size = max(cells.shape[1] for cells, _, _ in parts)
+    n = len(text) // width
+    field = np.ndarray((n,), f"V{size}", text, start, (width,))
+    for cells, index, rows in parts:
+        items = _items(cells, size)
+        if index is not None:
+            np.take(items, index, out=field, mode="clip")  # valid indices; "clip" is unbuffered
+        elif rows is not None:
+            field[rows] = items
+        else:
+            field[...] = items
+    np.ndarray((n,), np.uint8, text, start + size, (width,))[...] = ord(",")
+    return start + size + 1
+
+
+def _csv_rows(n: int, columns: List[List[Part]]) -> str:
+    """n rows of cells joined by commas, each ended by \\r\\n, without the NULs.
+
+    Every cell is moved as one V{width} item into a bytearray-backed row
+    matrix, and each column is let go once copied. The NULs are then
+    squeezed out of the bytearray in place, SQUEEZE bytes at a time, so the
+    matrix is never copied whole.
+    """
+    width = sum(max(cells.shape[1] for cells, _, _ in parts) for parts in columns)
+    width += len(columns) + 1
+    text = bytearray(n * width)
+    start = 0
     while columns:
-        cells = columns.pop(0)
-        rows[:, o:o + cells.shape[1]] = cells
-        o += cells.shape[1]
-        rows[:, o] = ord(",")
-        o += 1
-    rows[:, o - 1:] = np.frombuffer(b"\r\n", dtype=np.uint8)
-    return rows.tobytes().translate(None, b"\0").decode("ascii")
+        start = _put_column(text, width, start, columns.pop(0))
+    np.ndarray((n, 2), np.uint8, text, width - 2, (width, 1))[...] = (ord("\r"), ord("\n"))
+    kept = 0
+    for start in range(0, len(text), SQUEEZE):  # kept <= start: the squeezed text fits behind
+        part = text[start:start + SQUEEZE].translate(None, b"\0")
+        text[kept:kept + len(part)] = part
+        kept += len(part)
+    del text[kept:]
+    return text.decode("ascii")
 
 
 def _segment_block(trajectories: Sequence[Trajectory]) -> str:
@@ -171,9 +235,10 @@ def _segment_block(trajectories: Sequence[Trajectory]) -> str:
     per_traj = np.array([len(traj.segments) for traj in trajectories])
     owner = np.repeat(np.arange(len(trajectories)), per_traj)
     index = np.arange(len(segs)) - np.repeat(np.cumsum(per_traj) - per_traj, per_traj)
-    ids = _int_cells([traj.vehicle_id for traj in trajectories])[owner]
-    return _csv_rows([ids, _int_cells(range(int(per_traj.max())))[index]]
-                     + [_g10_cells(col) for col in table.T])
+    ids = _int_cells([traj.vehicle_id for traj in trajectories])
+    return _csv_rows(len(segs), [[(ids, owner, None)],
+                                 [(_int_cells(range(int(per_traj.max()))), index, None)]]
+                     + [[(_g10_cells(col), None, None)] for col in table.T])
 
 
 def write_segments_csv(trajectories: Sequence[Trajectory], path: str) -> None:
@@ -233,7 +298,9 @@ def _sampled_block(trajectories: Sequence[Trajectory], dt: float) -> str:
     Each sample takes the segment evaluate picks, the first one moved on
     by one for each later segment start at or before the sample, then
     evaluate's clamp and formulas in the same order, so every value keeps
-    evaluate's bits.
+    evaluate's bits. Only the samples of accelerating segments print their
+    own v = v_start + accel * d: for every finite d >= +0 and accel = +-0,
+    that is v_start + accel * 0.0, one cell per segment.
     """
     times, rows = _sample_times([traj.t0 for traj in trajectories],
                                 [traj.t_f for traj in trajectories], dt)
@@ -249,19 +316,25 @@ def _sampled_block(trajectories: Sequence[Trajectory], dt: float) -> str:
         later[has] = t_start[first[has] + j]
         seg += np.repeat(later, rows) <= times
     ids = _int_cells([traj.vehicle_id for traj in trajectories])
-    columns = [ids[np.repeat(np.arange(len(trajectories)), rows)]]
+    columns = [[(ids[np.repeat(np.arange(len(trajectories)), per_traj)], seg, None)]]
     # min(max(t - t_start, 0), duration) with Python's tie and NaN rules.
     d = times - t_start[seg]
-    columns.append(_g10_cells(times))
+    columns.append([(_g10_cells(times), None, None)])
     del times
     np.copyto(d, 0.0, where=0.0 > d)
     dur = duration[seg]
     np.copyto(d, dur, where=dur < d)
     del dur
+    # The samples whose v may differ from their segment's held speed:
+    # accel not +-0, or d not finite and >= +0 (-0.0, inf or nan).
+    moving = np.flatnonzero((accel != 0.0)[seg] | np.signbit(d) | ~(d < np.inf))
+    at = seg[moving]
+    v = accel[at]
+    v *= d[moving]
+    v += v_start[at]  # v_start + accel * d
+    del at
+    held, v = _g10_cells(accel * 0.0 + v_start), _g10_cells(v)
     x = v_start[seg]
-    v = accel[seg]
-    v *= d
-    v += x  # v_start + accel * d
     x *= d
     x += x_start[seg]  # x_start + v_start * d
     half = (0.5 * accel)[seg]
@@ -269,12 +342,11 @@ def _sampled_block(trajectories: Sequence[Trajectory], dt: float) -> str:
     half *= d
     x += half  # ... + 0.5 * accel * d * d
     del d, half
-    columns.append(_g10_cells(x))
+    columns.append([(_g10_cells(x), None, None)])
     del x
-    columns.append(_g10_cells(v))
-    del v
-    columns.append(_g10_cells(accel)[seg])
-    return _csv_rows(columns)
+    columns.append([(held, seg, None), (v, None, moving)])
+    columns.append([(_g10_cells(accel), seg, None)])
+    return _csv_rows(seg.size, columns)
 
 
 def _sample_blocks(trajectories: Sequence[Trajectory], dt: float) -> Iterator[str]:

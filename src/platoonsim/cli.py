@@ -80,7 +80,8 @@ def _write_csv(path: str, header: Sequence[str], rows: Sequence[Dict[str, object
 def _parse_rho_grid(text: str, refuse: Optional[str] = None) -> List[float]:
     """The load grid A:B:STEP as a list of points, rounded to 10 decimals.
 
-    A grid of more than MAX_RHO_POINTS points is refused before any is built.
+    A grid of more than MAX_RHO_POINTS points, or whose first point rounds
+    to 0, is refused before any is built.
     With refuse, the first point >= 1 raises UnstableLoad with the message
     refuse.format(rho=point) before any later point is built, so refusing
     a long grid costs no more than refusing a short one.
@@ -96,6 +97,8 @@ def _parse_rho_grid(text: str, refuse: Optional[str] = None) -> List[float]:
         raise ConfigError(f"--rho must be finite, got {text!r}")
     if step <= 0 or hi < lo or lo <= 0:
         raise ConfigError(f"--rho needs A > 0, B >= A and STEP > 0, got {text!r}")
+    if round(lo, 10) <= 0:  # every point is rounded, and the first is the least
+        raise ConfigError(f"--rho's first point rounds to 0 at 10 decimals, got {text!r}")
     last = (hi - lo) / step + 1e-9  # the grid's points are 0 .. int(last)
     if not last < MAX_RHO_POINTS:
         raise ConfigError(f"--rho grid has more than {MAX_RHO_POINTS} points, got {text!r}")

@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from .core import PlatoonError, SimParams, Vehicle
@@ -166,23 +167,7 @@ def _linked_t_full(t_f: float, pred: Optional[Trajectory], link_gap: float) -> f
     return t_f
 
 
-def _segment_at(traj: Trajectory, t: float) -> Segment:
-    """The first segment ending at or after t; the last one past the end."""
-    for seg in traj.segments:
-        if t <= seg.t_start + seg.duration:
-            return seg
-    return traj.segments[-1]
-
-
-def _state(seg: Segment, t: float) -> Tuple[float, float, float]:
-    """(x, v, a) on seg's quadratic at t; held (v = a = 0) outside the segment."""
-    d = t - seg.t_start
-    inside = 0.0 <= d <= seg.duration
-    d = min(max(d, 0.0), seg.duration)
-    x = seg.x_start + seg.v_start * d + 0.5 * seg.accel * d * d
-    if not inside:
-        return x, 0.0, 0.0
-    return x, seg.v_start + seg.accel * d, seg.accel
+_kinematics = attrgetter("t_start", "duration", "x_start", "v_start", "accel")
 
 
 def _min_gap(leader: Trajectory, follower: Trajectory, t_lo: float,
@@ -191,28 +176,44 @@ def _min_gap(leader: Trajectory, follower: Trajectory, t_lo: float,
 
     Between the merged breakpoints of both trajectories each position is
     one quadratic in t, so the gap is too: its minimum lies at a piece end
-    or, when the relative acceleration is positive, at the vertex. A
-    trajectory past its last segment is held there. Ties go to the
-    earliest time.
+    or, when the relative acceleration is positive, at the vertex. One
+    forward walk gives each piece, per trajectory, the first segment ending
+    at or after its midpoint (past the end, the last one: held there).
+    Ties go to the earliest time.
     """
-    cuts = sorted({t_lo, t_hi, *(
-        t for traj in (leader, follower) for s in traj.segments
-        for t in (s.t_start, s.t_start + s.duration) if t_lo < t < t_hi
-    )})
-    best = (math.inf, t_lo)
+    segs_l, segs_f = leader.segments, follower.segments
+    cuts = sorted({t_lo, t_hi, *(t for segs in (segs_l, segs_f) for s in segs
+                                 for t in (s.t_start, s.t_start + s.duration) if t_lo < t < t_hi)})
+    i, j, last_l, last_f = 0, 0, len(segs_l) - 1, len(segs_f) - 1
+    s_l, dur_l, x_l, v_l, a_l = _kinematics(segs_l[0])
+    s_f, dur_f, x_f, v_f, a_f = _kinematics(segs_f[0])
+    best, best_t = math.inf, t_lo
     for p, q in zip(cuts, cuts[1:]):
         mid = 0.5 * (p + q)
-        seg_l, seg_f = _segment_at(leader, mid), _segment_at(follower, mid)
-        times = [p, q]
-        _, v_l, a_l = _state(seg_l, mid)
-        _, v_f, a_f = _state(seg_f, mid)
-        rel_a = a_l - a_f
+        while i < last_l and mid > s_l + dur_l:
+            i += 1
+            s_l, dur_l, x_l, v_l, a_l = _kinematics(segs_l[i])
+        while j < last_f and mid > s_f + dur_f:
+            j += 1
+            s_f, dur_f, x_f, v_f, a_f = _kinematics(segs_f[j])
+        # Speed and acceleration at the midpoint: 0 outside the segment.
+        d_l, d_f = mid - s_l, mid - s_f
+        in_l, in_f = 0.0 <= d_l <= dur_l, 0.0 <= d_f <= dur_f
+        rel_a = (a_l if in_l else 0.0) - (a_f if in_f else 0.0)
+        times = (p, q)
         if rel_a > 0.0:
-            t = mid - (v_l - v_f) / rel_a
-            if p < t < q:
-                times.append(t)
-        best = min(best, *((_state(seg_l, t)[0] - _state(seg_f, t)[0], t) for t in times))
-    return best
+            rel_v = (v_l + a_l * d_l if in_l else 0.0) - (v_f + a_f * d_f if in_f else 0.0)
+            t = mid - rel_v / rel_a
+            times = (p, q, t) if p < t < q else times
+        for t in times:  # d = min(max(t - t_start, 0), duration), as Python picks
+            d_l, d_f = t - s_l, t - s_f
+            d_l, d_f = 0.0 if 0.0 > d_l else d_l, 0.0 if 0.0 > d_f else d_f
+            d_l, d_f = dur_l if dur_l < d_l else d_l, dur_f if dur_f < d_f else d_f
+            gap = x_l + v_l * d_l + 0.5 * a_l * d_l * d_l
+            gap -= x_f + v_f * d_f + 0.5 * a_f * d_f * d_f
+            if gap < best or gap == best and t < best_t:
+                best, best_t = gap, t
+    return best, best_t
 
 
 def verify_separation(leader: Trajectory, follower: Trajectory, l_min: float,
@@ -443,10 +444,9 @@ def write_sampled_csv(trajectories: Sequence[Trajectory], path: str, dt: float =
     Per trajectory the rows are the times t0, t0 + dt, ... below t_f, then
     t_f, each with evaluate's (x, v, a); cells are 10-significant-digit
     floats and rows end in \\r\\n, as csv.writer writes them. The rows are
-    computed with numpy and written atomically (core.write_atomic), one block
-    of trajectories at a time: whole trajectories whose sample matrix
-    (trajectories x the longest one's running-sum steps) fits in
-    _trajcsv.SAMPLE_BLOCK cells, or one longer trajectory.
+    computed with numpy and written atomically (core.write_atomic), a block
+    of trajectories at a time: as many whole ones as fit _trajcsv.SAMPLE_BLOCK
+    sample-matrix cells, or one longer trajectory.
     """
     from . import _trajcsv
     _trajcsv.write_sampled_csv(trajectories, path, dt)

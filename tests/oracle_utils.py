@@ -15,7 +15,9 @@ Eight jobs:
   and the segment table one csv.writer row per segment, the reference
   for spa.write_segments_csv,
 * sample the separation of a trajectory pair on a fixed grid, the
-  reference for spa.verify_separation's exact minimum gap,
+  reference for spa.verify_separation's exact minimum gap, and compute
+  that minimum piece by piece, looking each piece's segments up afresh
+  (min_gap_reference), the reference for spa._min_gap's single walk,
 * state two conditions in closed form that the package does not ship:
   schedule regularity (assert_regular) and the overcrowding bound of a
   linked platoon (check_overcrowding),
@@ -40,6 +42,7 @@ from platoonsim.sim import run_reference
 from platoonsim.spa import (
     FEAS_TOL,
     PlannedSchedule,
+    Segment,
     Trajectory,
     TrajectoryError,
     _build_segments,
@@ -562,6 +565,56 @@ def separation_shortfalls_reference(leader: Trajectory, follower: Trajectory, l_
     gap = _sample_x(leader, ts) - _sample_x(follower, ts)
     bad = gap < l_min - tol
     return ts[bad], gap[bad]
+
+
+def _segment_at(traj: Trajectory, t: float) -> Segment:
+    """The first segment ending at or after t; the last one past the end."""
+    for seg in traj.segments:
+        if t <= seg.t_start + seg.duration:
+            return seg
+    return traj.segments[-1]
+
+
+def _state(seg: Segment, t: float) -> Tuple[float, float, float]:
+    """(x, v, a) on seg's quadratic at t; held (v = a = 0) outside the segment."""
+    d = t - seg.t_start
+    inside = 0.0 <= d <= seg.duration
+    d = min(max(d, 0.0), seg.duration)
+    x = seg.x_start + seg.v_start * d + 0.5 * seg.accel * d * d
+    if not inside:
+        return x, 0.0, 0.0
+    return x, seg.v_start + seg.accel * d, seg.accel
+
+
+def min_gap_reference(leader: Trajectory, follower: Trajectory, t_lo: float,
+                      t_hi: float) -> Tuple[float, float]:
+    """Exact minimum of leader.x - follower.x over [t_lo, t_hi], and its time.
+
+    Between the merged breakpoints of both trajectories each position is
+    one quadratic in t, so the gap is too: its minimum lies at a piece end
+    or, when the relative acceleration is positive, at the vertex. Each
+    piece looks up its segments at its midpoint from the first segment on;
+    a trajectory past its last segment is held there. Ties go to the
+    earliest time.
+    """
+    cuts = sorted({t_lo, t_hi, *(
+        t for traj in (leader, follower) for s in traj.segments
+        for t in (s.t_start, s.t_start + s.duration) if t_lo < t < t_hi
+    )})
+    best = (math.inf, t_lo)
+    for p, q in zip(cuts, cuts[1:]):
+        mid = 0.5 * (p + q)
+        seg_l, seg_f = _segment_at(leader, mid), _segment_at(follower, mid)
+        times = [p, q]
+        _, v_l, a_l = _state(seg_l, mid)
+        _, v_f, a_f = _state(seg_f, mid)
+        rel_a = a_l - a_f
+        if rel_a > 0.0:
+            t = mid - (v_l - v_f) / rel_a
+            if p < t < q:
+                times.append(t)
+        best = min(best, *((_state(seg_l, t)[0] - _state(seg_f, t)[0], t) for t in times))
+    return best
 
 
 # ===================== closed-form conditions =====================

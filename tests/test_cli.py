@@ -511,6 +511,17 @@ def test_bad_rho_grid_is_usage_error(tmp_path, capsys, grid):
         assert capsys.readouterr().err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["sweep", "approx"])
+def test_rho_grid_rounding_to_zero_is_usage_error(tmp_path, capsys, command):
+    # A > 0 alone let 1e-12 through: it rounds to load 0, and zero rates
+    # then failed at run time with exit 1.
+    grid = "1e-12:1e-12:1"
+    assert cli.main([command, "--config", SYM, "--out", str(tmp_path), "--rho", grid]) == 2
+    assert capsys.readouterr().err == (
+        f"error: --rho's first point rounds to 0 at 10 decimals, got '{grid}'\n")
+    assert os.listdir(tmp_path) == []
+
+
 # ===================== approx =====================
 
 def test_approx_table_frozen_constants(tmp_path):

@@ -4,7 +4,7 @@ _trajcsv formats every float cell of traj_segments.csv and traj_sampled.csv
 with _g10_cells and writes both tables a block of trajectories at a time.
 These tests pin the cells to Python's '%.10g' for finite doubles of every
 magnitude, and both files, written through spa, to their scalar references
-across block edges.
+across block edges and on segments whose speed is held.
 """
 from __future__ import annotations
 
@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 
 from platoonsim import _trajcsv
 from platoonsim._trajcsv import _g10_cells
-from platoonsim.spa import Trajectory, _build_segments, write_sampled_csv, write_segments_csv
+from platoonsim.core import SimParams
+from platoonsim.spa import (Segment, Trajectory, _build_segments, plan_min_distance,
+                             write_sampled_csv, write_segments_csv)
 
 from oracle_utils import write_sampled_csv_reference, write_segments_csv_reference
 
@@ -114,30 +116,78 @@ def block_sizes(monkeypatch, name):
 
 
 # A trajectory of r rows at dt 0.5 from a binary-fraction t0 takes r + 1
-# columns of the sample matrix: 64 trajectories of 63 rows fill one block.
-@pytest.mark.parametrize("count, sizes", [(63, [63]), (64, [64]), (65, [64, 1])])
+# columns of the sample matrix: 128 trajectories of 95 rows fill one block.
+@pytest.mark.parametrize("count, sizes", [(127, [127]), (128, [128]), (129, [128, 1])])
 def test_sampled_blocks_meet_the_reference_at_the_edge(tmp_path, monkeypatch, count, sizes):
-    assert _trajcsv.SAMPLE_BLOCK == 64 * 64
-    trajectories = [five_segment(i, 0.25 * i, 63) for i in range(count)]
+    assert _trajcsv.SAMPLE_BLOCK == 128 * 96
+    trajectories = [five_segment(i, 0.25 * i, 95) for i in range(count)]
     seen = block_sizes(monkeypatch, "_sampled_block")
     got = written(write_sampled_csv, trajectories, tmp_path / "got.csv", 0.5)
     assert seen == sizes
     assert got == written(write_sampled_csv_reference, trajectories, tmp_path / "want.csv", 0.5)
-    assert got.count(b"\r\n") == 1 + 63 * count
+    assert got.count(b"\r\n") == 1 + 95 * count
+
+
+def point(t, vehicle_id=-7, x0=-1.0, v0=15.0):
+    """A point trajectory (t_f = t0): three columns of the sample matrix, one row."""
+    return Trajectory(t0=t, t_f=t, x0=x0, v0=v0, segments=_build_segments(t, x0, v0, []),
+                      t_full=t, vehicle_id=vehicle_id)
 
 
 def test_sampled_long_and_one_row_trajectories(tmp_path, monkeypatch):
-    # One trajectory longer than a block is a block of its own; a point
-    # trajectory (t_f = t0) takes three columns and writes one row.
-    points = [Trajectory(t0=t, t_f=t, x0=-1.0, v0=15.0,
-                         segments=_build_segments(t, -1.0, 15.0, []), t_full=t, vehicle_id=-7)
-              for t in np.linspace(3.0, 90.0, 1366).tolist()]
+    # One trajectory longer than a block is a block of its own.
+    per_block = _trajcsv.SAMPLE_BLOCK // 3
     trajectories = ([five_segment(i, 0.5 * i, 40) for i in range(10)]
-                    + [five_segment(10, 2.0, 5000)] + points)
+                    + [five_segment(10, 2.0, _trajcsv.SAMPLE_BLOCK)]
+                    + [point(t) for t in np.linspace(3.0, 90.0, per_block + 1).tolist()])
     seen = block_sizes(monkeypatch, "_sampled_block")
     got = written(write_sampled_csv, trajectories, tmp_path / "got.csv", 0.5)
-    assert seen == [10, 1, 1365, 1]
+    assert seen == [10, 1, per_block, 1]
     assert got == written(write_sampled_csv_reference, trajectories, tmp_path / "want.csv", 0.5)
+
+
+# ===================== held speeds =====================
+
+def pieced(vehicle_id, t0, x0, v0, pieces):
+    return Trajectory(t0=t0, t_f=t0 + sum(d for d, _ in pieces), x0=x0, v0=v0,
+                      segments=_build_segments(t0, x0, v0, pieces), t_full=t0,
+                      vehicle_id=vehicle_id)
+
+
+def signed_zeros(vehicle_id, t0):
+    """Hand-made segments whose speed or acceleration is -0.0 or +0.0."""
+    segments = [Segment(t0, 1.0, -0.0, -9.0, -0.0), Segment(t0 + 1.0, 1.5, 0.0, -9.0, -0.0),
+                Segment(t0 + 2.5, 1.0, -0.0, -9.0, 0.0), Segment(t0 + 3.5, 1.0, 4.0, -9.0, -0.0),
+                Segment(t0 + 4.5, 1.0, -4.0, -7.0, 4.0), Segment(t0 + 5.5, 1.0, 0.0, -5.0, 0.0)]
+    return Trajectory(t0=t0, t_f=t0 + 6.5, x0=-9.0, v0=-0.0, segments=segments, t_full=t0,
+                      vehicle_id=vehicle_id)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")  # inf * 0
+def test_held_speeds_meet_the_reference(tmp_path):
+    # A segment without acceleration prints one speed cell for all its rows:
+    # dwells at v = 0, signed zeros, trajectories with no accelerating
+    # sample and with nothing but accelerating samples.
+    params = SimParams()
+    dwell = [plan_min_distance(-300.0, t0 + 40.0 + t0 / 7, params, t0=t0) for t0 in (0.0, 3.3)]
+    assert [(s.v_start, s.accel) for s in dwell[0].segments][2] == (0.0, 0.0)
+    cruise = [pieced(20 + i, 1.0 + i, -300.0, 15.0, [(20.0 + i / 3, 0.0)]) for i in range(3)]
+    braking = [pieced(30 + i, 0.7 * i, -300.0, 15.0, [(3.0 + i / 5, -4.0)]) for i in range(3)]
+    starting = [pieced(40, 2.0, -9.0, 0.0, [(3.75, 4.0)])]
+    # A crossing sampled at -0.0 on a segment starting at +0.0: d = -0.0, so
+    # the sample's own v = -0.0 + 0.0 * -0.0 = -0.0 differs from the held cell.
+    edge = [Trajectory(t0=0.0, t_f=-0.0, x0=-2.0, v0=-0.0,
+                       segments=[Segment(0.0, 0.0, 0.0, -2.0, -0.0)], t_full=0.0, vehicle_id=50)]
+    # A segment without bounds: d = inf, and 0.0 * inf is nan, not 0.
+    edge.append(Trajectory(t0=0.0, t_f=1.0, x0=-1.0, v0=2.0, t_full=0.0, vehicle_id=51,
+                           segments=[Segment(-math.inf, math.inf, 0.0, -1.0, 2.0)]))
+    for trajectories in (dwell, cruise, braking, starting, edge,
+                         [signed_zeros(60, 0.0), signed_zeros(61, 0.25)],
+                         dwell + cruise + braking + starting + edge + [signed_zeros(62, 9.5)]):
+        got = written(write_sampled_csv, trajectories, tmp_path / "got.csv", 0.1)
+        assert got == written(write_sampled_csv_reference, trajectories, tmp_path / "want.csv",
+                              0.1)
+    assert b"\r\n50,-0,-2,-0,0\r\n51,0,nan,nan,0\r\n" in got
 
 
 @pytest.mark.parametrize("count", [_trajcsv.SEGMENT_BLOCK + k for k in (-1, 0, 1)])

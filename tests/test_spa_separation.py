@@ -1,12 +1,15 @@
-"""The exact separation check against a fixed sampling grid.
+"""The exact separation check against a fixed sampling grid and its reference.
 
 spa.verify_separation decides spacing by the exact minimum gap of a
-trajectory pair (spa._min_gap). The sampling grid it replaced is kept in
+trajectory pair (spa._min_gap, one forward walk over the pieces). The
+sampling grid it replaced is kept in
 oracle_utils.separation_shortfalls_reference, clipped at the leader's
 crossing: the exact minimum must lie at or below every grid sample and
 within the grid's resolution of the lowest one, every grid refusal must
 also be an exact refusal (both up to rounding), and planning must refuse
-the same vehicles with either verdict.
+the same vehicles with either verdict. The walk must also return the
+bits of oracle_utils.min_gap_reference, which looks up each piece's
+segments afresh.
 """
 import math
 
@@ -17,7 +20,8 @@ from platoonsim import spa
 from platoonsim.core import SimParams
 from platoonsim.spa import SEP_TOL, TrajectoryError
 
-from oracle_utils import physical_schedule, separation_shortfalls_reference
+from oracle_utils import (min_gap_reference, physical_schedule,
+                          separation_shortfalls_reference)
 
 GRID_DT = 0.01
 
@@ -48,6 +52,34 @@ def test_exact_verdicts_keep_grid_refusals(monkeypatch, pfa, kind, refused):
     assert len(grid.failures) == refused
     assert refusal_list(exact) == refusal_list(grid)
     assert exact.trajectories == grid.trajectories
+
+
+def bits(gap_and_time):
+    return tuple(v.hex() for v in gap_and_time)
+
+
+@pytest.mark.parametrize("pfa", ["gated", "exhaustive"])
+@pytest.mark.parametrize("rho", [0.4, 0.6])
+def test_walk_is_the_reference_on_physical_schedules(monkeypatch, pfa, rho):
+    # Every same-lane pair of both planners, the refused ones included:
+    # without _check_pred each planner keeps the followers it would refuse.
+    vehicles, params = physical_schedule(pfa, rho, 5000, seed=77)
+    lane_of = {v.id: v.lane for v in vehicles}
+    monkeypatch.setattr(spa, "_check_pred", lambda traj, pred, params: traj)
+    pairs, close = 0, 0
+    for kind in ("min-distance", "min-accel"):
+        last = {}
+        for traj in spa.plan_schedule(vehicles, params, kind=kind).trajectories:
+            pred = last.get(lane_of[traj.vehicle_id])
+            last[lane_of[traj.vehicle_id]] = traj
+            if pred is None:
+                continue
+            window = (max(pred.t0, traj.t0), pred.t_f)
+            got = spa._min_gap(pred, traj, *window)
+            assert bits(got) == bits(min_gap_reference(pred, traj, *window)), traj.vehicle_id
+            pairs += 1
+            close += got[0] < params.l_min - SEP_TOL
+    assert pairs > 9000 and close > 0
 
 
 def plan_pair(kind, params, t0, slack, headway, crossing_gap):
@@ -96,6 +128,7 @@ def test_min_gap_bounds_grid_samples_on_pairs(kind, t0, slack, headway, crossing
     # Every grid sample: no sample is at or above an infinite threshold.
     _, gaps = separation_shortfalls_reference(leader, follower, math.inf, 0.0, GRID_DT)
     low, t_low = spa._min_gap(leader, follower, t_lo, t_hi)
+    assert bits((low, t_low)) == bits(min_gap_reference(leader, follower, t_lo, t_hi))
     assert t_lo <= t_low <= t_hi
     assert low <= float(gaps.min()) + 1e-9
     # The grid comes within dt / 2 of the vertex: relative acceleration at
