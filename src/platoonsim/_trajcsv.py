@@ -9,19 +9,19 @@ the later segment starts at or before it, and applies spa.evaluate's
 clamp and formulas to arrays. Every float cell of both tables is printed
 by one exact vectorised '%.10g' (_g10_cells), which leaves to Python only
 the values it cannot prove correctly rounded; a segment without
-acceleration prints its held speed once for all its samples. The cells
-of a block go, one V{width} item each, into a bytearray-backed row
-matrix whose NUL padding is squeezed out in place. The bytes are those
-of calling spa.evaluate per sample and csv.writer per row.
+acceleration prints its held speed once for all its samples. The digit
+tables, the row matrix and its in-place NUL squeeze are _cells's, shared
+with the vehicles.jsonl writer. The bytes are those of calling
+spa.evaluate per sample and csv.writer per row.
 """
 from __future__ import annotations
 
-import functools
 import itertools
-from typing import Iterator, List, Optional, Sequence, Tuple
+from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
+from ._cells import Part, Piece, _group_count, _put_fraction, _put_whole, _rows
 from .core import write_atomic
 from .spa import FEAS_TOL, OutOfDomain, Trajectory
 
@@ -31,43 +31,9 @@ from .spa import FEAS_TOL, OutOfDomain, Trajectory
 SAMPLE_BLOCK = 12288
 # Trajectories per block of the segment table.
 SEGMENT_BLOCK = 512
-# Bytes of the row matrix squeezed at a time.
-SQUEEZE = 1 << 16
-
-
-@functools.lru_cache(maxsize=None)
-def _digit_tables() -> Tuple[np.ndarray, ...]:
-    """Every four-digit group 0..9999 as four ASCII bytes, one uint32 each.
-
-    Four tables: plain ("0042"); lead, with leading zeros as NUL ("42"
-    behind two NULs, 0 all NUL); units, lead but 0 as "0"; trail, with
-    trailing zeros as NUL ("42" for 4200, 0 all NUL). Built on first use.
-    """
-    g = np.arange(10_000, dtype=np.uint16)
-    digits = np.stack([g // 1000, g // 100 % 10, g // 10 % 10, g % 10], axis=1).astype(np.uint8)
-    plain = digits + np.uint8(48)
-    lead = np.where(np.cumsum(digits, axis=1, dtype=np.uint16) > 0, plain, np.uint8(0))
-    units = lead.copy()
-    units[0, 3] = 48
-    trail = np.where(np.cumsum(digits[:, ::-1], axis=1, dtype=np.uint16)[:, ::-1] > 0, plain,
-                     np.uint8(0))
-    tables = tuple(t.view("<u4").ravel() for t in (plain, lead, units, trail))
-    for t in tables:
-        t.flags.writeable = False  # shared by every call
-    return tables
-
 
 _TENS = 10.0 ** np.arange(14)                       # exact: 10^q < 2^53
 _TENS_INT = 10 ** np.arange(17, dtype=np.int64)
-
-
-def _split_group(digits: np.ndarray, more: bool) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """The last four digits (in place of digits) and the rest; all of digits when none is left."""
-    if not more:
-        return digits, None
-    rest = digits // 10_000
-    digits -= rest * 10_000
-    return digits, rest
 
 
 def _g10_cells(values: np.ndarray) -> np.ndarray:
@@ -84,15 +50,14 @@ def _g10_cells(values: np.ndarray) -> np.ndarray:
     1 / N > 1e-10 (relatively) below the next one, so one float
     floor-division splits N exactly into integer and fraction digits;
     int64 floor-divisions cut those into four-digit groups, laid out from
-    _digit_tables: the leading integer group without its leading zeros,
-    the last fraction group without its trailing zeros, and a decimal
-    point only before a nonzero fraction. Every other value goes through
+    _cells._digit_tables: the leading integer group without its leading
+    zeros, the last fraction group without its trailing zeros, and a
+    decimal point only before a nonzero fraction. Every other value goes through
     Python's '%.10g': NaN, infinities, |v| below 1e-4 or from 1e10 up, m
     within 1e-5 of a tie, and m outside [10^9 - 1/2, 10^10 - 1/2), where
     log10 misplaced e next to a power of ten or N carries into the next
     decade. Most steps work in place, and temporaries go once used up.
     """
-    plain, lead, units, trail = _digit_tables()
     n = values.size
     m = np.abs(values)
     fast = (m < 1e10) & ((m >= 1e-4) | (m == 0.0))
@@ -124,8 +89,7 @@ def _g10_cells(values: np.ndarray) -> np.ndarray:
 
     negative = np.signbit(values)
     signed = bool(negative.any())
-    top = int(whole.max()) if n else 0
-    n_int = 1 if top < 10 ** 4 else 2 if top < 10 ** 8 else 3
+    n_int = _group_count(int(whole.max(initial=0)))
     n_frac = -(-int(np.where(has_frac, q, 0).max(initial=0)) // 4)
     if n_frac:  # the fraction digits as 4 * n_frac digits, trailing zeros included
         np.maximum(np.subtract(4 * n_frac, q, out=q), 0, out=q)
@@ -134,30 +98,13 @@ def _g10_cells(values: np.ndarray) -> np.ndarray:
     width = signed + 4 * n_int + (1 + 4 * n_frac if n_frac else 0)
     width = max([width] + [len(t) for t in texts])
     cells = np.zeros((n, width), dtype=np.uint8)
-
-    def put(offset: int, groups: np.ndarray) -> None:  # four bytes at offset in every cell
-        np.ndarray((n,), "<u4", cells, offset, (width,))[...] = groups
-
     if signed:
         cells[:, 0] = np.where(negative, ord("-"), 0)
-    for k in range(n_int):  # least significant group first
-        g, whole = _split_group(whole, k < n_int - 1)
-        low = units if k == 0 else lead
-        put(signed + 4 * (n_int - 1 - k), low[g] if k == n_int - 1
-            else np.where(whole > 0, plain[g], low[g]))
-    del g
+    _put_whole(cells, signed, whole, n_int)
     if n_frac:
         point = signed + 4 * n_int
         cells[:, point] = np.where(has_frac, ord("."), 0)
-        later = None  # a nonzero group after this one keeps its trailing zeros
-        for k in range(n_frac):
-            g, frac = _split_group(frac, k < n_frac - 1)
-            put(point + 1 + 4 * (n_frac - 1 - k),
-                trail[g] if later is None else np.where(later, plain[g], trail[g]))
-            if later is None:
-                later = g > 0
-            else:
-                later |= g > 0
+        _put_fraction(cells, point + 1, frac, n_frac)
     if texts:
         cells[slow] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     return cells
@@ -169,62 +116,16 @@ def _int_cells(values: Sequence[int]) -> np.ndarray:
     return texts.view(np.uint8).reshape(len(texts), texts.dtype.itemsize)
 
 
-def _items(cells: np.ndarray, width: int) -> np.ndarray:
-    """Each cell of a cell matrix as one V{width} item, NUL-padded on the right to width."""
-    if cells.shape[1] < width:
-        cells = np.concatenate(
-            [cells, np.zeros((cells.shape[0], width - cells.shape[1]), np.uint8)], axis=1)
-    return cells.view(f"V{width}")[:, 0]
-
-
-# One part of a column: cell matrix, the cell of each row (None: one cell
-# per row, in order) and the rows it fills (None: every row, in order).
-Part = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
-
-
-def _put_column(text: bytearray, width: int, start: int, parts: List[Part]) -> int:
-    """Write a column and its comma at byte start of every row; the next column's start.
-
-    The parts are written in turn, each at the column's width, so a later
-    part overwrites the rows it fills whole.
-    """
-    size = max(cells.shape[1] for cells, _, _ in parts)
-    n = len(text) // width
-    field = np.ndarray((n,), f"V{size}", text, start, (width,))
-    for cells, index, rows in parts:
-        items = _items(cells, size)
-        if index is not None:
-            np.take(items, index, out=field, mode="clip")  # valid indices; "clip" is unbuffered
-        elif rows is not None:
-            field[rows] = items
-        else:
-            field[...] = items
-    np.ndarray((n,), np.uint8, text, start + size, (width,))[...] = ord(",")
-    return start + size + 1
-
-
 def _csv_rows(n: int, columns: List[List[Part]]) -> str:
     """n rows of cells joined by commas, each ended by \\r\\n, without the NULs.
 
-    Every cell is moved as one V{width} item into a bytearray-backed row
-    matrix, and each column is let go once copied. The NULs are then
-    squeezed out of the bytearray in place, SQUEEZE bytes at a time, so the
-    matrix is never copied whole.
+    The columns move into _rows's pieces, so each is let go once copied.
     """
-    width = sum(max(cells.shape[1] for cells, _, _ in parts) for parts in columns)
-    width += len(columns) + 1
-    text = bytearray(n * width)
-    start = 0
+    pieces: List[Piece] = []
     while columns:
-        start = _put_column(text, width, start, columns.pop(0))
-    np.ndarray((n, 2), np.uint8, text, width - 2, (width, 1))[...] = (ord("\r"), ord("\n"))
-    kept = 0
-    for start in range(0, len(text), SQUEEZE):  # kept <= start: the squeezed text fits behind
-        part = text[start:start + SQUEEZE].translate(None, b"\0")
-        text[kept:kept + len(part)] = part
-        kept += len(part)
-    del text[kept:]
-    return text.decode("ascii")
+        pieces += [columns.pop(0), b","]
+    pieces[-1] = b"\r\n"
+    return _rows(n, pieces)
 
 
 def _segment_block(trajectories: Sequence[Trajectory]) -> str:

@@ -34,6 +34,7 @@ __all__ = [
     "RunConfig",
     "PFA_KINDS",
     "TIE_TOL",
+    "HEADWAY_MIN",
     "validate_params",
     "load_config",
     "parse_config",
@@ -46,6 +47,9 @@ __all__ = [
 # gate pruning). Real gaps are either ~B/~S or zero up to ulp-scale shift
 # drift, so anything well below B works; 1e-9 s is the package-wide choice.
 TIE_TOL = 1e-9
+# Shortest headway B or clearance S: far above TIE_TOL, so that a join
+# moves a crossing time by far more than the tolerance.
+HEADWAY_MIN = 1e3 * TIE_TOL
 
 
 # ===================== errors =====================
@@ -105,7 +109,8 @@ def _per_lane(value: PerLane, n: int, name: str) -> Tuple[float, ...]:
 @dataclass(frozen=True)
 class SimParams:
     """Intersection geometry and traffic. Frozen; building it raises on the first
-    broken rule, so every instance has lambda_i, B_i, S_i, rho > 0 and
+    broken rule, so every instance has lambda_i, B_i, S_i, rho > 0, B_i and
+    S_i in [HEADWAY_MIN, 2**23) s, a finite 1 / lambda_i and
     min(S) >= max(B). Only the load rho < 1 is left to validate_params."""
 
     n: int = 2                                  # number of lanes
@@ -134,6 +139,20 @@ class SimParams:
         for name, val in values + [("rho", self.rho)]:  # rho: the products can underflow to 0
             if not val > 0.0:  # NaN included
                 raise NonPositiveParameter(f"{name} must be > 0, got {val}")
+        for name, per_lane in (("B", self.B), ("S", self.S)):
+            for i, val in enumerate(per_lane, start=1):
+                if val < HEADWAY_MIN:  # a join would add a headway the tie tolerance swallows
+                    raise ConfigError(f"{name}[{i}] must be >= {HEADWAY_MIN:g} s, 1000 times"
+                                      f" the tie tolerance {TIE_TOL} s, got {val}")
+                if math.ulp(val) > TIE_TOL:  # the offset's rule: from 2**23 s up
+                    raise ConfigError(
+                        f"{name}[{i}] = {val:.6g} s is too long: times that large are"
+                        f" {math.ulp(val):.3g} s apart, above the tie tolerance {TIE_TOL} s"
+                    )
+        for i, val in enumerate(self.lam, start=1):
+            if math.isinf(1.0 / val):  # no gap between arrivals can be drawn
+                raise ConfigError(f"lambda[{i}] = {val} is too small: 1 / lambda must be"
+                                  " finite")
         if min(self.S) < max(self.B):  # the scheduling fallback needs S to cover every B
             raise SClearanceBelowB(f"min(S)={min(self.S)} < max(B)={max(self.B)}")
         offset = self.free_flow_offset

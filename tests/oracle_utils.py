@@ -1,6 +1,6 @@
 """Shared audit helpers for the trajectory planners and the arrival streams.
 
-Eight jobs:
+Nine jobs:
 
 * state the two planners' objectives exactly (area, accel_cost),
 * search the single-dip profile family by brute force on a grid of
@@ -26,19 +26,22 @@ Eight jobs:
   cuts each stream at the horizon first,
 * replay a final schedule arrival by arrival to count the vehicles
   present and ahead (queue_counts_by_replay), the reference for
-  sim._queue_counts.
+  sim._queue_counts,
+* print the vehicle log one f-string per record
+  (vehicles_jsonl_reference), the reference for
+  sim.RunResult.vehicles_jsonl_chunks.
 """
 from __future__ import annotations
 
 import csv
 import math
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from platoonsim.core import RunConfig, SimParams, Vehicle
 from platoonsim.pfa import Schedule
-from platoonsim.sim import run_reference
+from platoonsim.sim import JSONL_CHUNK, RunResult, run_reference
 from platoonsim.spa import (
     FEAS_TOL,
     PlannedSchedule,
@@ -704,3 +707,21 @@ def make_arrivals_reference(params: SimParams, n_total: int, seed: int) -> Tuple
     )
     order = np.argsort(entry, kind="stable")
     return entry[order][:n_total], lanes[order][:n_total]
+
+
+def vehicles_jsonl_reference(res: RunResult) -> Iterator[str]:
+    """The vehicle log JSONL_CHUNK records at a time, one f-string per record."""
+    for lo in range(0, res.c.size, JSONL_CHUNK):
+        part = slice(lo, lo + JSONL_CHUNK)
+        columns = zip(
+            (res.lane0[part] + 1).tolist(),
+            res.entry[part].tolist(),
+            res.a[part].tolist(),
+            res.c[part].tolist(),
+            (res.c[part] - res.a[part]).tolist(),
+        )
+        yield "".join(
+            f'{{"id": {i}, "lane": {lane}, "entry_t": {e!r}, "a": {a!r}, '
+            f'"c": {c!r}, "delay": {d!r}}}\n'
+            for i, (lane, e, a, c, d) in enumerate(columns, lo)
+        )

@@ -150,6 +150,47 @@ def test_non_finite_config_is_one_line(tmp_path, capsys, command, base, changes,
     assert not out.exists() or os.listdir(out) == []
 
 
+# Headways and rates whose float arithmetic the schedulers cannot honour,
+# on configs/sym.json with 2 000 vehicles. Each is refused on one line
+# before any vehicle is drawn; unrefused, "B": 1e-320 ran to a
+# steady-state row with rho 5e-321 (and a sweep exited 3), "S": 1e308 and
+# rates of 1e-320 overflowed the crossing or entry times (exit 1), and
+# "S": 2**63 scheduled on a 4 096 s grid.
+@pytest.mark.parametrize(
+    "command, changes, message",
+    [
+        ("run", {"B": 1e-320},
+         "B[1] must be >= 1e-06 s, 1000 times the tie tolerance 1e-09 s, got 1e-320"),
+        ("sweep", {"B": 1e-320},
+         "B[1] must be >= 1e-06 s, 1000 times the tie tolerance 1e-09 s, got 1e-320"),
+        ("run", {"S": 1e308},
+         "S[1] = 1e+308 s is too long: times that large are 2e+292 s apart, above the"
+         " tie tolerance 1e-09 s"),
+        ("sweep", {"S": 1e308},
+         "S[1] = 1e+308 s is too long: times that large are 2e+292 s apart, above the"
+         " tie tolerance 1e-09 s"),
+        ("run", {"lambda": [1e-320, 1e-320]},
+         "lambda[1] = 1e-320 is too small: 1 / lambda must be finite"),
+        ("run", {"S": 2 ** 63},
+         "S[1] = 9.22337e+18 s is too long: times that large are 2.05e+03 s apart, above the"
+         " tie tolerance 1e-09 s"),
+    ],
+)
+def test_magnitudes_past_float_resolution_are_refused(tmp_path, capsys, command, changes,
+                                                      message):
+    with open(SYM) as fh:
+        cfg = json.load(fh)
+    cfg.update(changes, horizon_vehicles=2000)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    assert cli.main([command, "--config", str(path), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists()
+
+
 def test_long_finite_region_still_runs(tmp_path):
     # An offset of 6.67e6 s, below 2**23 s: crossing times keep a spacing
     # finer than TIE_TOL, so the delays are the default region's to rounding.
@@ -213,6 +254,15 @@ def test_cli_import_leaves_the_reference_unloaded():
     # numpy.random (5.4 MB of RSS) is loaded only by the commands that draw
     # Poisson arrivals, run and sweep.
     done = run_python("-c", f"import sys, platoonsim.cli; print({UNNEEDED_MODULES})")
+    assert done.stdout.strip() == "[]", done.stderr
+
+
+def test_cli_import_leaves_the_writers_unloaded():
+    # The cell printers and the trajectory tables are compiled by the
+    # commands that write with them, never by the import every command pays.
+    done = run_python(
+        "-c", "import sys, platoonsim.cli\n"
+        "print(sorted(m for m in sys.modules if m in ('platoonsim._cells', 'platoonsim._trajcsv')))")
     assert done.stdout.strip() == "[]", done.stderr
 
 
@@ -693,6 +743,77 @@ def test_traj_golden_bytes(tmp_path, capsys, config, spa_kind):
     )
     refused = [int(re.match(r"vehicle (\d+): ", line).group(1)) for line in err.splitlines()]
     assert digests + (refused,) == TRAJ_GOLDEN[config, spa_kind]
+
+
+def scripted_run_config(path):
+    """5 002 scripted gated arrivals on configs/sym.json's lanes, written to path.
+
+    2 500 enter at negative times, then one at -0.0 s on an idle
+    intersection and a same-lane follower 1e-5 s short of B behind it,
+    whose delay of about 1e-5 s prints in scientific notation; 2 500
+    more follow from 20 s. Times are rounded to 1 us.
+    """
+    rng = np.random.default_rng(23)
+    before = np.round(np.cumsum(rng.exponential(2.5, 2500)) - 6500.0, 6)
+    after = np.round(20.0 + np.cumsum(rng.exponential(2.5, 2500)), 6)
+    lanes = rng.integers(1, 3, 5000).tolist()
+    assert before[-1] < -10.0
+    arrivals = ([[lane, t] for lane, t in zip(lanes, before.tolist())]
+                + [[1, -0.0], [1, 0.99999]]
+                + [[lane, t] for lane, t in zip(lanes[2500:], after.tolist())])
+    with open(SYM) as fh:
+        cfg = json.load(fh)
+    cfg.update(pfa="gated", warmup_vehicles=100, arrivals=arrivals)
+    with open(path, "w") as fh:
+        json.dump(cfg, fh)
+    return path
+
+
+# The run byte contract: sha256 of results.csv, vehicles.jsonl, stdout
+# (output directory replaced by "OUT") and stderr, for configs/sym.json,
+# configs/asym.json with --pfa gated, and scripted_run_config. Pinned
+# from the per-record vehicles.jsonl writer, before the block writer
+# replaced it.
+RUN_GOLDEN = {
+    "asym-gated": (
+        "fc21b211a0274b0b09f3ebb3db7687e655fe24c85cfcc300ffe7ae750c2d2336",
+        "635c8bde219ef1a3deb415fafecaf41bbfc5f7d67d21832174b4f0c6835ee07c",
+        "eb347f718939cdbfc99023684a3d8572bf68c6db2e45cc45644e89a3cbb2b6fd",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "scripted": (
+        "4b168727a40a12270ae3d2d7f8419686ba4712c2d2148ae818dd7d6d296c64fa",
+        "09260dbc1e20e2083d96aaad45e3f31e265787cf92a37f7f899718f6760a7d67",
+        "9156b4554ff2b1b73a085b8671d568999b0e7b5697a6419767214d23a705ef6d",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+    "sym": (
+        "b68c4d797188b7e3c6fe56668259d4664e825469a1e7b0f9fe802edd62ee4659",
+        "0efc8099fa757701195dbae68468b801ae0892e588f1a4e11cb040f792a778d3",
+        "5f6cad62bfd70be50680902875d3398ba8aaea202b159d761ee8aa9fa14c29f8",
+        "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
+    ),
+}
+
+
+@pytest.mark.parametrize("config", sorted(RUN_GOLDEN))
+def test_run_golden_bytes(tmp_path, capsys, config):
+    out = tmp_path / "out"
+    argv = ["run", "--out", str(out)]
+    if config == "sym":
+        argv += ["--config", SYM]
+    elif config == "asym-gated":
+        argv += ["--config", ASYM, "--pfa", "gated"]
+    else:
+        argv += ["--config", scripted_run_config(str(tmp_path / "scripted.json"))]
+    assert cli.main(argv) == 0
+    std = capsys.readouterr()
+    digests = tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in ((out / "results.csv").read_bytes(), (out / "vehicles.jsonl").read_bytes(),
+                     std.out.replace(str(out), "OUT").encode(), std.err.encode())
+    )
+    assert digests == RUN_GOLDEN[config]
 
 
 def test_traj_needs_scripted_arrivals(tmp_path):

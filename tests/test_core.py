@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from platoonsim.core import (
     _CONFIG_KEYS,
+    HEADWAY_MIN,
     ConfigError,
     InconsistentGateBook,
     NonPositiveParameter,
@@ -72,6 +73,19 @@ def test_validate_rejects_nonpositive():
     # Positive rates and headways whose products underflow leave no load split.
     with pytest.raises(NonPositiveParameter, match=r"rho must be > 0, got 0\.0"):
         SimParams(lam=(1e-200, 1e-200), B=1e-200, S=1e-200)
+
+
+def test_headways_and_rates_stay_within_float_resolution():
+    # Headways from HEADWAY_MIN (1000 x TIE_TOL) to just below 2**23 s, and
+    # rates whose mean gap 1 / lambda is finite.
+    SimParams(B=HEADWAY_MIN, S=math.nextafter(2.0 ** 23, 0.0))
+    with pytest.raises(ConfigError, match=r"^B\[2\] must be >= 1e-06 s, 1000 times the tie"):
+        SimParams(B=(1.0, math.nextafter(HEADWAY_MIN, 0.0)))
+    with pytest.raises(ConfigError, match=r"^S\[1\] = 8\.38861e\+06 s is too long: times that"):
+        SimParams(S=2.0 ** 23)
+    with pytest.raises(ConfigError, match=r"^lambda\[2\] = 1e-310 is too small"):
+        SimParams(lam=(0.25, 1e-310))
+    SimParams(lam=(0.25, 1e-300))
 
 
 def test_validate_rejects_clearance_below_headway():

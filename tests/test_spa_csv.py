@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platoonsim import _trajcsv
+from platoonsim import _cells, _trajcsv
 from platoonsim._trajcsv import _g10_cells
 from platoonsim.core import SimParams
 from platoonsim.spa import (Segment, Trajectory, _build_segments, plan_min_distance,
@@ -201,7 +201,7 @@ def test_sampled_writer_holds_one_block_at_a_time(tmp_path):
     # 2 000 trajectories of 201 rows, a 10.5 MB table, written with a
     # traced peak of about 0.7 MB: one block's arrays and text at a time.
     trajectories = [five_segment(i, 0.25 * i, 201) for i in range(2000)]
-    _trajcsv._digit_tables()
+    _cells._digit_tables()
     tracemalloc.start()
     try:
         write_sampled_csv(trajectories, str(tmp_path / "sampled.csv"), 0.5)
