@@ -1,9 +1,13 @@
 """Text cells printed with numpy, and rows built from them.
 
 A cell matrix holds one ASCII cell per row, NUL-padded (n x width uint8).
-_uint_cells prints non-negative integers and _repr_cells prints floats
-exactly as repr does, both from four-digit tables (_digit_tables). _rows
-lays literals and the cells of each column into a bytearray-backed row
+Every number of the artifacts is printed here: _int_cells as str prints
+an integer, _repr_cells as repr prints a float (vehicles.jsonl) and
+_g10_cells as '%.10g' % does (the trajectory tables). Each finds its
+digits in its own way and hands the sign, the integer part and the
+fraction to one fixed-point layout (_layout), which prints them from
+four-digit tables (_digit_tables) and puts in the rows it leaves to
+Python. _rows lays literals and columns into a bytearray-backed row
 matrix, one V{width} item per cell, and squeezes its NUL padding out in
 place (_squeeze). The vehicles.jsonl writer (sim.RunResult) and the
 trajectory tables (_trajcsv) import this module on first use, so the
@@ -12,7 +16,7 @@ commands that write neither never compile it.
 from __future__ import annotations
 
 import functools
-from typing import List, Optional, Tuple, Union
+from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -67,50 +71,70 @@ def _put(cells: np.ndarray, offset: int, groups: np.ndarray) -> None:
     np.ndarray((n,), "<u4", cells, offset, (width,))[...] = groups
 
 
-def _group_count(top: int) -> int:
-    """Four-digit groups that print every integer from 0 to top."""
-    count = 1
-    while top >= 10 ** (4 * count):
-        count += 1
-    return count
+def _layout(negative: np.ndarray, whole: np.ndarray, fraction: List[Tuple[np.ndarray, int]],
+            slow: np.ndarray, texts: List[bytes], point_zero: bool = False) -> np.ndarray:
+    """Fixed-point cells: a sign, whole digits and fraction digits, or texts.
 
-
-def _put_whole(cells: np.ndarray, start: int, whole: np.ndarray, groups: int) -> None:
-    """str(w) of every w in whole (int64, 0 <= w < 10^(4 groups)), right-aligned
-    in 4 groups bytes from start; whole is used up."""
-    plain, lead, units, _ = _digit_tables()
-    for k in range(groups):  # least significant group first
-        g, whole = _split_group(whole, k < groups - 1)
-        low = units if k == 0 else lead
-        _put(cells, start + 4 * (groups - 1 - k),
-             low[g] if k == groups - 1 else np.where(whole > 0, plain[g], low[g]))
-
-
-def _put_fraction(cells: np.ndarray, start: int, frac: np.ndarray, groups: int,
-                  later: Optional[np.ndarray] = None) -> None:
-    """The 4 groups digits of every f in frac (int64, 0 <= f < 10^(4 groups))
-    from start, without their trailing zeros (all NUL for 0); frac is used up.
-
-    Where later (bool, used up) is set, digits follow and all zeros print.
+    A row is "-" where negative is set, then str(w) of its w in whole
+    (int64, >= 0), then a point and its fraction digits without their
+    trailing zeros; where those are all zero, ".0" if point_zero is set
+    and nothing otherwise. fraction lists the fraction digits as
+    (digits, groups) pairs in order, each 4 * groups digits with their
+    leading zeros (int64, below 10^(4 groups)); without pairs no row has
+    a point. The rows slow hold texts instead, one each. whole and the
+    fraction digits are used up.
     """
-    plain, _, _, trail = _digit_tables()
-    for k in range(groups):  # last group first
-        g, frac = _split_group(frac, k < groups - 1)
-        _put(cells, start + 4 * (groups - 1 - k),
-             trail[g] if later is None else np.where(later, plain[g], trail[g]))
-        if later is None:
-            later = g > 0
-        else:
-            later |= g > 0
-
-
-def _uint_cells(values: np.ndarray) -> np.ndarray:
-    """str(v) of every integer 0 <= v < 10^16, as NUL-padded ASCII cells."""
-    whole = values.astype(np.int64)  # a copy: _put_whole uses it up
-    groups = _group_count(int(whole.max(initial=0)))
-    cells = np.zeros((whole.size, 4 * groups), np.uint8)
-    _put_whole(cells, 0, whole, groups)
+    plain, lead, units, trail = _digit_tables()
+    signed = bool(negative.any())
+    n_int = -(-len(str(int(whole.max(initial=0)))) // 4)
+    n_frac = sum(groups for _, groups in fraction)
+    width = signed + 4 * n_int + (1 + 4 * n_frac if fraction else 0)
+    width = max([width] + [len(t) for t in texts])
+    cells = np.zeros((whole.size, width), dtype=np.uint8)
+    if signed:
+        cells[:, 0] = negative * np.uint8(ord("-"))
+    for k in range(n_int):  # least significant group first
+        g, whole = _split_group(whole, k < n_int - 1)
+        low = units if k == 0 else lead
+        _put(cells, signed + 4 * (n_int - 1 - k),
+             low[g] if k == n_int - 1 else np.where(whole > 0, plain[g], low[g]))
+    point = signed + 4 * n_int
+    start = point + 1 + 4 * n_frac
+    later = None  # set where a nonzero digit follows: zeros print there
+    for digits, groups in reversed(fraction):
+        for k in range(groups):  # last group first
+            g, digits = _split_group(digits, k < groups - 1)
+            start -= 4
+            _put(cells, start, trail[g] if later is None else np.where(later, plain[g], trail[g]))
+            later = g > 0 if later is None else np.logical_or(later, g > 0, out=later)
+    if fraction and point_zero:
+        cells[:, point] = ord(".")
+        cells[~later, point + 1] = ord("0")
+    elif fraction:
+        cells[:, point] = later * np.uint8(ord("."))
+    if texts:
+        cells[slow] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
     return cells
+
+
+def _int_cells(values: Sequence[int]) -> np.ndarray:
+    """str(v) of every integer v, as NUL-padded ASCII cells (n x width uint8).
+
+    values is an integer array or a sequence of ints. An int outside
+    (-2^63, 2^63), whose magnitude int64 cannot hold, goes through str.
+    """
+    edge = -2 ** 63
+    try:
+        whole = np.array(values, dtype=np.int64)  # a copy: _layout uses it up
+        slow = np.flatnonzero(whole == edge)
+    except OverflowError:  # an int outside int64
+        wide = [not edge < v < -edge for v in values]
+        whole = np.array([0 if w else v for v, w in zip(values, wide)], dtype=np.int64)
+        slow = np.flatnonzero(wide)
+    texts = [str(values[i]).encode() for i in slow.tolist()]
+    whole[slow] = 0
+    negative = whole < 0
+    return _layout(negative, np.abs(whole, out=whole), [], slow, texts)
 
 
 def _repr_cells(values: np.ndarray) -> np.ndarray:
@@ -127,14 +151,14 @@ def _repr_cells(values: np.ndarray) -> np.ndarray:
     j at which that multiple lies within h. It is N rounded to a multiple
     of 10^j, a half going the way of r (to even where r is 0), and as
     within-h only gains multiples as j falls, five steps of bisection
-    over j in [0, 16] find j. The digits are cut into integer and
-    fraction groups, laid out from _digit_tables: the integer part without leading zeros, the fraction
-    without trailing zeros, ".0" for none. Every other value goes through
-    Python's repr: |v| outside that range (scientific notation, NaN and
-    infinities included), powers of two (the gap below is half the one
-    above), a tested distance within a relative 1e-9 of h, an exact tie
-    between two candidates within h, N outside [10^16, 10^17) where
-    log10 misplaced E, and digits that carry into the next decade.
+    over j in [0, 16] find j. The digits are cut into the integer part
+    and the fraction, laid out by _layout with ".0" for no fraction
+    digits. Every other value goes through Python's repr: |v| outside
+    that range (scientific notation, NaN and infinities included), powers
+    of two (the gap below is half the one above), a tested distance
+    within a relative 1e-9 of h, an exact tie between two candidates
+    within h, N outside [10^16, 10^17) where log10 misplaced E, and
+    digits that carry into the next decade.
     """
     n = values.size
     a = np.abs(values)
@@ -213,68 +237,91 @@ def _repr_cells(values: np.ndarray) -> np.ndarray:
     del digits, rest, u, t
     slow = np.flatnonzero(~(fast | zero))
     texts = [repr(v).encode() for v in values[slow].tolist()]
-
-    negative = np.signbit(values)
-    signed = bool(negative.any())
-    n_int = _group_count(int(whole.max(initial=0)))
-    n_frac = min(-(-int(s.max(initial=0)) // 4), 4) + bool(tail.any())
-    n_frac = max(n_frac, 1)
-    del s
-    width = signed + 4 * n_int + 1 + 4 * n_frac
-    width = max([width] + [len(t) for t in texts])
-    cells = np.zeros((n, width), dtype=np.uint8)
-    if signed:
-        cells[:, 0] = np.where(negative, ord("-"), 0)
-    _put_whole(cells, signed, whole, n_int)
-    point = signed + 4 * n_int
-    cells[:, point] = ord(".")
-    no_frac = (frac == 0) & (tail == 0)
-    if n_frac > 4:  # a fifth group, after the sixteen digits of frac
-        _put_fraction(cells, point + 1, frac, 4, later=tail > 0)
-        _put_fraction(cells, point + 17, tail, 1)
+    if tail.any():  # a fifth group, after the sixteen digits of frac
+        fraction = [(frac, 4), (tail, 1)]
     else:
+        n_frac = max(min(-(-int(s.max(initial=0)) // 4), 4), 1)
         frac //= _TENS_INT[16 - 4 * n_frac]
-        _put_fraction(cells, point + 1, frac, n_frac)
-    cells[no_frac, point + 1] = ord("0")
-    if texts:
-        cells[slow] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    return cells
+        fraction = [(frac, n_frac)]
+    del s, tail
+    return _layout(np.signbit(values), whole, fraction, slow, texts, point_zero=True)
 
 
-# One piece of a row: a literal, or a column as parts. A part is a cell
-# matrix, the cell of each row (None: one cell per row, in order) and the
-# rows it fills (None: every row, in order); a later part overwrites the
-# rows it fills.
-Part = Tuple[np.ndarray, Optional[np.ndarray], Optional[np.ndarray]]
-Piece = Union[bytes, List[Part]]
+def _g10_cells(values: np.ndarray) -> np.ndarray:
+    """'%.10g' % v of every float v, as NUL-padded ASCII cells (n x width uint8).
+
+    A value v with 1e-4 <= |v| < 1e10, or v = 0, is printed in fixed point
+    from its ten significant digits. With e = floor(log10 |v|) and
+    q = 9 - e in [0, 13], 10^q is an exact double, so m = |v| * 10^q is the
+    exact product after one rounding; m < 2^34 puts that rounding's error
+    below 2^-20 < 1.1e-6. '%.10g' prints the exact product rounded to an
+    integer N (half to even). Wherever m lies more than 1e-5 from a
+    half-integer, so does the exact product, both round to the same
+    integer, and N = rint(m). N / 10^q is an integer or lies more than
+    1 / N > 1e-10 (relatively) below the next one, so one float
+    floor-division splits N exactly into integer and fraction digits,
+    laid out by _layout: a decimal point only before a nonzero fraction.
+    Every other value goes through Python's '%.10g': NaN, infinities, |v|
+    below 1e-4 or from 1e10 up, m within 1e-5 of a tie, and m outside
+    [10^9 - 1/2, 10^10 - 1/2), where log10 misplaced e next to a power of
+    ten or N carries into the next decade. Most steps work in place, and
+    temporaries go once used up.
+    """
+    n = values.size
+    m = np.abs(values)
+    fast = (m < 1e10) & ((m >= 1e-4) | (m == 0.0))
+    np.copyto(m, 0.0, where=~fast)
+    e = np.full(n, 9.0)
+    np.log10(m, out=e, where=m > 0.0)
+    np.subtract(9.0, np.floor(e, out=e), out=e)
+    q = np.clip(e, 0, 13, out=e).astype(np.intp)
+    del e
+    scale = _TENS[q]
+    m *= scale  # still 0 exactly where |v| is 0 or was set to 0
+    big = np.rint(m)
+    fast &= ((m >= 999_999_999.5) & (m < 9_999_999_999.5)) | (m == 0.0)
+    m -= big
+    fast &= np.abs(m, out=m) < 0.5 - 1e-5
+    del m
+    whole = big / scale
+    np.floor(whole, out=whole)  # exact, and so are the next two lines
+    scale *= whole
+    big -= scale
+    del scale
+    frac = big.astype(np.int64)
+    del big
+    whole = whole.astype(np.int64)
+    slow = np.flatnonzero(~fast)
+    del fast
+    texts = [("%.10g" % v).encode() for v in values[slow].tolist()]
+    n_frac = -(-int(np.where(frac != 0, q, 0).max(initial=0)) // 4)
+    if n_frac:  # the fraction digits as 4 * n_frac digits, trailing zeros included
+        np.maximum(np.subtract(4 * n_frac, q, out=q), 0, out=q)
+        frac *= _TENS_INT[q]
+    del q
+    return _layout(np.signbit(values), whole, [(frac, n_frac)] if n_frac else [], slow, texts)
 
 
-def _items(cells: np.ndarray, width: int) -> np.ndarray:
-    """Each cell of a cell matrix as one V{width} item, NUL-padded on the right to width."""
-    if cells.shape[1] < width:
-        cells = np.concatenate(
-            [cells, np.zeros((cells.shape[0], width - cells.shape[1]), np.uint8)], axis=1)
-    return cells.view(f"V{width}")[:, 0]
+# One piece of a row: a literal, or a column: a cell matrix and the cell
+# of each row (None: one cell per row, in order).
+Column = Tuple[np.ndarray, Optional[np.ndarray]]
+Piece = Union[bytes, Column]
 
 
 def _size(piece: Piece) -> int:
-    if isinstance(piece, bytes):
-        return len(piece)
-    return max(cells.shape[1] for cells, _, _ in piece)
+    return len(piece) if isinstance(piece, bytes) else piece[0].shape[1]
 
 
-def _put_column(text: bytearray, width: int, start: int, parts: List[Part]) -> None:
-    """Write a column's parts at byte start of every row of the row matrix."""
-    size = _size(parts)
+def _put_column(text: bytearray, width: int, start: int, column: Column) -> None:
+    """Write a column's cells at byte start of every row of the row matrix."""
+    cells, index = column
+    size = cells.shape[1]
     field = np.ndarray((len(text) // width,), f"V{size}", text, start, (width,))
-    for cells, index, rows in parts:
-        items = _items(cells, size)
-        if index is not None:
-            np.take(items, index, out=field, mode="clip")  # valid indices; "clip" is unbuffered
-        elif rows is not None:
-            field[rows] = items
-        else:
-            field[...] = items
+    items = cells.view(f"V{size}")[:, 0]
+    if index is None:
+        field[...] = items
+    else:
+        np.take(items, index, out=field, mode="clip")  # valid indices; "clip" is unbuffered
 
 
 def _rows(n: int, pieces: List[Piece]) -> str:

@@ -3,16 +3,16 @@
 spa.write_segments_csv and spa.write_sampled_csv import this module on
 their first call, so the commands that write no trajectory table never
 compile it. Both tables are written a block of trajectories at a time
-with numpy. The sampler takes the running-sum sample times of the whole
+with numpy, from one conversion of the block's segments to arrays
+(_block). The sampler takes the running-sum sample times of the whole
 block from one row-wise cumsum, gives each sample its segment by counting
 the later segment starts at or before it, and applies spa.evaluate's
-clamp and formulas to arrays. Every float cell of both tables is printed
-by one exact vectorised '%.10g' (_g10_cells), which leaves to Python only
-the values it cannot prove correctly rounded; a segment without
-acceleration prints its held speed once for all its samples. The digit
-tables, the row matrix and its in-place NUL squeeze are _cells's, shared
-with the vehicles.jsonl writer. The bytes are those of calling
-spa.evaluate per sample and csv.writer per row.
+clamp and formulas to arrays; a segment without acceleration prints its
+held speed once for all its samples. Every cell is printed by _cells,
+which also lays out the rows: each float by its exact vectorised '%.10g'
+(_g10_cells), each vehicle id and segment index by its integer printer
+(_int_cells). The bytes are those of calling spa.evaluate per sample and
+csv.writer per row.
 """
 from __future__ import annotations
 
@@ -21,7 +21,7 @@ from typing import Iterator, List, Sequence, Tuple
 
 import numpy as np
 
-from ._cells import Part, Piece, _group_count, _put_fraction, _put_whole, _rows
+from ._cells import Column, Piece, _g10_cells, _int_cells, _rows
 from .core import write_atomic
 from .spa import FEAS_TOL, OutOfDomain, Trajectory
 
@@ -32,91 +32,8 @@ SAMPLE_BLOCK = 12288
 # Trajectories per block of the segment table.
 SEGMENT_BLOCK = 512
 
-_TENS = 10.0 ** np.arange(14)                       # exact: 10^q < 2^53
-_TENS_INT = 10 ** np.arange(17, dtype=np.int64)
 
-
-def _g10_cells(values: np.ndarray) -> np.ndarray:
-    """'%.10g' % v of every float v, as NUL-padded ASCII cells (n x width uint8).
-
-    A value v with 1e-4 <= |v| < 1e10, or v = 0, is printed in fixed point
-    from its ten significant digits. With e = floor(log10 |v|) and
-    q = 9 - e in [0, 13], 10^q is an exact double, so m = |v| * 10^q is the
-    exact product after one rounding; m < 2^34 puts that rounding's error
-    below 2^-20 < 1.1e-6. '%.10g' prints the exact product rounded to an
-    integer N (half to even). Wherever m lies more than 1e-5 from a
-    half-integer, so does the exact product, both round to the same
-    integer, and N = rint(m). N / 10^q is an integer or lies more than
-    1 / N > 1e-10 (relatively) below the next one, so one float
-    floor-division splits N exactly into integer and fraction digits;
-    int64 floor-divisions cut those into four-digit groups, laid out from
-    _cells._digit_tables: the leading integer group without its leading
-    zeros, the last fraction group without its trailing zeros, and a
-    decimal point only before a nonzero fraction. Every other value goes through
-    Python's '%.10g': NaN, infinities, |v| below 1e-4 or from 1e10 up, m
-    within 1e-5 of a tie, and m outside [10^9 - 1/2, 10^10 - 1/2), where
-    log10 misplaced e next to a power of ten or N carries into the next
-    decade. Most steps work in place, and temporaries go once used up.
-    """
-    n = values.size
-    m = np.abs(values)
-    fast = (m < 1e10) & ((m >= 1e-4) | (m == 0.0))
-    np.copyto(m, 0.0, where=~fast)
-    e = np.full(n, 9.0)
-    np.log10(m, out=e, where=m > 0.0)
-    np.subtract(9.0, np.floor(e, out=e), out=e)
-    q = np.clip(e, 0, 13, out=e).astype(np.intp)
-    del e
-    scale = _TENS[q]
-    m *= scale  # still 0 exactly where |v| is 0 or was set to 0
-    big = np.rint(m)
-    fast &= ((m >= 999_999_999.5) & (m < 9_999_999_999.5)) | (m == 0.0)
-    m -= big
-    fast &= np.abs(m, out=m) < 0.5 - 1e-5
-    del m
-    whole = big / scale
-    np.floor(whole, out=whole)  # exact, and so are the next two lines
-    scale *= whole
-    big -= scale
-    del scale
-    frac = big.astype(np.int64)
-    del big
-    whole = whole.astype(np.int64)
-    has_frac = frac != 0
-    slow = np.flatnonzero(~fast)
-    del fast
-    texts = [("%.10g" % v).encode() for v in values[slow].tolist()]
-
-    negative = np.signbit(values)
-    signed = bool(negative.any())
-    n_int = _group_count(int(whole.max(initial=0)))
-    n_frac = -(-int(np.where(has_frac, q, 0).max(initial=0)) // 4)
-    if n_frac:  # the fraction digits as 4 * n_frac digits, trailing zeros included
-        np.maximum(np.subtract(4 * n_frac, q, out=q), 0, out=q)
-        frac *= _TENS_INT[q]
-    del q
-    width = signed + 4 * n_int + (1 + 4 * n_frac if n_frac else 0)
-    width = max([width] + [len(t) for t in texts])
-    cells = np.zeros((n, width), dtype=np.uint8)
-    if signed:
-        cells[:, 0] = np.where(negative, ord("-"), 0)
-    _put_whole(cells, signed, whole, n_int)
-    if n_frac:
-        point = signed + 4 * n_int
-        cells[:, point] = np.where(has_frac, ord("."), 0)
-        _put_fraction(cells, point + 1, frac, n_frac)
-    if texts:
-        cells[slow] = np.array(texts, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    return cells
-
-
-def _int_cells(values: Sequence[int]) -> np.ndarray:
-    """str(v) of every integer v, as NUL-padded ASCII cells."""
-    texts = np.array([f"{v}".encode() for v in values])
-    return texts.view(np.uint8).reshape(len(texts), texts.dtype.itemsize)
-
-
-def _csv_rows(n: int, columns: List[List[Part]]) -> str:
+def _csv_rows(n: int, columns: List[Column]) -> str:
     """n rows of cells joined by commas, each ended by \\r\\n, without the NULs.
 
     The columns move into _rows's pieces, so each is let go once copied.
@@ -128,18 +45,24 @@ def _csv_rows(n: int, columns: List[List[Part]]) -> str:
     return _rows(n, pieces)
 
 
+def _block(trajectories: Sequence[Trajectory]) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """A block's vehicle id cells, each trajectory's segment count and its
+    segments' t_start, duration, accel, x_start and v_start (5 x segments)."""
+    ids = _int_cells([traj.vehicle_id for traj in trajectories])
+    per_traj = np.array([len(traj.segments) for traj in trajectories])
+    table = np.array([(s.t_start, s.duration, s.accel, s.x_start, s.v_start)
+                      for traj in trajectories for s in traj.segments], dtype=np.float64)
+    return ids, per_traj, table.reshape(-1, 5).T
+
+
 def _segment_block(trajectories: Sequence[Trajectory]) -> str:
     """Rows of the segment table for a block of trajectories."""
-    segs = [s for traj in trajectories for s in traj.segments]
-    table = np.array([(s.t_start, s.duration, s.accel, s.x_start, s.v_start) for s in segs],
-                     dtype=np.float64).reshape(-1, 5)
-    per_traj = np.array([len(traj.segments) for traj in trajectories])
+    ids, per_traj, table = _block(trajectories)
+    n = int(per_traj.sum())
     owner = np.repeat(np.arange(len(trajectories)), per_traj)
-    index = np.arange(len(segs)) - np.repeat(np.cumsum(per_traj) - per_traj, per_traj)
-    ids = _int_cells([traj.vehicle_id for traj in trajectories])
-    return _csv_rows(len(segs), [[(ids, owner, None)],
-                                 [(_int_cells(range(int(per_traj.max()))), index, None)]]
-                     + [[(_g10_cells(col), None, None)] for col in table.T])
+    index = np.arange(n) - np.repeat(np.cumsum(per_traj) - per_traj, per_traj)
+    return _csv_rows(n, [(ids, owner), (_int_cells(np.arange(per_traj.max())), index)]
+                     + [(_g10_cells(col), None) for col in table])
 
 
 def write_segments_csv(trajectories: Sequence[Trajectory], path: str) -> None:
@@ -193,8 +116,10 @@ def _sample_times(t0: Sequence[float], t_f: Sequence[float],
     return ts[keep], ends[1] + 1
 
 
-def _sampled_block(trajectories: Sequence[Trajectory], dt: float) -> str:
-    """Rows of the sampled table for a block of trajectories.
+def _sampled_block(trajectories: Sequence[Trajectory], t0: np.ndarray, t_f: np.ndarray,
+                   dt: float) -> str:
+    """Rows of the sampled table for a block of trajectories, entering at
+    t0 and crossing at t_f.
 
     Each sample takes the segment evaluate picks, the first one moved on
     by one for each later segment start at or before the sample, then
@@ -203,12 +128,8 @@ def _sampled_block(trajectories: Sequence[Trajectory], dt: float) -> str:
     own v = v_start + accel * d: for every finite d >= +0 and accel = +-0,
     that is v_start + accel * 0.0, one cell per segment.
     """
-    times, rows = _sample_times([traj.t0 for traj in trajectories],
-                                [traj.t_f for traj in trajectories], dt)
-    per_traj = np.array([len(traj.segments) for traj in trajectories])
-    t_start, duration, accel, x_start, v_start = np.array(
-        [(s.t_start, s.duration, s.accel, s.x_start, s.v_start)
-         for traj in trajectories for s in traj.segments], dtype=np.float64).reshape(-1, 5).T
+    times, rows = _sample_times(t0, t_f, dt)
+    ids, per_traj, (t_start, duration, accel, x_start, v_start) = _block(trajectories)
     first = np.cumsum(per_traj) - per_traj
     seg = np.repeat(first, rows)
     for j in range(1, int(per_traj.max())):
@@ -216,25 +137,28 @@ def _sampled_block(trajectories: Sequence[Trajectory], dt: float) -> str:
         has = per_traj > j
         later[has] = t_start[first[has] + j]
         seg += np.repeat(later, rows) <= times
-    ids = _int_cells([traj.vehicle_id for traj in trajectories])
-    columns = [[(ids[np.repeat(np.arange(len(trajectories)), per_traj)], seg, None)]]
+    columns = [(ids, np.repeat(np.arange(len(trajectories)), rows))]
     # min(max(t - t_start, 0), duration) with Python's tie and NaN rules.
     d = times - t_start[seg]
-    columns.append([(_g10_cells(times), None, None)])
+    columns.append((_g10_cells(times), None))
     del times
     np.copyto(d, 0.0, where=0.0 > d)
     dur = duration[seg]
     np.copyto(d, dur, where=dur < d)
     del dur
     # The samples whose v may differ from their segment's held speed:
-    # accel not +-0, or d not finite and >= +0 (-0.0, inf or nan).
+    # accel not +-0, or d not finite and >= +0 (-0.0, inf or nan). Their
+    # cells follow the segments' held ones in one matrix.
     moving = np.flatnonzero((accel != 0.0)[seg] | np.signbit(d) | ~(d < np.inf))
     at = seg[moving]
     v = accel[at]
     v *= d[moving]
     v += v_start[at]  # v_start + accel * d
     del at
-    held, v = _g10_cells(accel * 0.0 + v_start), _g10_cells(v)
+    v = _g10_cells(np.concatenate([accel * 0.0 + v_start, v]))
+    v_index = seg.copy()
+    v_index[moving] = np.arange(accel.size, accel.size + moving.size)
+    del moving
     x = v_start[seg]
     x *= d
     x += x_start[seg]  # x_start + v_start * d
@@ -243,10 +167,9 @@ def _sampled_block(trajectories: Sequence[Trajectory], dt: float) -> str:
     half *= d
     x += half  # ... + 0.5 * accel * d * d
     del d, half
-    columns.append([(_g10_cells(x), None, None)])
+    columns.append((_g10_cells(x), None))
     del x
-    columns.append([(held, seg, None), (v, None, moving)])
-    columns.append([(_g10_cells(accel), seg, None)])
+    columns += [(v, v_index), (_g10_cells(accel), seg)]
     return _csv_rows(seg.size, columns)
 
 
@@ -263,10 +186,10 @@ def _sample_blocks(trajectories: Sequence[Trajectory], dt: float) -> Iterator[st
     start, widest = 0, 0
     for j, width in enumerate(_sample_steps(t0, t_f, dt).tolist()):
         if j > start and (j + 1 - start) * max(widest, width) > SAMPLE_BLOCK:
-            yield _sampled_block(trajectories[start:j], dt)
+            yield _sampled_block(trajectories[start:j], t0[start:j], t_f[start:j], dt)
             start, widest = j, 0
         widest = max(widest, width)
-    yield _sampled_block(trajectories[start:], dt)
+    yield _sampled_block(trajectories[start:], t0[start:], t_f[start:], dt)
 
 
 def write_sampled_csv(trajectories: Sequence[Trajectory], path: str, dt: float) -> None:

@@ -4,8 +4,9 @@ The central objects are Vehicle (lane, earliest crossing time, scheduled
 crossing time), SimParams (intersection geometry and traffic parameters)
 and RunConfig (one run). SimParams and RunConfig are frozen and refuse
 invalid values when built, so the CLI and library callers meet the same
-rules; parse_config checks only a JSON config's keys and types, and
-validate_params only the load.
+rules, the integer rule of counts, n, seed and lanes included;
+parse_config checks only a JSON config's keys and the types of its
+numbers, and validate_params only the load.
 The reference scheduler's object model (Schedule, GateBook) lives in pfa
 with the reference itself. write_atomic writes every artifact file;
 inside write_together, a command's artifacts replace the previous ones
@@ -16,6 +17,7 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import operator
 import os
 import sys
 import warnings
@@ -109,9 +111,9 @@ def _per_lane(value: PerLane, n: int, name: str) -> Tuple[float, ...]:
 @dataclass(frozen=True)
 class SimParams:
     """Intersection geometry and traffic. Frozen; building it raises on the first
-    broken rule, so every instance has lambda_i, B_i, S_i, rho > 0, B_i and
-    S_i in [HEADWAY_MIN, 2**23) s, a finite 1 / lambda_i and
-    min(S) >= max(B). Only the load rho < 1 is left to validate_params."""
+    broken rule, so every instance has an int n >= 1, lambda_i, B_i, S_i,
+    rho > 0, B_i and S_i in [HEADWAY_MIN, 2**23) s, a finite 1 / lambda_i
+    and min(S) >= max(B). Only the load rho < 1 is left to validate_params."""
 
     n: int = 2                                  # number of lanes
     lam: Tuple[float, ...] = (0.25, 0.25)       # Poisson arrival rate per lane (veh/s)
@@ -124,6 +126,7 @@ class SimParams:
     region_spa_m: float = 300.0                 # length of the speed-profiling sub-region (m)
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise NonPositiveParameter(f"n must be >= 1, got {self.n}")
         lam = tuple(float(x) for x in self.lam)
@@ -221,6 +224,10 @@ class RunConfig:
     arrivals: Optional[List[Tuple[int, float]]] = None  # scripted (lane, entry time) list
 
     def __post_init__(self) -> None:
+        for name in ("batch_cap", "horizon_vehicles", "warmup_vehicles", "seed"):
+            value = getattr(self, name)
+            if not (value is None and name == "warmup_vehicles"):  # None: 10% of the horizon
+                object.__setattr__(self, name, _integer(value, name))
         if self.pfa not in PFA_KINDS:
             raise ConfigError(f"pfa must be one of {PFA_KINDS}, got {self.pfa!r}")
         if self.batch_cap < 1:
@@ -259,7 +266,7 @@ class RunConfig:
 def _checked_script(arrivals: Sequence, params: SimParams) -> List[Tuple[int, float]]:
     """The scripted (lane, entry time) pairs as a new list, if every one is valid."""
     offset = params.free_flow_offset
-    script = [(lane, entry_t) for lane, entry_t in arrivals]
+    script = [(_integer(lane, "arrival lane"), entry_t) for lane, entry_t in arrivals]
     for lane, entry_t in script:
         if not 1 <= lane <= params.n:
             raise ConfigError(f"arrival lane {lane} outside 1..{params.n}")
@@ -300,12 +307,14 @@ def _number(value: object, name: str) -> float:
 
 
 def _integer(value: object, name: str) -> int:
-    """A JSON integer; an integral float (1e5) counts, 2.7 and true do not."""
+    """value as an int. An integer (numpy's too) or an integral float (1e5)
+    counts; 2.7, True and anything else are refused."""
     if isinstance(value, float) and value.is_integer():
         return int(value)
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{name} must be an integer, got {value!r}")
-    return value
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
 
 
 def _numbers(value: object, name: str) -> Tuple[float, ...]:
@@ -318,9 +327,10 @@ def _numbers(value: object, name: str) -> Tuple[float, ...]:
 def parse_config(data: dict) -> RunConfig:
     """Build a RunConfig from a decoded JSON object (strict about keys and types).
 
-    Here only the JSON is checked: keys, types and the [lane, time] pair
-    shape. SimParams and RunConfig check the values when built, and any
-    PlatoonError they raise comes back as a ConfigError with its message.
+    Here only the JSON is checked: keys, number types and the [lane, time]
+    pair shape. SimParams and RunConfig check the values when built, the
+    integers among them included, and any PlatoonError they raise comes
+    back as a ConfigError with its message.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
@@ -329,7 +339,7 @@ def parse_config(data: dict) -> RunConfig:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     params_kwargs: dict = {}
     if "n" in data:
-        params_kwargs["n"] = _integer(data["n"], "n")
+        params_kwargs["n"] = data["n"]
     if "lambda" in data:
         params_kwargs["lam"] = _numbers(data["lambda"], "lambda")
     for key in ("B", "S"):
@@ -346,7 +356,7 @@ def parse_config(data: dict) -> RunConfig:
         run_kwargs["pfa"] = data["pfa"]
     for key in ("batch_cap", "horizon_vehicles", "warmup_vehicles", "seed"):
         if key in data:
-            run_kwargs[key] = _integer(data[key], key)
+            run_kwargs[key] = data[key]
     if "arrivals" in data:
         items = data["arrivals"]
         if not isinstance(items, (list, tuple)):
@@ -355,7 +365,7 @@ def parse_config(data: dict) -> RunConfig:
         for item in items:
             if not (isinstance(item, (list, tuple)) and len(item) == 2):
                 raise ConfigError(f"arrival must be a [lane, entry time] pair, got {item!r}")
-            arr.append((_integer(item[0], "arrival lane"), _number(item[1], "arrival entry time")))
+            arr.append((item[0], _number(item[1], "arrival entry time")))
         run_kwargs["arrivals"] = arr
     try:
         return RunConfig(params=SimParams(**params_kwargs), **run_kwargs)

@@ -19,8 +19,8 @@ and the largest queue from the final (a, c, lane), their one definition.
 
 RunResult.vehicles_jsonl_chunks prints the vehicle log JSONL_CHUNK
 records at a time with numpy: _cells, imported on the first call,
-prints every float exactly as repr (and so json) does and lays the
-records out in a row matrix squeezed in place.
+prints every id and lane as str and every float exactly as repr (and so
+json) does, and lays the records out in a row matrix squeezed in place.
 
 Batch is gated with a cap on platoon size (k-limited gated service), and
 the two disciplines part only when a join meets a full platoon. So where
@@ -202,10 +202,10 @@ def _vehicle_rows(lo: int, lane0: np.ndarray, entry: np.ndarray, a: np.ndarray,
     np.subtract(c, a, out=floats[3])
     texts = _cells._repr_cells(floats.ravel())
     del floats
-    pieces = [b'{"id": ', [(_cells._uint_cells(np.arange(lo, lo + n)), None, None)],
-              b', "lane": ', [(_cells._uint_cells(lane0.astype(np.int64) + 1), None, None)]]
+    pieces = [b'{"id": ', (_cells._int_cells(np.arange(lo, lo + n)), None),
+              b', "lane": ', (_cells._int_cells(lane0.astype(np.int64) + 1), None)]
     for i, name in enumerate((b"entry_t", b"a", b"c", b"delay")):
-        pieces += [b', "' + name + b'": ', [(texts[i * n:(i + 1) * n], None, None)]]
+        pieces += [b', "' + name + b'": ', (texts[i * n:(i + 1) * n], None)]
     del texts
     pieces.append(b"}\n")
     return _cells._rows(n, pieces)

@@ -1,10 +1,14 @@
 """The vectorised text cells and the vehicle log built from them.
 
-_cells._repr_cells prints every float as repr does; run's vehicles.jsonl
-is written a block of records at a time from those cells. These tests pin
-the cells to repr for finite doubles of every kind, show that the log of
-a run leaves none of its values to Python's repr, and pin the log to the
-per-record writer it replaced across chunk edges and on crafted values.
+_cells._repr_cells prints every float as repr does and _cells._int_cells
+every integer as str does; run's vehicles.jsonl is written a block of
+records at a time from those cells. These tests pin the float cells to
+repr for finite doubles of every kind and the integer cells to str around
+every power of ten, at both ends of int64 and beyond, show that the log
+of a run leaves none of its values to Python's repr, and pin the log to
+the per-record writer it replaced across chunk edges and on crafted
+values. The '%.10g' cells are tested with the trajectory tables
+(test_spa_csv).
 """
 from __future__ import annotations
 
@@ -134,6 +138,32 @@ def test_repr_cells_leave_no_run_log_value_to_repr(monkeypatch):
     for column in (res.entry, res.a, res.c, res.c - res.a):
         _cells._repr_cells(column)
     assert calls == []
+
+
+# ===================== integer cells =====================
+
+def int_texts(values):
+    return [bytes(row).replace(b"\0", b"").decode() for row in _cells._int_cells(values)]
+
+
+def test_int_cells_match_str_around_powers_of_ten_and_the_int64_ends():
+    edge = 2 ** 63
+    values = [sign * (10 ** k + d) for k in range(19) for d in (-1, 0, 1) for sign in (1, -1)]
+    values += [edge - 1, edge - 2, -edge, -edge + 1, 0, -1]
+    want = [str(v) for v in values]
+    assert int_texts(np.array(values, dtype=np.int64)) == want
+    assert int_texts(values) == want
+    # Beyond int64, Python's ints go through str.
+    wide = values + [edge, -edge - 1, 2 ** 70, -(10 ** 30), 10 ** 19]
+    assert int_texts(wide) == [str(v) for v in wide]
+    assert _cells._int_cells([]).shape[0] == 0
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.integers(-2 ** 65, 2 ** 65) | st.integers(-10 ** 6, 10 ** 6),
+                min_size=1, max_size=40))
+def test_int_cells_match_str(values):
+    assert int_texts(values) == [str(v) for v in values]
 
 
 # ===================== the vehicle log =====================

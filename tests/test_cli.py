@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from platoonsim import _trajcsv, cli, sim
-from platoonsim.core import SimParams
+from platoonsim.core import ConfigError, RunConfig, SimParams
 
 from oracle_utils import make_physical_arrivals
 
@@ -443,6 +443,34 @@ def test_run_rejects_malformed_config_values(tmp_path, capsys, key, value, messa
         assert cli.main([command, "--config", str(path), "--out", str(tmp_path / "out")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and message in err
+
+
+@pytest.mark.parametrize(
+    "key,value",
+    [("n", True), ("n", 1.5), ("batch_cap", 2.5), ("horizon_vehicles", 1000.5),
+     ("warmup_vehicles", 10.5), ("seed", True), ("seed", 1.5), ("arrival lane", 1.5)],
+)
+def test_library_applies_the_integer_rule_of_the_config(tmp_path, capsys, key, value):
+    # SimParams and RunConfig refuse a bool or a non-integral count, seed,
+    # n or lane with the error line the command prints for the config.
+    with open(SYM) as fh:
+        cfg = json.load(fh)
+    if key == "arrival lane":
+        cfg["arrivals"] = [[value, 0.0], [2, 1.0]]
+        cls, kwargs = RunConfig, {"arrivals": [(value, 0.0), (2, 1.0)]}
+    elif key == "n":
+        cfg[key] = value
+        cls, kwargs = SimParams, {key: value}
+    else:
+        cfg.update({key: value, "pfa": "batch"})
+        cls, kwargs = RunConfig, {key: value, "pfa": "batch"}
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    with pytest.raises(ConfigError) as built:
+        cls(**kwargs)
+    assert capsys.readouterr().err == f"error: {built.value}\n"
+    assert str(built.value) == f"{key} must be an integer, got {value!r}"
 
 
 @pytest.mark.parametrize("pfa", ["exhaustive", "gated"])

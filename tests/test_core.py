@@ -3,6 +3,7 @@ import json
 import math
 from dataclasses import FrozenInstanceError
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -289,6 +290,17 @@ def test_library_refuses_what_the_config_refuses(cls, kwargs, data, message):
         parse_config(data)
     assert str(built.value) == str(parsed.value)
     assert str(built.value).startswith(message)
+
+
+def test_library_counts_take_integral_floats_and_numpy_integers():
+    plain = RunConfig(params=SimParams(n=2), batch_cap=5, horizon_vehicles=1000,
+                      warmup_vehicles=1, seed=3, arrivals=[(2, 0.0), (1, 1.0)])
+    loose = RunConfig(params=SimParams(n=2.0), batch_cap=np.int64(5), horizon_vehicles=1e3,
+                      warmup_vehicles=np.uint8(1), seed=np.float64(3.0),
+                      arrivals=[(np.int32(2), 0.0), (1.0, 1.0)])
+    assert loose == plain
+    assert all(type(v) is int for v in (loose.params.n, loose.batch_cap, loose.horizon_vehicles,
+                                        loose.warmup_vehicles, loose.seed, loose.arrivals[0][0]))
 
 
 def test_params_and_config_are_frozen():

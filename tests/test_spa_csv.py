@@ -1,13 +1,15 @@
 """The trajectory tables' writers: the vectorised '%.10g' cells and the blocks.
 
-_trajcsv formats every float cell of traj_segments.csv and traj_sampled.csv
-with _g10_cells and writes both tables a block of trajectories at a time.
-These tests pin the cells to Python's '%.10g' for finite doubles of every
-magnitude, and both files, written through spa, to their scalar references
-across block edges and on segments whose speed is held.
+_trajcsv writes traj_segments.csv and traj_sampled.csv a block of
+trajectories at a time, every float cell printed by _cells._g10_cells and
+every integer by _cells._int_cells. These tests pin the float cells to
+Python's '%.10g' for finite doubles of every magnitude, and both files,
+written through spa, to their scalar references across block edges, on
+segments whose speed is held and with vehicle ids of every sign and size.
 """
 from __future__ import annotations
 
+import dataclasses
 import math
 import tracemalloc
 
@@ -16,7 +18,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from platoonsim import _cells, _trajcsv
-from platoonsim._trajcsv import _g10_cells
+from platoonsim._cells import _g10_cells
 from platoonsim.core import SimParams
 from platoonsim.spa import (Segment, Trajectory, _build_segments, plan_min_distance,
                              write_sampled_csv, write_segments_csv)
@@ -195,6 +197,18 @@ def test_segment_blocks_meet_the_reference_at_the_edge(tmp_path, count):
     trajectories = [five_segment(i, 0.1 * i + 1e-3, 7 + i % 5, dt=0.3) for i in range(count)]
     got = written(write_segments_csv, trajectories, tmp_path / "got.csv")
     assert got == written(write_segments_csv_reference, trajectories, tmp_path / "want.csv")
+
+
+def test_tables_print_vehicle_ids_of_every_sign_and_size(tmp_path):
+    # The default id -1, 0, both ends of int64 and an id past it.
+    ids = [-1, 0, 2 ** 63 - 1, -2 ** 63, 2 ** 70]
+    trajectories = [dataclasses.replace(five_segment(i, 0.5 * i, 9), vehicle_id=vehicle_id)
+                    for i, vehicle_id in enumerate(ids)]
+    got = written(write_segments_csv, trajectories, tmp_path / "got.csv")
+    assert got == written(write_segments_csv_reference, trajectories, tmp_path / "want.csv")
+    got = written(write_sampled_csv, trajectories, tmp_path / "got.csv", 0.5)
+    assert got == written(write_sampled_csv_reference, trajectories, tmp_path / "want.csv", 0.5)
+    assert [int(line.split(b",")[0]) for line in got.splitlines()[1::9]] == ids
 
 
 def test_sampled_writer_holds_one_block_at_a_time(tmp_path):
