@@ -4,7 +4,8 @@ Four subcommands, one JSON config schema, CSV/JSONL artifacts written
 atomically into an output directory. Exit codes: 0 success, 1 internal
 scheduling error, 2 configuration or usage error (a request larger than
 the memory available included: one line naming the command and config,
-no traceback), 3 unstable load without --transient. Warnings, such as a
+no traceback; and an --out that cannot be written: one line naming the
+path), 3 unstable load without --transient. Warnings, such as a
 transient run at rho >= 1, print as one "warning: ..." line on stderr.
 """
 from __future__ import annotations
@@ -315,6 +316,10 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             + (f": {detail}" if detail else ""),
             file=sys.stderr,
         )
+        return EXIT_CONFIG
+    except OSError as exc:  # an --out that is a file, under a file, or not writable
+        path = args.out if exc.filename is None else exc.filename
+        print(f"error: cannot write {path}: {exc.strerror or exc}", file=sys.stderr)
         return EXIT_CONFIG
     finally:
         warnings.formatwarning = python_format

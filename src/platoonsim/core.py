@@ -3,10 +3,12 @@
 The central objects are Vehicle (lane, earliest crossing time, scheduled
 crossing time), SimParams (intersection geometry and traffic parameters)
 and RunConfig (one run). SimParams and RunConfig are frozen and refuse
-invalid values when built, so the CLI and library callers meet the same
-rules, the integer rule of counts, n, seed and lanes included;
-parse_config checks only a JSON config's keys and the types of its
-numbers, and validate_params only the load.
+invalid values when built with a ConfigError, so the CLI and library
+callers meet the same rules word for word, the number rule of every rate,
+headway, length and entry time and the integer rule of counts, n, seed
+and lanes included; parse_config checks only a JSON config's shape (an
+object, known keys, [lane, entry time] pairs), and validate_params only
+the load.
 The reference scheduler's object model (Schedule, GateBook) lives in pfa
 with the reference itself. write_atomic writes every artifact file;
 inside write_together, a command's artifacts replace the previous ones
@@ -17,12 +19,15 @@ from __future__ import annotations
 import contextlib
 import json
 import math
+import numbers
 import operator
 import os
 import sys
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from typing import Iterable, Iterator, List, Optional, Sequence, Tuple, Union
+
+import numpy as np
 
 __all__ = [
     "PlatoonError",
@@ -60,20 +65,22 @@ class PlatoonError(Exception):
     """Base class for all domain errors raised by this package."""
 
 
-class NonPositiveParameter(PlatoonError):
+class ConfigError(PlatoonError):
+    """A configuration (file or object) is missing, malformed, has unknown
+    keys or breaks a rule of SimParams or RunConfig; every refusal of a
+    scenario when it is built is one."""
+
+
+class NonPositiveParameter(ConfigError):
     """A parameter that must be strictly positive is zero or negative."""
 
 
-class SClearanceBelowB(PlatoonError):
+class SClearanceBelowB(ConfigError):
     """Cross-lane clearance S must be at least the same-lane headway B."""
 
 
 class UnstableLoad(PlatoonError):
     """Total load rho >= 1; steady-state statistics are undefined."""
-
-
-class ConfigError(PlatoonError):
-    """A configuration (file or object) is missing, malformed, or has unknown keys."""
 
 
 class InconsistentGateBook(PlatoonError):
@@ -98,11 +105,49 @@ class Vehicle:
 PerLane = Union[float, Sequence[float]]
 
 
+def _number(value: object, name: str) -> float:
+    """value as a float: any real number (numpy's too) except a bool. Strings,
+    None and infinities are refused; NaN is left to each value's range check,
+    whose message names it."""
+    if isinstance(value, bool) or not isinstance(value, (float, int, numbers.Real)):  # ABC last: slow
+        raise ConfigError(f"{name} must be a number, got {value!r}")
+    try:
+        x = float(value)
+    except OverflowError as exc:
+        raise ConfigError(f"{name} is out of range: {exc}") from exc
+    if math.isinf(x):
+        raise ConfigError(f"{name} must be finite, got {x}")
+    return x
+
+
+def _integer(value: object, name: str) -> int:
+    """value as an int. An integer (numpy's too) or an integral float (1e5)
+    counts; 2.7, True and anything else are refused."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
+    if not isinstance(value, bool):
+        with contextlib.suppress(TypeError):
+            return operator.index(value)
+    raise ConfigError(f"{name} must be an integer, got {value!r}")
+
+
+def _is_list(value: object) -> bool:
+    """A list, tuple or 1-D numpy array; never a str or a scalar."""
+    return isinstance(value, (list, tuple)) or isinstance(value, np.ndarray) and value.ndim == 1
+
+
+def _numbers(value: object, name: str) -> Tuple[float, ...]:
+    """A list of numbers as a tuple of floats."""
+    if not _is_list(value):
+        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
+    return tuple(_number(x, f"{name} entry") for x in value)
+
+
 def _per_lane(value: PerLane, n: int, name: str) -> Tuple[float, ...]:
-    """Normalize a scalar-or-sequence parameter to an n-tuple of floats."""
-    if isinstance(value, (int, float)):
-        return (float(value),) * n
-    vals = tuple(float(v) for v in value)
+    """Normalize a number-or-list parameter to an n-tuple of floats."""
+    if not _is_list(value):
+        return (_number(value, name),) * n
+    vals = _numbers(value, name)
     if len(vals) != n:
         raise ConfigError(f"{name} must be a scalar or a sequence of length n={n}, got {len(vals)} values")
     return vals
@@ -129,13 +174,15 @@ class SimParams:
         object.__setattr__(self, "n", _integer(self.n, "n"))
         if self.n < 1:
             raise NonPositiveParameter(f"n must be >= 1, got {self.n}")
-        lam = tuple(float(x) for x in self.lam)
+        lam = _numbers(self.lam, "lambda")
         if len(lam) != self.n:
             raise ConfigError(f"lambda must have n={self.n} entries, got {len(lam)}")
         object.__setattr__(self, "lam", lam)
         object.__setattr__(self, "B", _per_lane(self.B, self.n, "B"))
         object.__setattr__(self, "S", _per_lane(self.S, self.n, "S"))
         geometry = ("v_max", "a_max", "l_min", "region_pfa_m", "region_spa_m")
+        for name in geometry:
+            object.__setattr__(self, name, _number(getattr(self, name), name))
         values = [(name, getattr(self, name)) for name in geometry]
         for name, per_lane in (("lambda", self.lam), ("B", self.B), ("S", self.S)):
             values += [(f"{name}[{i}]", v) for i, v in enumerate(per_lane, start=1)]
@@ -266,7 +313,8 @@ class RunConfig:
 def _checked_script(arrivals: Sequence, params: SimParams) -> List[Tuple[int, float]]:
     """The scripted (lane, entry time) pairs as a new list, if every one is valid."""
     offset = params.free_flow_offset
-    script = [(_integer(lane, "arrival lane"), entry_t) for lane, entry_t in arrivals]
+    script = [(_integer(lane, "arrival lane"), _number(entry_t, "arrival entry time"))
+              for lane, entry_t in arrivals]
     for lane, entry_t in script:
         if not 1 <= lane <= params.n:
             raise ConfigError(f"arrival lane {lane} outside 1..{params.n}")
@@ -285,92 +333,39 @@ def _checked_script(arrivals: Sequence, params: SimParams) -> List[Tuple[int, fl
     return script
 
 
-_CONFIG_KEYS = {
-    "n", "lambda", "B", "S", "v_max", "a_max", "l_min",
-    "region_pfa_m", "region_spa_m", "pfa", "batch_cap",
-    "horizon_vehicles", "warmup_vehicles", "seed", "arrivals",
+# Each config key and the SimParams or RunConfig field it sets.
+_CONFIG_FIELDS = {
+    "n": "n", "lambda": "lam", "B": "B", "S": "S", "v_max": "v_max", "a_max": "a_max",
+    "l_min": "l_min", "region_pfa_m": "region_pfa_m", "region_spa_m": "region_spa_m",
+    "pfa": "pfa", "batch_cap": "batch_cap", "horizon_vehicles": "horizon_vehicles",
+    "warmup_vehicles": "warmup_vehicles", "seed": "seed", "arrivals": "arrivals",
 }
-
-
-def _number(value: object, name: str) -> float:
-    """A JSON number as a float; bools, strings, nulls and json's Infinity are
-    refused. NaN is left to each value's range check, whose message names it."""
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{name} must be a number, got {value!r}")
-    try:
-        x = float(value)
-    except OverflowError as exc:
-        raise ConfigError(f"{name} is out of range: {exc}") from exc
-    if math.isinf(x):
-        raise ConfigError(f"{name} must be finite, got {x}")
-    return x
-
-
-def _integer(value: object, name: str) -> int:
-    """value as an int. An integer (numpy's too) or an integral float (1e5)
-    counts; 2.7, True and anything else are refused."""
-    if isinstance(value, float) and value.is_integer():
-        return int(value)
-    if not isinstance(value, bool):
-        with contextlib.suppress(TypeError):
-            return operator.index(value)
-    raise ConfigError(f"{name} must be an integer, got {value!r}")
-
-
-def _numbers(value: object, name: str) -> Tuple[float, ...]:
-    """A JSON list of numbers as a tuple of floats."""
-    if not isinstance(value, (list, tuple)):
-        raise ConfigError(f"{name} must be a list of numbers, got {value!r}")
-    return tuple(_number(x, f"{name} entry") for x in value)
+_CONFIG_KEYS = frozenset(_CONFIG_FIELDS)
+_PARAMS_FIELDS = frozenset(f.name for f in fields(SimParams))
 
 
 def parse_config(data: dict) -> RunConfig:
-    """Build a RunConfig from a decoded JSON object (strict about keys and types).
+    """Build a RunConfig from a decoded JSON object (strict about keys).
 
-    Here only the JSON is checked: keys, number types and the [lane, time]
-    pair shape. SimParams and RunConfig check the values when built, the
-    integers among them included, and any PlatoonError they raise comes
-    back as a ConfigError with its message.
+    Here only the JSON is checked: that it is an object, its keys and the
+    [lane, entry time] pair shape. Each value goes to its SimParams or
+    RunConfig field as it is, and their checks, the rules for numbers and
+    integers included, raise the ConfigError the config gets.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    params_kwargs: dict = {}
-    if "n" in data:
-        params_kwargs["n"] = data["n"]
-    if "lambda" in data:
-        params_kwargs["lam"] = _numbers(data["lambda"], "lambda")
-    for key in ("B", "S"):
-        if key in data:
-            value = data[key]
-            params_kwargs[key] = (
-                _numbers(value, key) if isinstance(value, (list, tuple)) else _number(value, key)
-            )
-    for key in ("v_max", "a_max", "l_min", "region_pfa_m", "region_spa_m"):
-        if key in data:
-            params_kwargs[key] = _number(data[key], key)
-    run_kwargs: dict = {}
-    if "pfa" in data:
-        run_kwargs["pfa"] = data["pfa"]
-    for key in ("batch_cap", "horizon_vehicles", "warmup_vehicles", "seed"):
-        if key in data:
-            run_kwargs[key] = data[key]
-    if "arrivals" in data:
-        items = data["arrivals"]
-        if not isinstance(items, (list, tuple)):
-            raise ConfigError(f"arrivals must be a list of [lane, entry time] pairs, got {items!r}")
-        arr = []
-        for item in items:
-            if not (isinstance(item, (list, tuple)) and len(item) == 2):
-                raise ConfigError(f"arrival must be a [lane, entry time] pair, got {item!r}")
-            arr.append((item[0], _number(item[1], "arrival entry time")))
-        run_kwargs["arrivals"] = arr
-    try:
-        return RunConfig(params=SimParams(**params_kwargs), **run_kwargs)
-    except PlatoonError as exc:
-        raise ConfigError(str(exc)) from exc
+    items = data.get("arrivals", [])
+    if not isinstance(items, (list, tuple)):
+        raise ConfigError(f"arrivals must be a list of [lane, entry time] pairs, got {items!r}")
+    for item in items:
+        if not (isinstance(item, (list, tuple)) and len(item) == 2):
+            raise ConfigError(f"arrival must be a [lane, entry time] pair, got {item!r}")
+    kwargs = {_CONFIG_FIELDS[key]: value for key, value in data.items()}
+    params = {name: kwargs.pop(name) for name in list(kwargs) if name in _PARAMS_FIELDS}
+    return RunConfig(params=SimParams(**params), **kwargs)
 
 
 def load_config(path: str) -> RunConfig:
@@ -444,7 +439,7 @@ def write_together() -> Iterator[None]:
 
 
 def _remove_tmp(path: str) -> None:
-    try:
+    """Remove path + ".tmp" where it can be; it is called while an error
+    propagates, and never raises over it (the ".tmp" may be a directory)."""
+    with contextlib.suppress(OSError):
         os.remove(path + ".tmp")
-    except FileNotFoundError:
-        pass

@@ -160,7 +160,7 @@ def evaluate(traj: Trajectory, t: float) -> Tuple[float, float, float]:
 
 # ===================== predecessor linkage and separation =====================
 
-def _linked_t_full(t_f: float, pred: Optional[Trajectory], link_gap: float) -> float:
+def _linked_t_full(t_f: float, pred: Optional[Trajectory], link_gap: Optional[float]) -> float:
     """Full-speed instant: inherited from the predecessor on a B-spaced join."""
     if pred is not None and abs((t_f - pred.t_f) - link_gap) <= B_LINK_TOL:
         return pred.t_full
@@ -258,6 +258,8 @@ def _plan(dip: Dip, x0: float, v0: float, t_f: float, params: SimParams,
     """
     if x0 >= 0.0:
         raise ValueError(f"x0 must be negative (upstream), got {x0}")
+    if pred is not None and link_gap is None:  # the follower's lane headway B is not known here
+        raise ValueError("pred needs link_gap, the follower's lane headway B")
     v_m, a_m = params.v_max, params.a_max
     if not 0.0 <= v0 <= v_m + FEAS_TOL:
         raise ValueError(f"v0 must lie in [0, v_max], got {v0}")
@@ -268,7 +270,7 @@ def _plan(dip: Dip, x0: float, v0: float, t_f: float, params: SimParams,
         raise InfeasibleCrossingTime(
             f"vehicle {vehicle_id}: t_f - t0 = {T} < free-flow time {dist / v_m}"
         )
-    t_full = _linked_t_full(t_f, pred, params.B_of(1) if link_gap is None else link_gap)
+    t_full = _linked_t_full(t_f, pred, link_gap)
     tf_rel = t_full - t0
     t_dec, t_stop, t_acc, diag = dip(T, tf_rel, dist, v0, params, vehicle_id)
     pieces = [(t_dec, 0.0), (t_stop - t_dec, -a_m), (t_acc - t_stop, 0.0),
@@ -321,6 +323,10 @@ def plan_min_distance(x0: float, t_f: float, params: SimParams,
     L = v_max * (t_f - t0 - v_max / a_max), reaches |x0|; otherwise the
     dip bottoms out early with deceleration time
     sqrt(((t_f - t0) * v_max - |x0|) / a_max), and t_stop = t_acc.
+
+    pred, the same-lane trajectory ahead, needs link_gap, the follower's
+    lane headway B: a crossing link_gap after pred's regains full speed
+    at pred's t_full. Without link_gap, pred raises ValueError.
     """
     return _plan(_min_distance_dip, x0, params.v_max, t_f, params, pred, link_gap, t0,
                  vehicle_id)
@@ -369,6 +375,8 @@ def plan_min_accel(x0: float, v0: float, t_f: float, params: SimParams,
     t1 = (M - sqrt(disc)) / 2, t2 = M - t1, where
     disc = M^2 - (4 / a_max) * (v_max (t_f - t0)
            - (v_max - v0) (t_full - t0) + (v_max - v0)^2 / (2 a_max) - |x0|).
+
+    pred and link_gap are plan_min_distance's: pred needs link_gap.
     """
     return _plan(_min_accel_dip, x0, v0, t_f, params, pred, link_gap, t0, vehicle_id)
 

@@ -262,24 +262,60 @@ def test_parse_config_rejects_malformed_values(data, message):
     assert message in str(info.value)
 
 
+# Each place a number goes: the object and config that put x there, the
+# name a refusal gives the number, and the refusal of NaN, which is one.
+_NUMBER_PLACES = {
+    "geometry": (lambda x: (SimParams, {"v_max": x}, {"v_max": x}),
+                 "v_max", "v_max must be > 0, got nan"),
+    "lambda-entry": (lambda x: (SimParams, {"lam": (0.25, x)}, {"lambda": [0.25, x]}),
+                     "lambda entry", "lambda[2] must be > 0, got nan"),
+    "scalar-B": (lambda x: (SimParams, {"B": x}, {"B": x}), "B", "B[1] must be > 0, got nan"),
+    "arrival-time": (lambda x: (RunConfig, {"arrivals": [(1, x)]}, {"arrivals": [[1, x]]}),
+                     "arrival entry time", "arrival entry time must be finite, got nan"),
+}
+_NOT_NUMBERS = {
+    "bool": (True, "must be a number, got True"),
+    "str": ("1", "must be a number, got '1'"),
+    "none": (None, "must be a number, got None"),
+    "inf": (math.inf, "must be finite, got inf"),
+    "huge": (10 ** 400, "is out of range: int too large to convert to float"),
+    "nan": (math.nan, None),
+}
+_NUMBER_CASES = [
+    pytest.param(*place(value), nan_message if message is None else f"{name} {message}",
+                 id=f"{where}-{kind}")
+    for where, (place, name, nan_message) in _NUMBER_PLACES.items()
+    for kind, (value, message) in _NOT_NUMBERS.items()
+] + [
+    pytest.param(SimParams, {"lam": value}, {"lambda": value},
+                 f"lambda must be a list of numbers, got {value!r}", id=f"scalar-lambda-{kind}")
+    for kind, (value, _) in _NOT_NUMBERS.items()
+]
+
+
 @pytest.mark.parametrize(
     "cls, kwargs, data, message",
-    [
-        (SimParams, {"region_spa_m": 1e20}, {"region_spa_m": 1e20},
-         "(region_pfa_m + region_spa_m) / v_max = 6.66667e+18 s is too long"),
-        (RunConfig, {"arrivals": [(1, 1e16), (2, 1e16 + 4.0)]},
-         {"arrivals": [[1, 1e16], [2, 1e16 + 4.0]]},
-         "arrival entry time 1e+16 s is out of range"),
-        (RunConfig, {"batch_cap": 0}, {"batch_cap": 0}, "batch_cap must be >= 1, got 0"),
-        (RunConfig, {"horizon_vehicles": 0}, {"horizon_vehicles": 0},
-         "horizon_vehicles must be >= 1, got 0"),
-        (RunConfig, {"arrivals": [(1, 1.0), (2, 0.5)]}, {"arrivals": [[1, 1.0], [2, 0.5]]},
-         "scripted arrivals must be sorted by entry time"),
-        (RunConfig, {"arrivals": [(3, 0.0)]}, {"arrivals": [[3, 0.0]]},
-         "arrival lane 3 outside 1..2"),
-        (RunConfig, {"seed": -1}, {"seed": -1}, "seed must be >= 0, got -1"),
+    _NUMBER_CASES + [
+        pytest.param(SimParams, {"region_spa_m": 1e20}, {"region_spa_m": 1e20},
+                     "(region_pfa_m + region_spa_m) / v_max = 6.66667e+18 s is too long",
+                     id="offset"),
+        pytest.param(RunConfig, {"arrivals": [(1, 1e16), (2, 1e16 + 4.0)]},
+                     {"arrivals": [[1, 1e16], [2, 1e16 + 4.0]]},
+                     "arrival entry time 1e+16 s is out of range", id="script-time"),
+        pytest.param(RunConfig, {"batch_cap": 0}, {"batch_cap": 0},
+                     "batch_cap must be >= 1, got 0", id="batch-cap"),
+        pytest.param(RunConfig, {"horizon_vehicles": 0}, {"horizon_vehicles": 0},
+                     "horizon_vehicles must be >= 1, got 0", id="horizon"),
+        pytest.param(RunConfig, {"arrivals": [(1, 1.0), (2, 0.5)]},
+                     {"arrivals": [[1, 1.0], [2, 0.5]]},
+                     "scripted arrivals must be sorted by entry time", id="unsorted"),
+        pytest.param(RunConfig, {"arrivals": [(3, 0.0)]}, {"arrivals": [[3, 0.0]]},
+                     "arrival lane 3 outside 1..2", id="lane"),
+        pytest.param(RunConfig, {"seed": -1}, {"seed": -1}, "seed must be >= 0, got -1",
+                     id="seed"),
+        pytest.param(SimParams, {"B": (1.0, "1")}, {"B": [1.0, "1"]},
+                     "B entry must be a number, got '1'", id="B-entry"),
     ],
-    ids=["offset", "script-time", "batch-cap", "horizon", "unsorted", "lane", "seed"],
 )
 def test_library_refuses_what_the_config_refuses(cls, kwargs, data, message):
     # One rule book: building the object in Python raises what the config
@@ -301,6 +337,20 @@ def test_library_counts_take_integral_floats_and_numpy_integers():
     assert loose == plain
     assert all(type(v) is int for v in (loose.params.n, loose.batch_cap, loose.horizon_vehicles,
                                         loose.warmup_vehicles, loose.seed, loose.arrivals[0][0]))
+
+
+def test_library_numbers_take_numpy_scalars_tuples_and_arrays():
+    plain = RunConfig(params=SimParams(lam=(0.25, 0.5), B=1.0, S=(3.0, 4.0), v_max=15.0,
+                                       a_max=4.0), arrivals=[(1, 0.0), (2, 2.0)])
+    loose = RunConfig(params=SimParams(lam=np.array([0.25, 0.5], dtype=np.float32),
+                                       B=np.array([1, 1], dtype=np.int64),
+                                       S=(np.int64(3), np.float32(4.0)), v_max=np.int64(15),
+                                       a_max=np.float32(4.0)),
+                      arrivals=[(1, np.float32(0.0)), (2, np.int64(2))])
+    assert loose == plain
+    p = loose.params
+    assert all(type(v) is float for v in (*p.lam, *p.B, *p.S, p.v_max, p.a_max,
+                                          *(t for _, t in loose.arrivals)))
 
 
 def test_params_and_config_are_frozen():

@@ -231,6 +231,20 @@ def test_unlinked_follower_keeps_own_t_full(params):
     assert follower.t_full == 30.0
 
 
+@pytest.mark.parametrize("plan", [plan_min_distance, plan_min_accel])
+def test_pred_without_link_gap_is_refused(plan):
+    # A lane-2 follower 1.5 s behind its leader links at its own B of 1.5 s.
+    # Guessing lane 1's B of 1.0 s left it unlinked, and the min-distance
+    # follower then came within 0.0625 m of its leader.
+    p = SimParams(B=(1.0, 1.5))
+    entry = (-300.0,) if plan is plan_min_distance else (-300.0, 15.0)  # x0, and v0
+    leader = plan(*entry, 25.0, p)
+    with pytest.raises(ValueError, match="pred needs link_gap"):
+        plan(*entry, 26.5, p, pred=leader, t0=1.5)
+    follower = plan(*entry, 26.5, p, pred=leader, link_gap=p.B_of(2), t0=1.5)
+    assert follower.t_full == leader.t_full == 25.0
+
+
 def test_separation_violation_raised(params):
     leader = plan_min_distance(-300.0, 25.0, params)
     with pytest.raises(SeparationViolation):
