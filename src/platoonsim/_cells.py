@@ -1,17 +1,19 @@
 """Text cells printed with numpy, and rows built from them.
 
 A cell matrix holds one ASCII cell per row, NUL-padded (n x width uint8).
-Every number of the artifacts is printed here: _int_cells as str prints
-an integer, _repr_cells as repr prints a float (vehicles.jsonl) and
-_g10_cells as '%.10g' % does (the trajectory tables). Each finds its
-digits in its own way and hands the sign, the integer part and the
-fraction to one fixed-point layout (_layout), which prints them from
-four-digit tables (_digit_tables) and puts in the rows it leaves to
-Python. _rows lays literals and columns into a bytearray-backed row
-matrix, one V{width} item per cell, and squeezes its NUL padding out in
-place (_squeeze). The vehicles.jsonl writer (sim.RunResult) and the
-trajectory tables (_trajcsv) import this module on first use, so the
-commands that write neither never compile it.
+The numbers of vehicles.jsonl and of the trajectory tables are printed
+here; results.csv, delay_sweep.csv and approx.csv go through cli._fmt
+(f"{x:.10g}") instead. _int_cells as str prints an integer, _repr_cells
+as repr prints a float (vehicles.jsonl) and _g10_cells as '%.10g' %
+does (the trajectory tables). Each finds its digits in its own way and
+hands the sign, the integer part and the fraction to one fixed-point
+layout (_layout), which prints them from four-digit tables
+(_digit_tables) and puts in the rows it leaves to Python. _rows lays
+literals and columns into a bytearray-backed row matrix, one V{width}
+item per cell, and squeezes its NUL padding out in place (_squeeze). The
+vehicles.jsonl writer (sim.RunResult) and the trajectory tables
+(_trajcsv) import this module on first use, so the commands that write
+neither never compile it.
 """
 from __future__ import annotations
 

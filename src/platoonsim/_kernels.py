@@ -2,10 +2,10 @@
 
 The scheduling recurrence is inherently sequential (every insertion
 depends on all prior state), so the kernel is a scalar loop over Python
-lists of floats and ints; list.insert and bisect move and search the
-lists in C. It implements the disciplines of the object-level reference
-in pfa with the same floating-point operations in the same order, so its
-schedules are bit-identical to pfa's, which the test suite verifies.
+lists of floats and ints: shifts add in place from the short tail, and
+bisect and list.insert place new vehicles. Its disciplines are those of
+the reference in pfa, with the same floating-point operations in the
+same order, so its schedules are bit-identical to pfa's (tested).
 
 The state holds the live queue, not the horizon: the arrivals are read
 BLOCK at a time, and once more than BLOCK slots have departed their
@@ -37,26 +37,31 @@ BLOCK = 8192  # arrivals read, and departed slots compacted, at a time
 
 
 def _shift_after(xs, lo, anchor, delta):
-    """Add delta to every entry of the sorted, non-empty xs[lo:] strictly after the anchor."""
-    if xs[-1] > anchor:
-        j = bisect_right(xs, anchor, lo)
-        xs[j:] = [x + delta for x in xs[j:]]
+    """Add delta in place to sorted xs[lo:] after the anchor, from the end back to lo or an entry <= it."""
+    j = len(xs) - 1
+    while j >= lo and xs[j] > anchor:
+        xs[j] += delta
+        j -= 1
 
 
 def _shift_lanes(cs, head, tl, anchor, delta):
-    """_shift_after on cs, and the same shift of each lane's last crossing time."""
+    """_shift_after on cs, then each lane's last crossing time after the anchor, lane by lane."""
     if cs[-1] > anchor:
         _shift_after(cs, head, anchor, delta)
-        tl[:] = [t + delta if t > anchor else t for t in tl]
+        for lane, t in enumerate(tl):
+            if t > anchor:
+                tl[lane] = t + delta
 
 
 def _shift_platoons(pf, pt, anchor, delta):
-    """Shift every platoon whose start is strictly after the anchor."""
+    """Shift in place each platoon starting after the anchor: every lane walks back
+    from its last platoon to the first start not after the anchor, or to its first."""
     for starts, ends in zip(pf, pt):
-        if starts and starts[-1] > anchor:
-            j = bisect_right(starts, anchor)
-            starts[j:] = [f + delta for f in starts[j:]]
-            ends[j:] = [t + delta for t in ends[j:]]
+        j = len(starts) - 1
+        while j >= 0 and starts[j] > anchor:
+            starts[j] += delta
+            ends[j] += delta
+            j -= 1
 
 
 def _lands_on_start(pf, c):

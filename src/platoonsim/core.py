@@ -271,6 +271,8 @@ class RunConfig:
     arrivals: Optional[List[Tuple[int, float]]] = None  # scripted (lane, entry time) list
 
     def __post_init__(self) -> None:
+        if not isinstance(self.params, SimParams):
+            raise ConfigError(f"params must be a SimParams, got {self.params!r}")
         for name in ("batch_cap", "horizon_vehicles", "warmup_vehicles", "seed"):
             value = getattr(self, name)
             if not (value is None and name == "warmup_vehicles"):  # None: 10% of the horizon
@@ -310,8 +312,16 @@ class RunConfig:
         return self.horizon_vehicles // 10
 
 
-def _checked_script(arrivals: Sequence, params: SimParams) -> List[Tuple[int, float]]:
-    """The scripted (lane, entry time) pairs as a new list, if every one is valid."""
+def _checked_script(arrivals: object, params: SimParams) -> List[Tuple[int, float]]:
+    """The scripted (lane, entry time) pairs as a new list, if every one is valid.
+    The pairs come in a list or tuple of lists, tuples or 1-D arrays, or as the
+    rows of a 2-D numpy array."""
+    if not (isinstance(arrivals, (list, tuple))
+            or isinstance(arrivals, np.ndarray) and arrivals.ndim == 2):
+        raise ConfigError(f"arrivals must be a list of [lane, entry time] pairs, got {arrivals!r}")
+    for item in arrivals:
+        if not (_is_list(item) and len(item) == 2):
+            raise ConfigError(f"arrival must be a [lane, entry time] pair, got {item!r}")
     offset = params.free_flow_offset
     script = [(_integer(lane, "arrival lane"), _number(entry_t, "arrival entry time"))
               for lane, entry_t in arrivals]
@@ -347,22 +357,16 @@ _PARAMS_FIELDS = frozenset(f.name for f in fields(SimParams))
 def parse_config(data: dict) -> RunConfig:
     """Build a RunConfig from a decoded JSON object (strict about keys).
 
-    Here only the JSON is checked: that it is an object, its keys and the
-    [lane, entry time] pair shape. Each value goes to its SimParams or
-    RunConfig field as it is, and their checks, the rules for numbers and
-    integers included, raise the ConfigError the config gets.
+    Here only the JSON is checked: that it is an object and its keys. Each
+    value goes to its SimParams or RunConfig field as it is, and their
+    checks, the rules for numbers, integers and arrival pairs included,
+    raise the ConfigError the config gets.
     """
     if not isinstance(data, dict):
         raise ConfigError(f"config must be a JSON object, got {type(data).__name__}")
     unknown = set(data) - _CONFIG_KEYS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-    items = data.get("arrivals", [])
-    if not isinstance(items, (list, tuple)):
-        raise ConfigError(f"arrivals must be a list of [lane, entry time] pairs, got {items!r}")
-    for item in items:
-        if not (isinstance(item, (list, tuple)) and len(item) == 2):
-            raise ConfigError(f"arrival must be a [lane, entry time] pair, got {item!r}")
     kwargs = {_CONFIG_FIELDS[key]: value for key, value in data.items()}
     params = {name: kwargs.pop(name) for name in list(kwargs) if name in _PARAMS_FIELDS}
     return RunConfig(params=SimParams(**params), **kwargs)

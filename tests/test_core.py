@@ -217,6 +217,7 @@ def test_parse_config_rejects_bad_batch_cap():
 def test_parse_config_arrivals():
     cfg = parse_config({"arrivals": [[1, 0.0], [2, 0.5], [1, 1.5]]})
     assert cfg.arrivals == [(1, 0.0), (2, 0.5), (1, 1.5)]
+    assert parse_config({"arrivals": None}).arrivals is None  # null: no script, as in RunConfig
     with pytest.raises(ConfigError, match="finite"):
         parse_config({"arrivals": [[1, 0.0], [2, float("nan")]]})
     with pytest.raises(ConfigError, match="at least one"):
@@ -315,6 +316,18 @@ _NUMBER_CASES = [
                      id="seed"),
         pytest.param(SimParams, {"B": (1.0, "1")}, {"B": [1.0, "1"]},
                      "B entry must be a number, got '1'", id="B-entry"),
+        pytest.param(RunConfig, {"arrivals": [[1]]}, {"arrivals": [[1]]},
+                     "arrival must be a [lane, entry time] pair, got [1]", id="short-pair"),
+        pytest.param(RunConfig, {"arrivals": [[1, 0.0], [2, 1.0, 3]]},
+                     {"arrivals": [[1, 0.0], [2, 1.0, 3]]},
+                     "arrival must be a [lane, entry time] pair, got [2, 1.0, 3]",
+                     id="long-pair"),
+        pytest.param(RunConfig, {"arrivals": "ab"}, {"arrivals": "ab"},
+                     "arrivals must be a list of [lane, entry time] pairs, got 'ab'",
+                     id="arrivals-str"),
+        pytest.param(RunConfig, {"arrivals": 5}, {"arrivals": 5},
+                     "arrivals must be a list of [lane, entry time] pairs, got 5",
+                     id="arrivals-int"),
     ],
 )
 def test_library_refuses_what_the_config_refuses(cls, kwargs, data, message):
@@ -326,6 +339,21 @@ def test_library_refuses_what_the_config_refuses(cls, kwargs, data, message):
         parse_config(data)
     assert str(built.value) == str(parsed.value)
     assert str(built.value).startswith(message)
+
+
+def test_library_refuses_a_tuple_of_the_wrong_length_and_params_not_simparams():
+    with pytest.raises(ConfigError, match=r"^arrival must be a \[lane, entry time\] pair, got \(1,\)$"):
+        RunConfig(arrivals=[(1,)])
+    for params in (None, {"n": 2}):
+        with pytest.raises(ConfigError, match=r"^params must be a SimParams, got "):
+            RunConfig(params=params)
+
+
+def test_library_script_takes_the_rows_of_a_numpy_array():
+    rows = np.array([[2, 0.0], [1, 1.5]])
+    assert RunConfig(arrivals=rows).arrivals == RunConfig(arrivals=[(2, 0.0), (1, 1.5)]).arrivals
+    with pytest.raises(ConfigError, match=r"^arrivals must be a list of \[lane, entry time\] pairs"):
+        RunConfig(arrivals=np.array([2, 0.0]))
 
 
 def test_library_counts_take_integral_floats_and_numpy_integers():

@@ -7,6 +7,7 @@ each arrival. The kernel keeps only the live queue: the compaction tests
 run horizons around its block size and bound its memory.
 """
 import tracemalloc
+from bisect import bisect_right
 from dataclasses import replace
 from pathlib import Path
 from unittest import mock
@@ -82,22 +83,122 @@ def test_platoon_rings_fill_to_capacity(params):
     assert_same_result(run(config, check=True), run_reference(config, check=True))
 
 
-@given(case=arrival_sequences(), discipline=disciplines, per_lane=st.booleans())
+@given(case=arrival_sequences(max_lanes=5), discipline=disciplines, per_lane=st.booleans())
 @settings(max_examples=300, deadline=None)
 def test_paths_agree_on_scripted_ties(case, discipline, per_lane):
     # Zero gaps in the arrival sequences give exact ties between arrivals,
     # departures and platoon boundaries, where the two paths could part.
     n, arrivals = case
-    lanes = dict(B=(1.0, 1.2, 0.9)[:n], S=(2.375, 2.0, 1.5)[:n]) if per_lane else {}
+    lanes = dict(B=(1.0, 1.2, 0.9, 1.1, 0.8)[:n], S=(2.375, 2.0, 1.5, 1.8, 2.2)[:n]) if per_lane else {}
     pfa, _, cap = discipline.partition(":")
     config = RunConfig(
-        params=SimParams(n=n, lam=(0.2,) * n, **lanes),
+        params=SimParams(n=n, lam=(0.15,) * n, **lanes),  # rho < 1 at 5 lanes
         pfa=pfa,
         batch_cap=int(cap or 100),
         arrivals=[list(x) for x in arrivals],
         seed=1,
     )
     assert_same_result(run(config, check=True), run_reference(config, check=True))
+
+
+# ===================== shifts =====================
+
+def _bits(xs):
+    return [x.hex() for x in xs]
+
+
+_times = st.lists(st.sampled_from([-1.5, 0.0, 0.25, 1.0, 2.0]) | st.floats(-4.0, 4.0), max_size=12)
+
+
+@st.composite
+def _anchors(draw, xs):
+    """The anchor: equal to an entry, below or above every entry, or any time."""
+    kinds = [st.floats(-6.0, 6.0), st.just((xs[0] if xs else 0.0) - 1.0),
+             st.just((xs[-1] if xs else 0.0) + 1.0)]
+    return draw(st.one_of(st.sampled_from(xs), *kinds) if xs else st.one_of(*kinds))
+
+
+@given(data=st.data(), xs=_times.map(sorted), delta=st.floats(0.1, 5.0))
+@settings(max_examples=300, deadline=None)
+def test_shift_after_equals_the_slice_rebuild(data, xs, delta):
+    anchor = data.draw(_anchors(xs))
+    lo = data.draw(st.integers(0, len(xs)))
+    j = bisect_right(xs, anchor, lo)
+    want = xs[:j] + [x + delta for x in xs[j:]]
+    _kernels._shift_after(xs, lo, anchor, delta)
+    assert _bits(xs) == _bits(want)
+
+
+@given(data=st.data(), books=st.lists(_times.map(sorted), min_size=1, max_size=5),
+       delta=st.floats(0.1, 5.0))
+@settings(max_examples=300, deadline=None)
+def test_shift_platoons_equals_the_slice_rebuild(data, books, delta):
+    pf = books
+    pt = [[f + data.draw(st.floats(0.0, 3.0)) for f in starts] for starts in pf]
+    anchor = data.draw(_anchors(sorted(f for starts in pf for f in starts)))
+    want_f, want_t = [], []
+    for starts, ends in zip(pf, pt):
+        j = bisect_right(starts, anchor)
+        want_f.append(starts[:j] + [f + delta for f in starts[j:]])
+        want_t.append(ends[:j] + [t + delta for t in ends[j:]])
+    _kernels._shift_platoons(pf, pt, anchor, delta)
+    assert [_bits(f) for f in pf] == [_bits(f) for f in want_f]
+    assert [_bits(t) for t in pt] == [_bits(t) for t in want_t]
+
+
+@given(data=st.data(), cs=_times.filter(bool).map(sorted), delta=st.floats(0.1, 5.0))
+@settings(max_examples=200, deadline=None)
+def test_shift_lanes_equals_the_slice_rebuild(data, cs, delta):
+    # Each lane's last crossing time is a scheduled one, or -inf.
+    tl = data.draw(st.lists(st.sampled_from(cs + [-np.inf]), min_size=1, max_size=5))
+    anchor = data.draw(_anchors(cs))
+    head = data.draw(st.integers(0, len(cs) - 1))
+    j = bisect_right(cs, anchor, head)
+    want_cs = cs[:j] + [c + delta for c in cs[j:]]
+    want_tl = [t + delta if t > anchor else t for t in tl]
+    _kernels._shift_lanes(cs, head, tl, anchor, delta)
+    assert _bits(cs) == _bits(want_cs)
+    assert _bits(tl) == _bits(want_tl)
+
+
+def _shift_counter(moved):
+    """Wrappers of the shift helpers that record the most each call moved:
+    platoons of one lane, lanes with a moved platoon, and slots of cs."""
+    shift_platoons, shift_after = _kernels._shift_platoons, _kernels._shift_after
+
+    def platoons(pf, pt, anchor, delta):
+        per_lane = [sum(f > anchor for f in starts) for starts in pf]
+        moved["one lane"] = max(moved["one lane"], max(per_lane))
+        moved["lanes"] = max(moved["lanes"], sum(count > 0 for count in per_lane))
+        return shift_platoons(pf, pt, anchor, delta)
+
+    def after(xs, lo, anchor, delta):
+        moved["cs"] = max(moved["cs"], sum(x > anchor for x in xs[lo:]))
+        return shift_after(xs, lo, anchor, delta)
+
+    return platoons, after
+
+
+@pytest.mark.parametrize("rho", [0.9, 0.95])
+@pytest.mark.parametrize("pfa", ["gated", "batch"])
+@pytest.mark.parametrize("n", [4, 5])
+def test_paths_agree_on_long_shifts(n, pfa, rho):
+    # Shifts past one platoon of a lane, across lanes and over long tails
+    # of the schedule, which the two-lane runs above rarely reach. Batch's
+    # cap of 20 binds, so lanes hold several live platoons; above the cap's
+    # k-limited bound its queue grows, so the runs are transient.
+    params = SimParams(n=n, lam=(0.1,) * n).with_rho(rho)
+    config = RunConfig(params=params, pfa=pfa, batch_cap=20, horizon_vehicles=3000, seed=1)
+    moved = {"one lane": 0, "lanes": 0, "cs": 0}
+    platoons, after = _shift_counter(moved)
+    with mock.patch.object(_kernels, "_shift_platoons", wraps=platoons), \
+            mock.patch.object(_kernels, "_shift_after", wraps=after):
+        fast = run(config, check=True, steady_state=False)
+    assert_same_result(fast, run_reference(config, check=True, steady_state=False))
+    assert moved["lanes"] >= 2
+    if pfa == "batch":
+        assert moved["one lane"] >= 2
+        assert moved["cs"] >= 50
 
 
 # ===================== compaction of departed slots =====================

@@ -27,12 +27,9 @@ from platoonsim.pfa import (
 
 from oracle_utils import assert_regular
 
-lane_counts = st.integers(min_value=1, max_value=3)
-
-
 @st.composite
-def arrival_sequences(draw):
-    n = draw(lane_counts)
+def arrival_sequences(draw, max_lanes=3):
+    n = draw(st.integers(min_value=1, max_value=max_lanes))
     m = draw(st.integers(min_value=1, max_value=30))
     gaps = draw(
         st.lists(
