@@ -133,28 +133,29 @@ def _invariants_hold(cs, ln, ai, head, arr_a, B, S, prev_cs, prev_ai, k, pf, pt,
     return True
 
 
-def simulate_arrivals(arr_a, arr_lane, n, B, S, pfa, cap, check):
+def simulate_arrivals(arr_a, arr_lane, params, pfa, cap, check):
     """Run one full arrival stream through a scheduling discipline.
 
-    arr_a: ascending earliest crossing times as a float64 numpy array
-    (vertical queue: these are also the event times). arr_lane: 0-based
-    lanes as an integer numpy array. Both are read BLOCK entries at a time
-    as Python floats and ints. B, S: per-lane headway / clearance. pfa:
-    "exhaustive", "gated" or "batch" (cap applies). check: verify the
-    schedule and bookkeeping invariants after every arrival (slow, for
-    tests).
+    Takes pfa.simulate's arguments and returns what it returns. arr_a:
+    ascending earliest crossing times as a float64 numpy array (vertical
+    queue: these are also the event times). arr_lane: 0-based lanes as an
+    integer numpy array. Both are read BLOCK entries at a time as Python
+    floats and ints. params: the SimParams whose n, B and S the loop reads.
+    pfa: "exhaustive", "gated" or "batch" (cap applies). check: verify the
+    schedule and bookkeeping invariants after every arrival (slow).
 
-    Returns (final_c, fallback_count, max_platoon); final_c is a float64
-    numpy array, max_platoon the size of the largest platoon the book held
-    (0 for exhaustive), read as each platoon leaves the book and from the
-    live ones at the end. The queue statistics follow from final_c and are
-    computed by the caller (sim._queue_counts). Raises
+    Returns (final_c, fallback_count, max_platoon): final_c a float64
+    array, NaN where a vehicle was never written, as in pfa; max_platoon
+    the largest platoon the book held (0 for exhaustive), read as each
+    platoon leaves the book and from the live ones at the end. The caller
+    reads the queue statistics from final_c (sim._queue_counts). Raises
     InconsistentGateBook when the platoon book diverges from the schedule
     and PlatoonError when check finds a violated invariant.
     """
+    n, B, S = params.n, params.B, params.S
     exhaustive = pfa == "exhaustive"
     capped = pfa == "batch"
-    final_c = np.empty(len(arr_a))
+    final_c = np.full(len(arr_a), np.nan)
     arrivals = chain.from_iterable(
         zip(arr_a[lo:lo + BLOCK].tolist(), arr_lane[lo:lo + BLOCK].tolist())
         for lo in range(0, len(arr_a), BLOCK)

@@ -303,7 +303,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     except UnstableLoad as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_UNSTABLE
-    except (ConfigError, UnsupportedDiscipline) as exc:
+    except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except PlatoonError as exc:

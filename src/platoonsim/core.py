@@ -8,11 +8,9 @@ callers meet the same rules word for word, the number rule of every rate,
 headway, length and entry time and the integer rule of counts, n, seed
 and lanes included; parse_config checks only a JSON config's shape (an
 object, known keys, [lane, entry time] pairs), and validate_params only
-the load.
-The reference scheduler's object model (Schedule, GateBook) lives in pfa
-with the reference itself. write_atomic writes every artifact file;
-inside write_together, a command's artifacts replace the previous ones
-only once all of them are written.
+the load. write_atomic writes every artifact file; inside
+write_together, a command's artifacts replace the previous ones only
+once all of them are written.
 """
 from __future__ import annotations
 
@@ -266,7 +264,7 @@ class RunConfig:
     pfa: str = "exhaustive"                     # exhaustive | gated | batch
     batch_cap: int = 100                        # max vehicles per platoon (batch only)
     horizon_vehicles: int = 100_000             # total arrivals to simulate
-    warmup_vehicles: Optional[int] = None       # discarded arrivals; default 10% of horizon
+    warmup_vehicles: Optional[int] = None       # discarded arrivals; resolved_warmup's default
     seed: int = 1
     arrivals: Optional[List[Tuple[int, float]]] = None  # scripted (lane, entry time) list
 
@@ -275,7 +273,7 @@ class RunConfig:
             raise ConfigError(f"params must be a SimParams, got {self.params!r}")
         for name in ("batch_cap", "horizon_vehicles", "warmup_vehicles", "seed"):
             value = getattr(self, name)
-            if not (value is None and name == "warmup_vehicles"):  # None: 10% of the horizon
+            if not (value is None and name == "warmup_vehicles"):  # None: resolved_warmup's default
                 object.__setattr__(self, name, _integer(value, name))
         if self.pfa not in PFA_KINDS:
             raise ConfigError(f"pfa must be one of {PFA_KINDS}, got {self.pfa!r}")
@@ -307,9 +305,10 @@ class RunConfig:
             )
 
     def resolved_warmup(self) -> int:
+        """warmup_vehicles if set, else none of a script and 10% of a Poisson horizon."""
         if self.warmup_vehicles is not None:
             return self.warmup_vehicles
-        return self.horizon_vehicles // 10
+        return 0 if self.arrivals is not None else self.horizon_vehicles // 10
 
 
 def _checked_script(arrivals: object, params: SimParams) -> List[Tuple[int, float]]:

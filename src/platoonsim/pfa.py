@@ -2,10 +2,10 @@
 
 This is the whole object-level reference: its object model (Schedule,
 PlatoonEntry, GateBook), the three schedulers, departures, and the replay
-loop simulate, which sim.run_reference wraps. It favors clarity. No
-command runs or loads it: every command schedules through the list-based
-kernel in _kernels, and the tests compare that kernel against this module
-bit for bit.
+loop simulate, which sim.run_reference hands to sim's one run body in
+place of the kernel. It favors clarity. No command runs or loads it:
+every command schedules through the list-based kernel in _kernels, and
+the tests compare that kernel against this module bit for bit.
 
 All three schedulers mutate the Schedule (and GateBook) in place, set the
 new vehicle's crossing time, and keep two invariants after every call:
@@ -430,11 +430,12 @@ def simulate(
 ) -> Tuple[np.ndarray, int, int]:
     """Run one arrival stream through the reference scheduler.
 
-    a: ascending earliest crossing times, also the event times; lane0:
+    The contract of _kernels.simulate_arrivals: the same positional
+    parameters and the same (final_c, fallback_count, max_platoon). a:
+    ascending earliest crossing times, also the event times; lane0:
     0-based lanes. check=True validates the gap invariant and the platoon
-    book after every arrival. Returns what _kernels.simulate_arrivals
-    returns: (final_c, fallback_count, max_platoon), max_platoon 0 for
-    exhaustive.
+    book after every arrival. final_c is NaN where a vehicle was never
+    written; max_platoon is 0 for exhaustive.
     """
     sched = Schedule(params.n)
     gates: Optional[GateBook] = None if kind == "exhaustive" else GateBook(params.n)

@@ -18,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .core import PlatoonError, SimParams, UnstableLoad
+from .core import ConfigError, SimParams, UnstableLoad
 
 __all__ = [
     "UnsupportedDiscipline",
@@ -32,7 +32,7 @@ __all__ = [
 DISCIPLINES = ("exhaustive", "gated")
 
 
-class UnsupportedDiscipline(PlatoonError):
+class UnsupportedDiscipline(ConfigError):
     """No analytic delay form exists for this discipline (e.g. batch)."""
 
 

@@ -5,14 +5,15 @@ can reach the stop line no earlier than a = e + free_flow_offset, and every
 vehicle shares the same offset, so delays (c - a) are unaffected by it. The
 simulator therefore works directly on the earliest-crossing times a.
 
-Two execution paths produce bit-identical results: the list-based kernel
-in _kernels (run) and the object-level reference in pfa (run_reference,
-which imports pfa only when called). Both share the arrival preparation
-(_prepare) and the statistics (_summarize) and differ only in the
-scheduler. Every command schedules through the kernel; no command runs
-the reference, which is the semantic anchor the tests compare against.
-Sweeps run their grid points serially: the kernel is pure Python and
-holds the interpreter lock.
+run and run_reference are one body, _run, given one of two schedulers
+with one contract: the list-based kernel _kernels.simulate_arrivals and
+the object-level reference pfa.simulate (imported only when called).
+Both take (a, lane0, params, kind, cap, check), return bit-identical
+(final_c, fallback_count, max_platoon) and leave an unscheduled vehicle
+NaN, which _summarize refuses. Every command schedules through the
+kernel; no command runs the reference, which is the semantic anchor the
+tests compare against. Sweeps run their grid points serially: the kernel
+is pure Python and holds the interpreter lock.
 
 The kernel and the reference only schedule: _queue_counts reads fairness
 and the largest queue from the final (a, c, lane), their one definition.
@@ -33,7 +34,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, replace
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -274,7 +275,7 @@ def _summarize(
     last = float(c.max())  # RunConfig's rule for scripted times, here only a warning
     if math.ulp(last) > TIE_TOL:
         warnings.warn(f"crossing times reach {last:.6g} s, where they are {math.ulp(last):.3g} s"
-                      f" apart, above the tie tolerance {TIE_TOL} s", stacklevel=3)
+                      f" apart, above the tie tolerance {TIE_TOL} s", stacklevel=4)
     sum_ahead, sum_total, max_queue = _queue_counts(a, c, lane0, config.params.B, warmup)
     post = c[warmup:] - a[warmup:]  # only the post-warmup delays are held
     mean = float(post.mean()) if post.size else float("nan")
@@ -313,20 +314,7 @@ def _summarize(
     )
 
 
-def _prepare(config: RunConfig, steady_state: bool) -> Tuple[np.ndarray, np.ndarray, np.ndarray, int]:
-    """Arrival arrays (entry, a, lane0) and the resolved warmup count."""
-    validate_params(config.params, steady_state=steady_state)
-    if config.arrivals is not None:
-        entry, lane0 = _scripted_arrays(config)
-        warmup = config.warmup_vehicles or 0
-    else:
-        entry, lane0 = make_arrivals(config.params, config.horizon_vehicles, config.seed)
-        warmup = config.resolved_warmup()
-    a = entry + config.params.free_flow_offset
-    return entry, a, lane0, warmup
-
-
-# ===================== kernel path =====================
+# ===================== runs =====================
 
 def run(config: RunConfig, check: bool = False, steady_state: bool = True) -> RunResult:
     """Simulate one run through the list-based kernel.
@@ -335,15 +323,8 @@ def run(config: RunConfig, check: bool = False, steady_state: bool = True) -> Ru
     inside the kernel: gaps, earliest times, regularity and the platoon
     book (slow; used by traj, the tests and the invariant sweep).
     """
-    entry, a, lane0, warmup = _prepare(config, steady_state)
-    params = config.params
-    final_c, fallback_count, max_platoon = _kernels.simulate_arrivals(
-        a, lane0, params.n, params.B, params.S, config.pfa, config.batch_cap, check
-    )
-    return _summarize(config, warmup, entry, a, lane0, final_c, fallback_count, max_platoon)
+    return _run(config, _kernels.simulate_arrivals, check, steady_state)
 
-
-# ===================== reference path =====================
 
 def run_reference(config: RunConfig, check: bool = False, steady_state: bool = True) -> RunResult:
     """Simulate one run through the object-level reference, pfa.simulate.
@@ -354,11 +335,23 @@ def run_reference(config: RunConfig, check: bool = False, steady_state: bool = T
     """
     from . import pfa  # here: every command loads sim, and none runs the reference
 
-    entry, a, lane0, warmup = _prepare(config, steady_state)
-    final_c, fallback_count, max_platoon = pfa.simulate(
-        a, lane0, config.params, config.pfa, config.batch_cap, check
+    return _run(config, pfa.simulate, check, steady_state)
+
+
+def _run(config: RunConfig, simulate: Callable, check: bool, steady_state: bool) -> RunResult:
+    """Validate the load, build the arrivals, schedule them with simulate, summarize."""
+    params = config.params
+    validate_params(params, steady_state=steady_state)
+    if config.arrivals is not None:
+        entry, lane0 = _scripted_arrays(config)
+    else:
+        entry, lane0 = make_arrivals(params, config.horizon_vehicles, config.seed)
+    a = entry + params.free_flow_offset
+    final_c, fallback_count, max_platoon = simulate(
+        a, lane0, params, config.pfa, config.batch_cap, check
     )
-    return _summarize(config, warmup, entry, a, lane0, final_c, fallback_count, max_platoon)
+    return _summarize(config, config.resolved_warmup(), entry, a, lane0, final_c,
+                      fallback_count, max_platoon)
 
 
 # ===================== sweeps =====================

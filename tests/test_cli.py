@@ -16,12 +16,13 @@ import subprocess
 import sys
 import tempfile
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platoonsim import _trajcsv, cli, sim
+from platoonsim import _kernels, _trajcsv, cli, sim
 from platoonsim.core import ConfigError, RunConfig, SimParams
 
 from oracle_utils import make_physical_arrivals
@@ -123,6 +124,30 @@ def test_run_out_of_memory_is_one_line(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"error: not enough memory for run --config {config}: Unable")
+    assert_previous_artifacts_kept(out, "results.csv", "vehicles.jsonl")
+
+
+def test_unscheduled_vehicle_is_an_internal_error(tmp_path, capsys):
+    # A kernel that leaves one crossing time unwritten (NaN, as both
+    # schedulers start them) makes run exit 1 with one line and no artifact.
+    simulate = _kernels.simulate_arrivals
+
+    def drops_one(*args):
+        final_c, fallback_count, max_platoon = simulate(*args)
+        final_c[len(final_c) // 2] = np.nan
+        return final_c, fallback_count, max_platoon
+
+    config = tmp_path / "small.json"
+    config.write_text(json.dumps({"n": 2, "lambda": [0.25, 0.25], "horizon_vehicles": 2000}))
+    out = tmp_path / "out"
+    out.mkdir()
+    seed_previous_artifacts(out, "results.csv", "vehicles.jsonl")
+    with mock.patch.object(_kernels, "simulate_arrivals", drops_one):
+        assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: internal error: some vehicles were never scheduled\n"
+    assert captured.out == ""
+    assert sorted(p.name for p in out.iterdir()) == ["results.csv", "vehicles.jsonl"]
     assert_previous_artifacts_kept(out, "results.csv", "vehicles.jsonl")
 
 
@@ -623,8 +648,10 @@ def test_approx_table_frozen_constants(tmp_path):
         assert float(r["K2"]) == pytest.approx(float(r["omega"]) - 3.09765625, abs=1e-12)
 
 
-def test_approx_has_no_batch_form(tmp_path):
+def test_approx_has_no_batch_form(tmp_path, capsys):
     assert cli.main(["approx", "--config", SYM, "--out", str(tmp_path), "--pfa", "batch"]) == 2
+    assert capsys.readouterr().err == (
+        "error: no analytic delay form for 'batch'; choose from ('exhaustive', 'gated')\n")
 
 
 # ===================== traj =====================

@@ -199,6 +199,15 @@ def test_parse_config_minimal():
     assert cfg.resolved_warmup() == cfg.horizon_vehicles // 10
 
 
+def test_resolved_warmup_is_the_one_warmup_rule():
+    # Set: its value; unset: none of a script, a tenth of a Poisson horizon.
+    script = [(1, 0.0), (2, 1.0), (1, 2.0)]
+    assert RunConfig(arrivals=script).resolved_warmup() == 0
+    assert RunConfig(arrivals=script, warmup_vehicles=2).resolved_warmup() == 2
+    assert RunConfig(horizon_vehicles=5000).resolved_warmup() == 500
+    assert RunConfig(horizon_vehicles=5000, warmup_vehicles=0).resolved_warmup() == 0
+
+
 def test_parse_config_rejects_unknown_keys():
     with pytest.raises(ConfigError, match="unknown config keys"):
         parse_config({"lamda": [0.2, 0.2]})

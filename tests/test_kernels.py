@@ -305,7 +305,7 @@ def test_kernel_memory_is_bounded_by_live_queue():
     a = entry + params.free_flow_offset
     tracemalloc.start()
     try:
-        _kernels.simulate_arrivals(a, lane0, params.n, params.B, params.S, "gated", 100, False)
+        _kernels.simulate_arrivals(a, lane0, params, "gated", 100, False)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

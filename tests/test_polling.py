@@ -12,7 +12,7 @@ light-traffic expansion and the heavy-traffic constants:
 """
 import pytest
 
-from platoonsim.core import NonPositiveParameter, SimParams, UnstableLoad
+from platoonsim.core import ConfigError, NonPositiveParameter, SimParams, UnstableLoad
 from platoonsim.polling import (
     DISCIPLINES,
     UnsupportedDiscipline,
@@ -153,6 +153,9 @@ def test_unsupported_discipline():
         ht_omega(params, "batch", 1)
     with pytest.raises(UnsupportedDiscipline):
         approx_coefficients(params, "batch", 1)
+    # A refusal of the config, like NonPositiveParameter: the CLI's exit 2.
+    with pytest.raises(ConfigError):
+        approx_mean_delay(params, "batch", 1)
 
 
 def test_lane_bounds_checked():

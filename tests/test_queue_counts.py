@@ -22,7 +22,7 @@ from hypothesis import given, settings, strategies as st
 from platoonsim import _kernels
 from platoonsim._kernels import BLOCK
 from platoonsim.core import PFA_KINDS, RunConfig, SimParams, load_config
-from platoonsim.sim import _prepare, _queue_counts, _summarize, run
+from platoonsim.sim import _queue_counts, _summarize, make_arrivals, run
 from oracle_utils import queue_counts_by_replay
 from test_kernels import compaction_config
 from test_pfa_properties import arrival_sequences, disciplines
@@ -188,10 +188,10 @@ def test_summary_memory_is_bounded():
     config = RunConfig(
         params=params, pfa="gated", horizon_vehicles=100_000, warmup_vehicles=10_000, seed=3
     )
-    entry, a, lane0, warmup = _prepare(config, steady_state=True)
-    c, fallback_count, max_platoon = _kernels.simulate_arrivals(
-        a, lane0, params.n, params.B, params.S, "gated", 100, False
-    )
+    entry, lane0 = make_arrivals(params, config.horizon_vehicles, config.seed)
+    a = entry + params.free_flow_offset
+    warmup = config.resolved_warmup()
+    c, fallback_count, max_platoon = _kernels.simulate_arrivals(a, lane0, params, "gated", 100, False)
     tracemalloc.start()
     try:
         _summarize(config, warmup, entry, a, lane0, c, fallback_count, max_platoon)

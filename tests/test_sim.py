@@ -282,6 +282,13 @@ def test_warmup_defaults_to_tenth(params):
         params=params, pfa="exhaustive", horizon_vehicles=5000, seed=3, warmup_vehicles=123
     )
     assert run(explicit).warmup == 123
+    # A script warms up over none of its arrivals unless warmup_vehicles says so.
+    script = [(1 + k % 2, 1.5 * k) for k in range(60)]
+    for warmup in (None, 20):
+        scripted = RunConfig(params=params, pfa="gated", arrivals=script, warmup_vehicles=warmup)
+        res = run(scripted)
+        assert res.warmup == scripted.resolved_warmup() == (warmup or 0)
+        assert sum(lane.n for lane in res.lanes) == 60 - res.warmup
 
 
 def test_batch_cap_binds_under_load():
