@@ -20,23 +20,9 @@ import warnings
 from dataclasses import replace
 from typing import Dict, List, Optional, Sequence
 
-from .core import (
-    PFA_KINDS,
-    ConfigError,
-    PlatoonError,
-    RunConfig,
-    UnstableLoad,
-    Vehicle,
-    load_config,
-    write_atomic,
-    write_together,
-)
-from .polling import (
-    DISCIPLINES,
-    UnsupportedDiscipline,
-    approx_coefficients,
-    approx_mean_delay,
-)
+from .core import (PFA_KINDS, ConfigError, PlatoonError, RunConfig, UnstableLoad, Vehicle,
+                   load_config, write_atomic, write_together)
+from .polling import DISCIPLINES, approx_coefficients, approx_mean_delay, check_analytic
 from . import sim
 from . import spa
 
@@ -112,15 +98,13 @@ def _parse_rho_grid(text: str, refuse: Optional[str] = None) -> List[float]:
     return rhos
 
 
-def _parse_pfa_list(text: str) -> List[str]:
+def _parse_pfa_list(text: str, cfg: RunConfig) -> List[str]:
+    """The disciplines of --pfa in order, without repeats; RunConfig refuses an unknown one."""
     out = []
     for item in text.split(","):
         name = item.strip()
-        if not name:
-            continue
-        if name not in PFA_KINDS:
-            raise ConfigError(f"unknown discipline {name!r}; choose from {PFA_KINDS}")
-        if name not in out:
+        if name and name not in out:
+            replace(cfg, pfa=name)
             out.append(name)
     if not out:
         raise ConfigError("--pfa selected no disciplines")
@@ -142,7 +126,7 @@ def _with_one_pfa(args: argparse.Namespace, cfg: RunConfig) -> RunConfig:
     """cfg with the discipline of --pfa, which run and traj read as one discipline."""
     if args.pfa is None:
         return cfg
-    kinds = _parse_pfa_list(args.pfa)
+    kinds = _parse_pfa_list(args.pfa, cfg)
     if len(kinds) != 1:
         raise ConfigError(f"{args.command} takes exactly one --pfa discipline")
     return replace(cfg, pfa=kinds[0])
@@ -167,7 +151,7 @@ def cmd_run(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    kinds = _parse_pfa_list(args.pfa) if args.pfa is not None else list(PFA_KINDS)
+    kinds = _parse_pfa_list(args.pfa, cfg) if args.pfa is not None else list(PFA_KINDS)
     refuse = None if args.transient else "sweep point rho={rho} >= 1 (use --transient to allow)"
     rhos = _parse_rho_grid(args.rho, refuse)
     rows = sim.sweep_rows(cfg, rhos, kinds, steady_state=not args.transient)
@@ -179,12 +163,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_approx(args: argparse.Namespace) -> int:
     cfg = _load(args)
-    kinds = _parse_pfa_list(args.pfa) if args.pfa is not None else list(DISCIPLINES)
+    kinds = _parse_pfa_list(args.pfa, cfg) if args.pfa is not None else list(DISCIPLINES)
     for kind in kinds:
-        if kind not in DISCIPLINES:
-            raise UnsupportedDiscipline(
-                f"no analytic delay form for {kind!r}; choose from {DISCIPLINES}"
-            )
+        check_analytic(kind)
     rhos = _parse_rho_grid(args.rho, "approximation undefined at rho={rho} >= 1")
     rows: List[Dict[str, object]] = []
     for rho in rhos:
@@ -279,11 +260,12 @@ def build_parser() -> argparse.ArgumentParser:
         parents=[common, transient],
         help="trajectories for a scripted scenario: traj_segments.csv + traj_sampled.csv",
     )
+    planners = tuple(spa.PLANNERS)
     p_traj.add_argument(
         "--spa",
-        choices=("min-distance", "min-accel"),
-        default="min-distance",
-        help="speed-profile objective (default min-distance)",
+        choices=planners,
+        default=planners[0],
+        help="speed-profile objective (default %(default)s)",
     )
     p_traj.set_defaults(fn=cmd_traj)
     return parser

@@ -1,16 +1,16 @@
 """Domain types, configuration, and validation shared by the whole package.
 
-The central objects are Vehicle (lane, earliest crossing time, scheduled
-crossing time), SimParams (intersection geometry and traffic parameters)
-and RunConfig (one run). SimParams and RunConfig are frozen and refuse
-invalid values when built with a ConfigError, so the CLI and library
-callers meet the same rules word for word, the number rule of every rate,
-headway, length and entry time and the integer rule of counts, n, seed
-and lanes included; parse_config checks only a JSON config's shape (an
-object, known keys, [lane, entry time] pairs), and validate_params only
-the load. write_atomic writes every artifact file; inside
-write_together, a command's artifacts replace the previous ones only
-once all of them are written.
+The central objects are Vehicle (lane, earliest and scheduled crossing
+time), SimParams (geometry and traffic) and RunConfig (one run). Each
+rule about a valid scenario has one owner holding its check and message,
+so the CLI and library callers meet the same refusal word for word:
+SimParams and RunConfig are frozen and refuse invalid values when built
+(the number, integer, arrival-pair and discipline rules included),
+beyond_tie_tolerance words the magnitude rule of times, validate_params
+checks only the load and parse_config only the JSON keys; polling owns
+the analytic forms' disciplines and spa the planner names. write_atomic
+writes every artifact file; inside write_together, a command's artifacts
+replace the previous ones only once all of them are written.
 """
 from __future__ import annotations
 
@@ -40,6 +40,7 @@ __all__ = [
     "PFA_KINDS",
     "TIE_TOL",
     "HEADWAY_MIN",
+    "beyond_tie_tolerance",
     "validate_params",
     "load_config",
     "parse_config",
@@ -55,6 +56,15 @@ TIE_TOL = 1e-9
 # Shortest headway B or clearance S: far above TIE_TOL, so that a join
 # moves a crossing time by far more than the tolerance.
 HEADWAY_MIN = 1e3 * TIE_TOL
+
+
+def beyond_tie_tolerance(t: float) -> Optional[str]:
+    """The clause "<spacing> s apart, above the tie tolerance 1e-09 s" where floats
+    near t lie further apart than TIE_TOL (from 2**23 s up), else None."""
+    spacing = math.ulp(t)
+    if spacing > TIE_TOL:
+        return f"{spacing:.3g} s apart, above the tie tolerance {TIE_TOL} s"
+    return None
 
 
 # ===================== errors =====================
@@ -192,11 +202,10 @@ class SimParams:
                 if val < HEADWAY_MIN:  # a join would add a headway the tie tolerance swallows
                     raise ConfigError(f"{name}[{i}] must be >= {HEADWAY_MIN:g} s, 1000 times"
                                       f" the tie tolerance {TIE_TOL} s, got {val}")
-                if math.ulp(val) > TIE_TOL:  # the offset's rule: from 2**23 s up
-                    raise ConfigError(
-                        f"{name}[{i}] = {val:.6g} s is too long: times that large are"
-                        f" {math.ulp(val):.3g} s apart, above the tie tolerance {TIE_TOL} s"
-                    )
+                blur = beyond_tie_tolerance(val)  # the offset's rule: from 2**23 s up
+                if blur:
+                    raise ConfigError(f"{name}[{i}] = {val:.6g} s is too long: times that large"
+                                      f" are {blur}")
         for i, val in enumerate(self.lam, start=1):
             if math.isinf(1.0 / val):  # no gap between arrivals can be drawn
                 raise ConfigError(f"lambda[{i}] = {val} is too small: 1 / lambda must be"
@@ -206,11 +215,10 @@ class SimParams:
         offset = self.free_flow_offset
         if not math.isfinite(offset):
             raise ConfigError("(region_pfa_m + region_spa_m) / v_max must be finite, got inf")
-        if math.ulp(offset) > TIE_TOL:  # from 2**23 s up, ties among crossing times blur
-            raise ConfigError(
-                f"(region_pfa_m + region_spa_m) / v_max = {offset:.6g} s is too long: times that"
-                f" large are {math.ulp(offset):.3g} s apart, above the tie tolerance {TIE_TOL} s"
-            )
+        blur = beyond_tie_tolerance(offset)  # from 2**23 s up, ties among crossing times blur
+        if blur:
+            raise ConfigError(f"(region_pfa_m + region_spa_m) / v_max = {offset:.6g} s is too"
+                              f" long: times that large are {blur}")
 
     # Per-lane accessors take 1-based lane indices, like Vehicle.lane.
     def B_of(self, lane: int) -> float:
@@ -329,12 +337,10 @@ def _checked_script(arrivals: object, params: SimParams) -> List[Tuple[int, floa
             raise ConfigError(f"arrival lane {lane} outside 1..{params.n}")
         if not math.isfinite(entry_t):
             raise ConfigError(f"arrival entry time must be finite, got {entry_t}")
-        if math.ulp(entry_t + offset) > TIE_TOL:  # the offset's rule, at this time
-            raise ConfigError(
-                f"arrival entry time {entry_t} s is out of range: crossing times near it"
-                f" are {math.ulp(entry_t + offset):.3g} s apart, above the tie tolerance"
-                f" {TIE_TOL} s"
-            )
+        blur = beyond_tie_tolerance(entry_t + offset)  # the offset's rule, at this time
+        if blur:
+            raise ConfigError(f"arrival entry time {entry_t} s is out of range: crossing times"
+                              f" near it are {blur}")
     if not script:
         raise ConfigError("scripted arrivals must list at least one vehicle")
     if any(later[1] < earlier[1] for earlier, later in zip(script, script[1:])):

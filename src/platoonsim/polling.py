@@ -12,16 +12,22 @@ hatted load split (rho_hat, lam_hat) is held fixed as rho varies.
 Every function reads a SimParams. Its per-lane headway B_i and clearance
 S_i are the polling model's service time and switchover time, both
 deterministic: E[B_i^2] = B_i^2 and E[S_i^2] = S_i^2.
+
+check_analytic is the one refusal of a discipline outside DISCIPLINES:
+ht_omega, and so every form, and the CLI's approx call it.
+approx_mean_delay refuses rho >= 1 through core.validate_params.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import List, Sequence, Tuple
 
-from .core import ConfigError, SimParams, UnstableLoad
+from .core import ConfigError, SimParams, validate_params
 
 __all__ = [
+    "DISCIPLINES",
     "UnsupportedDiscipline",
+    "check_analytic",
     "ApproxCoefficients",
     "light_traffic_delay",
     "ht_omega",
@@ -34,6 +40,13 @@ DISCIPLINES = ("exhaustive", "gated")
 
 class UnsupportedDiscipline(ConfigError):
     """No analytic delay form exists for this discipline (e.g. batch)."""
+
+
+def check_analytic(discipline: str) -> None:
+    """Refuse a discipline without an analytic delay form."""
+    if discipline not in DISCIPLINES:
+        raise UnsupportedDiscipline(f"no analytic delay form for {discipline!r};"
+                                    f" choose from {DISCIPLINES}")
 
 
 def residual_mean(ex: float, ex2: float) -> float:
@@ -83,8 +96,7 @@ def ht_omega(params: SimParams, discipline: str, lane: int) -> float:
     rho * sigma2 / (2 (1 - rho)).
     """
     i = _check_lane(params, lane)
-    if discipline not in DISCIPLINES:
-        raise UnsupportedDiscipline(f"no heavy-traffic form for {discipline!r}")
+    check_analytic(discipline)
     rh, lh = _hatted(params)
     sigma2 = sum(l * (b * b) for l, b in zip(lh, params.B))
     if params.n == 1:
@@ -109,19 +121,15 @@ def approx_coefficients(params: SimParams, discipline: str, lane: int) -> Approx
 
     K1 is the light-traffic sum taken with the hatted loads and rates.
     """
-    i = _check_lane(params, lane)
-    if discipline not in DISCIPLINES:
-        raise UnsupportedDiscipline(f"no approximation for {discipline!r}")
+    omega = ht_omega(params, discipline, lane)  # checks the lane and the discipline
     rh, lh = _hatted(params)
-    k1 = _light_sum(params, i, rh, lh)
-    omega = ht_omega(params, discipline, lane)
+    k1 = _light_sum(params, lane - 1, rh, lh)
     return ApproxCoefficients(k1=k1, k2=omega - k1, omega=omega)
 
 
 def approx_mean_delay(params: SimParams, discipline: str, lane: int) -> float:
     """Interpolated mean delay (s) at the parameters' own load rho."""
+    validate_params(params)
     rho = params.rho
-    if rho >= 1.0:
-        raise UnstableLoad(f"rho={rho:.4f} >= 1")
     coef = approx_coefficients(params, discipline, lane)
     return (coef.k1 * rho + coef.k2 * rho * rho) / (1.0 - rho)

@@ -31,7 +31,6 @@ point instead of running the kernel again.
 """
 from __future__ import annotations
 
-import math
 import warnings
 from dataclasses import dataclass, replace
 from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
@@ -39,7 +38,7 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .core import PFA_KINDS, TIE_TOL, PlatoonError, RunConfig, SimParams, validate_params
+from .core import PFA_KINDS, PlatoonError, RunConfig, SimParams, beyond_tie_tolerance, validate_params
 from .polling import DISCIPLINES, approx_mean_delay
 
 __all__ = [
@@ -272,10 +271,10 @@ def _summarize(
 ) -> RunResult:
     if not np.isfinite(c).all():
         raise PlatoonError("internal error: some vehicles were never scheduled")
-    last = float(c.max())  # RunConfig's rule for scripted times, here only a warning
-    if math.ulp(last) > TIE_TOL:
-        warnings.warn(f"crossing times reach {last:.6g} s, where they are {math.ulp(last):.3g} s"
-                      f" apart, above the tie tolerance {TIE_TOL} s", stacklevel=4)
+    last = float(c.max())
+    blur = beyond_tie_tolerance(last)  # RunConfig's rule for scripted times, here only a warning
+    if blur:
+        warnings.warn(f"crossing times reach {last:.6g} s, where they are {blur}", stacklevel=4)
     sum_ahead, sum_total, max_queue = _queue_counts(a, c, lane0, config.params.B, warmup)
     post = c[warmup:] - a[warmup:]  # only the post-warmup delays are held
     mean = float(post.mean()) if post.size else float("nan")
@@ -417,8 +416,7 @@ def sweep_rows(
     is within the cap, batch's result is gated's: the cap never bound.
     """
     for d in disciplines:
-        if d not in PFA_KINDS:
-            raise PlatoonError(f"unknown discipline {d!r}")
+        replace(base, pfa=d)  # RunConfig refuses an unknown discipline before any point runs
     order = sorted(disciplines, key=PFA_KINDS.index)  # exhaustive, gated, batch
     rows: List[Dict[str, object]] = []
     for i, rho in enumerate(rhos):

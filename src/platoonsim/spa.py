@@ -6,7 +6,9 @@ stop line (x = 0) exactly at its scheduled crossing time, at full speed.
 Every profile has one shape, the single dip: cruise until t_dec, brake at
 a_max until t_stop, hold the speed until t_acc, accelerate at a_max to
 full speed at t_full, cruise to the stop line. One builder (_plan) makes
-every trajectory; two closed forms choose only its breakpoints:
+every trajectory; two closed forms, the planners of PLANNERS (the one
+table of their names, default first, read by plan_schedule and the CLI's
+--spa), choose only its breakpoints:
 
 * plan_min_distance: stays as far ahead as possible (minimum area between
   the stop line and the path); a dwell at a standstill from t_stop to
@@ -49,6 +51,7 @@ __all__ = [
     "plan_min_distance",
     "plan_min_accel",
     "evaluate",
+    "PLANNERS",
     "plan_schedule",
     "verify_separation",
     "write_segments_csv",
@@ -389,7 +392,7 @@ class PlannedSchedule:
     failures: List[Tuple[int, TrajectoryError]]  # (vehicle id, error)
 
 
-_DIPS: Dict[str, Dip] = {"min-distance": _min_distance_dip, "min-accel": _min_accel_dip}
+PLANNERS: Dict[str, Dip] = {"min-distance": _min_distance_dip, "min-accel": _min_accel_dip}
 
 
 def plan_schedule(vehicles: Sequence[Vehicle], params: SimParams,
@@ -412,9 +415,9 @@ def plan_schedule(vehicles: Sequence[Vehicle], params: SimParams,
     negative (the follower passes through its leader), and exhaustive
     min-accel ones with minimum gaps of 3.1-5 m against l_min = 5 m.
     """
-    dip = _DIPS.get(kind)
+    dip = PLANNERS.get(kind)
     if dip is None:
-        raise ValueError(f"kind must be min-distance or min-accel, got {kind!r}")
+        raise ValueError(f"kind must be {' or '.join(PLANNERS)}, got {kind!r}")
     x0, v_m = -params.region_spa_m, params.v_max
     entry_lead = params.region_spa_m / v_m
 

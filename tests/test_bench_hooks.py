@@ -5,7 +5,7 @@ perfbench/spans.py times each layer by rebinding module attributes
 span-recording wrappers. A renamed attribute would otherwise show only
 when the benchmark runs, and a layer that planning reaches past its hooked
 name would read 0 there. This test installs every hook, runs a tiny sweep,
-approx and traj through cli.main, and checks the spans they record.
+approx, run and traj through cli.main, and checks the spans they record.
 """
 import importlib.util
 import json
@@ -51,6 +51,19 @@ def test_benchmark_hooks_wrap_live_names(tmp_path, monkeypatch):
     # Two loads x two lanes through sim, one load x two lanes through cli.
     assert names.count("polling.approx_mean_delay") == 4 + 2
     assert names.count("kernels.simulate_arrivals") == 2
+
+    # A run: its layers, and the artifact time that run-jsonl's metrics read.
+    first = len(tracer.spans)
+    run_out = tmp_path / "run"
+    assert cli.main(["run", "--config", str(path), "--out", str(run_out), "--pfa", "gated"]) == 0
+    run_spans = tracer.spans[first:]
+    names = [s["name"] for s in run_spans]
+    for name in ("cli.cmd_run", "core.load_config", "sim.run", "sim.make_arrivals",
+                 "kernels.simulate_arrivals", "sim.summarize", "cli.write_csv"):
+        assert name in names, name
+    metrics = spans.layer_metrics(run_spans, (run_out / "vehicles.jsonl").stat().st_size, 0)
+    assert metrics["cli.run.artifacts_s"] > 0
+    assert metrics["kernels.gated.us_per_vehicle"] > 0
 
     # Five scripted arrivals, two and three on the two lanes: three
     # same-lane pairs, each checked once while planning.

@@ -22,8 +22,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from platoonsim import _kernels, _trajcsv, cli, sim
-from platoonsim.core import ConfigError, RunConfig, SimParams
+from platoonsim import _kernels, _trajcsv, cli, polling, sim, spa
+from platoonsim.core import ConfigError, RunConfig, SimParams, load_config
 
 from oracle_utils import make_physical_arrivals
 
@@ -324,6 +324,78 @@ def test_run_rejects_multiple_disciplines(tmp_path):
         ["run", "--config", SYM, "--out", str(tmp_path), "--pfa", "gated,exhaustive"]
     )
     assert code == 2
+
+
+@pytest.mark.parametrize(
+    "command, pfa",
+    [(command, pfa) for command in ("run", "sweep", "approx", "traj")
+     for pfa in ("round-robin", ",")] + [("run", "gated,exhaustive"), ("traj", "gated,exhaustive")],
+)
+def test_bad_pfa_is_one_line_before_the_grid(tmp_path, capsys, command, pfa):
+    # RunConfig's refusal of an unknown discipline, or the CLI's of the
+    # list; before the --rho grid is read, whose 1.1:1.2:0.1 alone exits 3.
+    message = {
+        "round-robin": "pfa must be one of ('exhaustive', 'gated', 'batch'), got 'round-robin'",
+        ",": "--pfa selected no disciplines",
+    }.get(pfa, f"{command} takes exactly one --pfa discipline")
+    out = tmp_path / "out"
+    argv = [command, "--config", TRAJ if command == "traj" else SYM, "--out", str(out),
+            "--pfa", pfa]
+    if command in ("sweep", "approx"):
+        argv += ["--rho", "1.1:1.2:0.1"]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert not out.exists() or os.listdir(out) == []
+
+
+# Each rule's owner refuses a library call with the line the command prints:
+# RunConfig an unknown discipline, also in sim.sweep_rows before any kernel
+# call, and polling.check_analytic a discipline without an analytic form in
+# every form that polling computes.
+ONE_TEXT = {
+    "discipline": (["sweep", "--pfa", "round-robin"], ConfigError, [
+        lambda cfg: RunConfig(pfa="round-robin"),
+        lambda cfg: sim.sweep_rows(cfg, [0.5], ["exhaustive", "round-robin"]),
+    ]),
+    "analytic-form": (["approx", "--pfa", "batch"], polling.UnsupportedDiscipline, [
+        lambda cfg: polling.check_analytic("batch"),
+        lambda cfg: polling.ht_omega(cfg.params, "batch", 1),
+        lambda cfg: polling.approx_coefficients(cfg.params, "batch", 1),
+        lambda cfg: polling.approx_mean_delay(cfg.params, "batch", 1),
+    ]),
+}
+
+
+@pytest.mark.parametrize("rule", sorted(ONE_TEXT))
+def test_library_and_command_refuse_with_one_text(tmp_path, capsys, rule):
+    argv, error, calls = ONE_TEXT[rule]
+    assert cli.main([argv[0], "--config", SYM, "--out", str(tmp_path)] + argv[1:]) == 2
+    line = capsys.readouterr().err
+    cfg = load_config(SYM)
+    with mock.patch.object(_kernels, "simulate_arrivals",
+                           wraps=_kernels.simulate_arrivals) as kernel:
+        for call in calls:
+            with pytest.raises(error) as refused:
+                call(cfg)
+            assert line == f"error: {refused.value}\n"
+    assert kernel.call_count == 0
+
+
+def test_planner_refusals_name_the_planner_table(tmp_path, capsys):
+    with pytest.raises(ValueError) as refused:
+        spa.plan_schedule([], SimParams(), kind="x")
+    assert str(refused.value) == "kind must be min-distance or min-accel, got 'x'"
+    with pytest.raises(SystemExit) as exited:
+        cli.main(["traj", "--config", TRAJ, "--out", str(tmp_path / "out"), "--spa", "x"])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert err.count("error:") == 1 and "invalid choice: 'x'" in err
+    assert list(spa.PLANNERS) == ["min-distance", "min-accel"]
+    for name in spa.PLANNERS:
+        assert name in str(refused.value) and name in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

@@ -12,7 +12,13 @@ light-traffic expansion and the heavy-traffic constants:
 """
 import pytest
 
-from platoonsim.core import ConfigError, NonPositiveParameter, SimParams, UnstableLoad
+from platoonsim.core import (
+    ConfigError,
+    NonPositiveParameter,
+    SimParams,
+    UnstableLoad,
+    validate_params,
+)
 from platoonsim.polling import (
     DISCIPLINES,
     UnsupportedDiscipline,
@@ -103,8 +109,14 @@ def test_approx_zero_and_unstable():
     with pytest.raises(NonPositiveParameter, match=r"lambda\[1\] must be > 0"):
         SimParams(lam=(0.0, 0.0))
     assert approx_mean_delay(sym_params(1e-12), "exhaustive", 1) < 1e-10
-    with pytest.raises(UnstableLoad):
-        approx_mean_delay(sym_params(1.0), "exhaustive", 1)
+    # The load rule's owner is core.validate_params: one class, one text.
+    for rho in (1.0, 1.5):
+        with pytest.raises(UnstableLoad) as checked:
+            validate_params(sym_params(rho))
+        for disc in DISCIPLINES + ("batch",):
+            with pytest.raises(UnstableLoad) as refused:
+                approx_mean_delay(sym_params(rho), disc, 1)
+            assert str(refused.value) == str(checked.value)
 
 
 @pytest.mark.parametrize("rho", [0.3, 0.6, 0.9])
