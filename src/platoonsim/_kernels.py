@@ -2,10 +2,17 @@
 
 The scheduling recurrence is inherently sequential (every insertion
 depends on all prior state), so the kernel is a scalar loop over Python
-lists of floats and ints: shifts add in place from the short tail, and
-bisect and list.insert place new vehicles. Its disciplines are those of
-the reference in pfa, with the same floating-point operations in the
-same order, so its schedules are bit-identical to pfa's (tested).
+lists of floats and ints. Its disciplines are those of the reference in
+pfa, with the same floating-point operations in the same order, so its
+schedules are bit-identical to pfa's (tested).
+
+simulate_arrivals runs one of two loops: _exhaustive, which holds each
+lane's last crossing time and no platoon book, and _gated, which runs
+gated and batch (cap None: uncapped) on the platoon book. A shift adds
+in place, walking the short tail of the schedule back to its anchor, and
+the new vehicle is inserted with list.insert at the slot where that walk
+stopped. Joins walk inline; cut-ins and forced switches walk in
+_shift_after.
 
 The state holds the live queue, not the horizon: the arrivals are read
 BLOCK at a time, and once more than BLOCK slots have departed their
@@ -16,12 +23,12 @@ Scheduling state:
   cs/ln/ai   crossing time, 0-based lane and global arrival index per slot,
              sorted by crossing time; slots [0, head) have departed (at most
              BLOCK of them), slots [head, len) are live
-  tl         exhaustive only: per lane, the crossing time of the lane's last
+  tl         _exhaustive: per lane, the crossing time of the lane's last
              scheduled vehicle, or -inf; that vehicle is live iff
              tl + B > a, as departures leave in crossing order and c + B
              grows along the schedule
-  pf/pt/pn   gated and batch only: per lane, the live platoons' starts,
-             ends and sizes, ascending
+  pf/pt/pn   _gated: per lane, the live platoons' starts, ends and sizes,
+             ascending
 """
 from __future__ import annotations
 
@@ -37,20 +44,13 @@ BLOCK = 8192  # arrivals read, and departed slots compacted, at a time
 
 
 def _shift_after(xs, lo, anchor, delta):
-    """Add delta in place to sorted xs[lo:] after the anchor, from the end back to lo or an entry <= it."""
+    """Add delta in place to sorted xs[lo:] after the anchor, from the end back to lo
+    or an entry <= it; return the slot where the walk stopped, bisect_right(xs, anchor, lo)."""
     j = len(xs) - 1
     while j >= lo and xs[j] > anchor:
         xs[j] += delta
         j -= 1
-
-
-def _shift_lanes(cs, head, tl, anchor, delta):
-    """_shift_after on cs, then each lane's last crossing time after the anchor, lane by lane."""
-    if cs[-1] > anchor:
-        _shift_after(cs, head, anchor, delta)
-        for lane, t in enumerate(tl):
-            if t > anchor:
-                tl[lane] = t + delta
+    return j + 1
 
 
 def _shift_platoons(pf, pt, anchor, delta):
@@ -83,6 +83,11 @@ def _fallback_c(cs, ln, B, S, d):
     return cs[-1] + B[dl] + S[d]
 
 
+def _scan_orders(n):
+    """Per lane d, the other lanes in reverse cyclic order from d."""
+    return [list(range(d - 1, -1, -1)) + list(range(n - 1, d, -1)) for d in range(n)]
+
+
 def _scan_anchor(cs, head, pt, lanes, B, s_d, a):
     """Cross-lane scan: (platoon end, new crossing time) or None.
 
@@ -98,6 +103,15 @@ def _scan_anchor(cs, head, pt, lanes, B, s_d, a):
                 if p == len(cs) or cs[p] >= te + gap - TIE_TOL:
                     return te, te + gap
     return None
+
+
+def _retire(final_c, cs, ln, ai, head):
+    """Write the departed slots but the last one, which the free test and
+    the fallback read, to final_c and delete them; return how many went."""
+    cut = head - 1
+    final_c[ai[:cut]] = cs[:cut]
+    del cs[:cut], ln[:cut], ai[:cut]
+    return cut
 
 
 def _invariants_hold(cs, ln, ai, head, arr_a, B, S, prev_cs, prev_ai, k, pf, pt, pn, cap):
@@ -152,24 +166,121 @@ def simulate_arrivals(arr_a, arr_lane, params, pfa, cap, check):
     InconsistentGateBook when the platoon book diverges from the schedule
     and PlatoonError when check finds a violated invariant.
     """
-    n, B, S = params.n, params.B, params.S
-    exhaustive = pfa == "exhaustive"
-    capped = pfa == "batch"
     final_c = np.full(len(arr_a), np.nan)
     arrivals = chain.from_iterable(
         zip(arr_a[lo:lo + BLOCK].tolist(), arr_lane[lo:lo + BLOCK].tolist())
         for lo in range(0, len(arr_a), BLOCK)
     )
+    if pfa == "exhaustive":
+        fallback_count, max_platoon = _exhaustive(arrivals, arr_a, params, final_c, check)
+    else:
+        fallback_count, max_platoon = _gated(
+            arrivals, arr_a, params, cap if pfa == "batch" else None, final_c, check
+        )
+    return final_c, fallback_count, max_platoon
+
+
+def _exhaustive(arrivals, arr_a, params, final_c, check):
+    """Exhaustive into final_c: join the own lane's last vehicle while it is
+    live, else the first live lane's last vehicle in reverse cyclic order,
+    else fall back behind the schedule. Returns (fallback_count, 0)."""
+    n, B, S = params.n, params.B, params.S
+    block = BLOCK
     cs, ln, ai = [], [], []
     head = 0
     tl = [-np.inf] * n
+    scan = _scan_orders(n)
+    prev_cs = prev_ai = None
+    fallback_count = 0
+
+    for k, (a, d) in enumerate(arrivals):
+        tail = len(cs)
+
+        # ----- departures due at or before the arrival instant -----
+        while head < tail and cs[head] + B[ln[head]] <= a:
+            head += 1
+        if head > block:
+            tail -= _retire(final_c, cs, ln, ai, head)
+            head = 1
+
+        if check:
+            prev_cs = cs[head:]
+            prev_ai = ai[head:]
+
+        # The last vehicle scheduled (live or, with none live, departed);
+        # the first arrival flows freely.
+        if k:
+            cl = cs[-1]
+            dl = ln[-1]
+        else:
+            cl = -np.inf
+            dl = d
+        if cl + B[dl] < a:  # free
+            if d == dl:
+                c0 = a
+            else:
+                c0 = cl + B[dl] + S[d]
+                if a > c0:
+                    c0 = a
+            cs.append(c0)
+            ln.append(d)
+            ai.append(k)
+        else:
+            b_d = B[d]
+            anchor = tl[d]
+            if anchor + b_d > a:  # the lane's last vehicle is live: join it
+                delta = b_d
+                c0 = anchor + b_d
+            else:
+                s_d = S[d]
+                delta = b_d + s_d
+                for lane in scan[d]:
+                    anchor = tl[lane]
+                    if anchor + B[lane] > a:
+                        c0 = anchor + (B[lane] + s_d)
+                        break
+                else:
+                    fallback_count += 1
+                    c0 = _fallback_c(cs, ln, B, S, d)
+                    anchor = cs[-1]  # nothing comes after it to shift
+            # The anchor is live, so the walk stops at its slot; the lanes
+            # whose last vehicle moved take its new time, the last one last.
+            pos = tail
+            while cs[pos - 1] > anchor:
+                pos -= 1
+                cs[pos] += delta
+            if pos < tail:
+                for j in range(pos, tail):
+                    tl[ln[j]] = cs[j]
+            cs.insert(pos, c0)
+            ln.insert(pos, d)
+            ai.insert(pos, k)
+        tl[d] = c0
+
+        if check and not _invariants_hold(
+            cs, ln, ai, head, arr_a, B, S, prev_cs, prev_ai, k, (), (), (), None
+        ):
+            raise PlatoonError(f"scheduling invariant violated at arrival {k}")
+
+    final_c[ai] = cs
+    return fallback_count, 0
+
+
+def _gated(arrivals, arr_a, params, cap, final_c, check):
+    """Gated, or batch with platoons of at most cap, into final_c: join the
+    earliest own-lane platoon still ahead (with room), else cut in behind a
+    platoon end (a forced switch when every own-lane platoon is full), else
+    fall back behind the schedule. Returns (fallback_count, max_platoon)."""
+    n, B, S = params.n, params.B, params.S
+    block = BLOCK
+    cs, ln, ai = [], [], []
+    head = 0
     pf = [[] for _ in range(n)]
     pt = [[] for _ in range(n)]
     pn = [[] for _ in range(n)]
     start_bound = -np.inf  # no live platoon starts after it
-    scan = [list(range(d - 1, -1, -1)) + list(range(n - 1, d, -1)) for d in range(n)]
+    scan = _scan_orders(n)
     prev_cs = prev_ai = None
-
     fallback_count = 0
     max_platoon = 0
 
@@ -182,26 +293,19 @@ def simulate_arrivals(arr_a, arr_lane, params, pfa, cap, check):
             d0 = ln[head]
             if c + B[d0] > a:
                 break
-            if not exhaustive:
-                ends = pt[d0]
-                if not ends or c > ends[0] + TIE_TOL:
-                    raise InconsistentGateBook(
-                        f"platoon bookkeeping diverged from the schedule at arrival {k}"
-                    )
-                if abs(c - ends[0]) <= TIE_TOL:
-                    if pn[d0][0] > max_platoon:
-                        max_platoon = pn[d0][0]
-                    del pf[d0][0], ends[0], pn[d0][0]
+            ends = pt[d0]
+            if not ends or c > ends[0] + TIE_TOL:
+                raise InconsistentGateBook(
+                    f"platoon bookkeeping diverged from the schedule at arrival {k}"
+                )
+            if abs(c - ends[0]) <= TIE_TOL:
+                if pn[d0][0] > max_platoon:
+                    max_platoon = pn[d0][0]
+                del pf[d0][0], ends[0], pn[d0][0]
             head += 1
-
-        if head > BLOCK:
-            # Retire the departed slots but the last one, which the free
-            # test and the fallback read.
-            cut = head - 1
-            final_c[ai[:cut]] = cs[:cut]
-            del cs[:cut], ln[:cut], ai[:cut]
+        if head > block:
+            tail -= _retire(final_c, cs, ln, ai, head)
             head = 1
-            tail -= cut
 
         if check:
             prev_cs = cs[head:]
@@ -209,77 +313,67 @@ def simulate_arrivals(arr_a, arr_lane, params, pfa, cap, check):
 
         # The last vehicle scheduled (live or, with none live, departed);
         # the first arrival flows freely.
-        cl = cs[-1] if k else -np.inf
-        dl = ln[-1] if k else d
-        free = cl + B[dl] < a
-        newp = free  # register (c0, c0) as a fresh platoon (gated/batch)
-        if free:
+        if k:
+            cl = cs[-1]
+            dl = ln[-1]
+        else:
+            cl = -np.inf
+            dl = d
+        newp = True  # register (c0, c0) as a fresh platoon
+        if cl + B[dl] < a:  # free
             if d == dl:
                 c0 = a
             else:
                 c0 = cl + B[dl] + S[d]
                 if a > c0:
                     c0 = a
-        elif exhaustive:
+            pos = tail
+        else:
             b_d = B[d]
-            anchor = tl[d]
-            if anchor + b_d > a:  # the lane's last vehicle is live: join it
-                _shift_lanes(cs, head, tl, anchor, b_d)
-                c0 = anchor + b_d
-            else:
-                s_d = S[d]
-                for lane in scan[d]:
-                    anchor = tl[lane]
-                    if anchor + B[lane] > a:
-                        _shift_lanes(cs, head, tl, anchor, b_d + s_d)
-                        c0 = anchor + (B[lane] + s_d)
-                        break
-                else:
-                    fallback_count += 1
-                    c0 = _fallback_c(cs, ln, B, S, d)
-        else:  # gated / batch
-            b_d = B[d]
-            s_d = S[d]
             starts = pf[d]
             j = bisect_right(starts, a)  # earliest own-lane platoon still ahead
-            found = None
-            if j < len(starts):
-                if capped:
-                    counts = pn[d]
-                    while j < len(starts) and counts[j] >= cap:
-                        j += 1
-                if j < len(starts):  # join it
-                    anchor = pt[d][j]
-                    _shift_after(cs, head, anchor, b_d)
-                    if start_bound > anchor:
-                        _shift_platoons(pf, pt, anchor, b_d)
-                        start_bound += b_d
-                    c0 = anchor + b_d
-                    pt[d][j] = c0
-                    pn[d][j] += 1
-                else:
+            m = len(starts)
+            if cap is not None:
+                counts = pn[d]
+                while j < m and counts[j] >= cap:
+                    j += 1
+            if j < m:  # join it
+                anchor = pt[d][j]
+                pos = tail
+                while pos > head and cs[pos - 1] > anchor:
+                    pos -= 1
+                    cs[pos] += b_d
+                if start_bound > anchor:
+                    _shift_platoons(pf, pt, anchor, b_d)
+                    start_bound += b_d
+                c0 = anchor + b_d
+                pt[d][j] = c0
+                pn[d][j] += 1
+                newp = False
+            else:
+                s_d = S[d]
+                if m and starts[-1] > a:
                     # Every joinable platoon is full: open a fresh platoon
                     # behind the lane's last one (forced switch, full
                     # occupation-plus-clearance).
                     anchor = pt[d][-1]
-                    found = anchor, anchor + (B[d] + s_d)
-            else:
-                found = _scan_anchor(cs, head, pt, scan[d], B, s_d, a)
+                    found = anchor, anchor + (b_d + s_d)
+                else:
+                    found = _scan_anchor(cs, head, pt, scan[d], B, s_d, a)
                 if found is None:
                     fallback_count += 1
                     c0 = _fallback_c(cs, ln, B, S, d)
-                    newp = True
-            if found is not None:
-                anchor, c0 = found
-                unit = b_d + s_d
-                delta = 2.0 * unit if _lands_on_start(pf, c0) else unit
-                _shift_after(cs, head, anchor, delta)
-                if start_bound > anchor:
-                    _shift_platoons(pf, pt, anchor, delta)
-                    start_bound += delta
-                newp = True
+                    pos = tail
+                else:
+                    anchor, c0 = found
+                    unit = b_d + s_d
+                    delta = 2.0 * unit if _lands_on_start(pf, c0) else unit
+                    pos = _shift_after(cs, head, anchor, delta)
+                    if start_bound > anchor:
+                        _shift_platoons(pf, pt, anchor, delta)
+                        start_bound += delta
 
-        if newp and not exhaustive:
+        if newp:
             if pt[d] and c0 <= pt[d][-1]:
                 raise InconsistentGateBook(
                     f"platoon bookkeeping diverged from the schedule at arrival {k}"
@@ -291,19 +385,15 @@ def simulate_arrivals(arr_a, arr_lane, params, pfa, cap, check):
                 start_bound = c0
 
         # ----- insert the new vehicle -----
-        pos = tail if free else bisect_right(cs, c0, head)
         cs.insert(pos, c0)
         ln.insert(pos, d)
         ai.insert(pos, k)
-        if exhaustive:
-            tl[d] = c0
 
         if check and not _invariants_hold(
-            cs, ln, ai, head, arr_a, B, S, prev_cs, prev_ai, k, pf, pt, pn,
-            cap if capped else None,
+            cs, ln, ai, head, arr_a, B, S, prev_cs, prev_ai, k, pf, pt, pn, cap
         ):
             raise PlatoonError(f"scheduling invariant violated at arrival {k}")
 
     max_platoon = max([max_platoon] + [max(counts) for counts in pn if counts])
     final_c[ai] = cs
-    return final_c, fallback_count, max_platoon
+    return fallback_count, max_platoon

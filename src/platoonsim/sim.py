@@ -38,8 +38,9 @@ from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
 import numpy as np
 
 from . import _kernels
-from .core import PFA_KINDS, PlatoonError, RunConfig, SimParams, beyond_tie_tolerance, validate_params
-from .polling import DISCIPLINES, approx_mean_delay
+from .core import (PFA_KINDS, PlatoonError, RunConfig, SimParams, UnstableLoad, beyond_tie_tolerance,
+                   validate_params)
+from .polling import UnsupportedDiscipline, approx_mean_delay, check_analytic
 
 __all__ = [
     "N_BATCHES",
@@ -359,12 +360,18 @@ def result_rows(res: RunResult, params: SimParams, rho: float) -> List[Dict[str,
     """Run-CSV rows of one run: the aggregate row, then one row per lane.
 
     approx_delay is the lane's interpolated mean delay, and on the aggregate
-    row the arrival-weighted mean of those; it is empty for batch and at
-    rho >= 1, where no approximation exists.
+    row the arrival-weighted mean of those; it is empty where no
+    approximation exists: polling.check_analytic refuses the discipline
+    (batch) or core.validate_params the load (rho >= 1).
     """
     approx: List[Optional[float]] = [None] * params.n
     overall: Optional[float] = None
-    if res.discipline in DISCIPLINES and params.rho < 1.0:
+    try:
+        check_analytic(res.discipline)
+        validate_params(params)
+    except (UnsupportedDiscipline, UnstableLoad):
+        pass
+    else:
         approx = [approx_mean_delay(params, res.discipline, i + 1) for i in range(params.n)]
         overall = sum(lam * x for lam, x in zip(params.lam, approx)) / sum(params.lam)
     rows: List[Dict[str, object]] = [

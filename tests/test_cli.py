@@ -948,6 +948,41 @@ def test_run_golden_bytes(tmp_path, capsys, config):
     assert digests == RUN_GOLDEN[config]
 
 
+# The sweep byte contract: sha256 of delay_sweep.csv and stdout (output
+# directory replaced by "OUT") for configs/sym.json at rho 0.3, 0.6 and
+# 0.9, all three disciplines, 3 000 vehicles a point and batch_cap 12.
+# The cap binds at rho 0.9 only, so batch's rows there come from its own
+# run while at 0.3 and 0.6 they are gated's. At 0.9 the binding cap locks
+# a lane out (ROADMAP item 1), and the mend for that item will re-record
+# the batch rows.
+SWEEP_GOLDEN = (
+    "b4e64c488556d33f1eb15b530090bf54357c3cabfd082c4a42312b3d3353ec01",
+    "cbceec924c60babc9a311f0311c3f9b67469aefc8580685081d4a7894d657b84",
+)
+
+
+def test_sweep_golden_bytes(tmp_path, capsys):
+    with open(SYM) as fh:
+        cfg = json.load(fh)
+    cfg.update(horizon_vehicles=3000, batch_cap=12)
+    path = tmp_path / "sym.json"
+    path.write_text(json.dumps(cfg))
+    out = tmp_path / "out"
+    argv = ["sweep", "--config", str(path), "--out", str(out), "--rho", "0.3:0.9:0.3",
+            "--pfa", "exhaustive,gated,batch"]
+    assert cli.main(argv) == 0
+    table = (out / "delay_sweep.csv").read_bytes()
+    digests = tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in (table, capsys.readouterr().out.replace(str(out), "OUT").encode())
+    )
+    assert digests == SWEEP_GOLDEN
+    means = {(r["rho"], r["discipline"]): r["sim_delay_mean"]
+             for r in read_csv(out / "delay_sweep.csv") if r["lane"] == "all"}
+    assert means["0.6", "batch"] == means["0.6", "gated"]
+    assert means["0.9", "batch"] != means["0.9", "gated"]
+
+
 def test_traj_needs_scripted_arrivals(tmp_path):
     assert cli.main(["traj", "--config", SYM, "--out", str(tmp_path)]) == 2
 

@@ -18,7 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from platoonsim import _kernels
 from platoonsim._kernels import BLOCK
-from platoonsim.core import PFA_KINDS, RunConfig, SimParams, load_config
+from platoonsim.core import (PFA_KINDS, InconsistentGateBook, PlatoonError, RunConfig, SimParams,
+                             load_config)
 from platoonsim.sim import make_arrivals, run, run_reference
 from test_pfa_properties import arrival_sequences, disciplines
 
@@ -125,7 +126,7 @@ def test_shift_after_equals_the_slice_rebuild(data, xs, delta):
     lo = data.draw(st.integers(0, len(xs)))
     j = bisect_right(xs, anchor, lo)
     want = xs[:j] + [x + delta for x in xs[j:]]
-    _kernels._shift_after(xs, lo, anchor, delta)
+    assert _kernels._shift_after(xs, lo, anchor, delta) == j
     assert _bits(xs) == _bits(want)
 
 
@@ -146,21 +147,6 @@ def test_shift_platoons_equals_the_slice_rebuild(data, books, delta):
     assert [_bits(t) for t in pt] == [_bits(t) for t in want_t]
 
 
-@given(data=st.data(), cs=_times.filter(bool).map(sorted), delta=st.floats(0.1, 5.0))
-@settings(max_examples=200, deadline=None)
-def test_shift_lanes_equals_the_slice_rebuild(data, cs, delta):
-    # Each lane's last crossing time is a scheduled one, or -inf.
-    tl = data.draw(st.lists(st.sampled_from(cs + [-np.inf]), min_size=1, max_size=5))
-    anchor = data.draw(_anchors(cs))
-    head = data.draw(st.integers(0, len(cs) - 1))
-    j = bisect_right(cs, anchor, head)
-    want_cs = cs[:j] + [c + delta for c in cs[j:]]
-    want_tl = [t + delta if t > anchor else t for t in tl]
-    _kernels._shift_lanes(cs, head, tl, anchor, delta)
-    assert _bits(cs) == _bits(want_cs)
-    assert _bits(tl) == _bits(want_tl)
-
-
 def _shift_counter(moved):
     """Wrappers of the shift helpers that record the most each call moved:
     platoons of one lane, lanes with a moved platoon, and slots of cs."""
@@ -179,14 +165,26 @@ def _shift_counter(moved):
     return platoons, after
 
 
+def _longest_walk(res):
+    """Exhaustive's longest shift: (slots, lanes) at the arrival that moved most.
+
+    Exhaustive inserts a vehicle right behind its anchor and shifts every
+    vehicle after it, and shifts keep the order, so the vehicles its insertion
+    moved are the earlier arrivals that cross after it."""
+    moved = [res.c[:k] > res.c[k] for k in range(res.c.size)]
+    return (max(int(m.sum()) for m in moved),
+            max(np.unique(res.lane0[:k][m]).size for k, m in enumerate(moved)))
+
+
 @pytest.mark.parametrize("rho", [0.9, 0.95])
-@pytest.mark.parametrize("pfa", ["gated", "batch"])
+@pytest.mark.parametrize("pfa", PFA_KINDS)
 @pytest.mark.parametrize("n", [4, 5])
 def test_paths_agree_on_long_shifts(n, pfa, rho):
     # Shifts past one platoon of a lane, across lanes and over long tails
     # of the schedule, which the two-lane runs above rarely reach. Batch's
     # cap of 20 binds, so lanes hold several live platoons; above the cap's
-    # k-limited bound its queue grows, so the runs are transient.
+    # k-limited bound its queue grows, so the runs are transient. Joins walk
+    # the schedule inline, so exhaustive's walks are read off its result.
     params = SimParams(n=n, lam=(0.1,) * n).with_rho(rho)
     config = RunConfig(params=params, pfa=pfa, batch_cap=20, horizon_vehicles=3000, seed=1)
     moved = {"one lane": 0, "lanes": 0, "cs": 0}
@@ -195,10 +193,47 @@ def test_paths_agree_on_long_shifts(n, pfa, rho):
             mock.patch.object(_kernels, "_shift_after", wraps=after):
         fast = run(config, check=True, steady_state=False)
     assert_same_result(fast, run_reference(config, check=True, steady_state=False))
-    assert moved["lanes"] >= 2
+    if pfa == "exhaustive":
+        slots, lanes = _longest_walk(fast)
+        assert slots >= 50 and lanes >= 3
+    else:
+        assert moved["lanes"] >= 2
     if pfa == "batch":
         assert moved["one lane"] >= 2
         assert moved["cs"] >= 50
+
+
+# ===================== the kernel's own refusals =====================
+
+@pytest.mark.parametrize("pfa", PFA_KINDS)
+def test_check_refuses_a_violated_invariant(pfa):
+    config = RunConfig(params=SimParams().with_rho(0.5), pfa=pfa, batch_cap=4,
+                       horizon_vehicles=50, seed=1)
+    with mock.patch.object(_kernels, "_invariants_hold", return_value=False), \
+            pytest.raises(PlatoonError, match="scheduling invariant violated at arrival 0") as info:
+        run(config, check=True)
+    assert info.type is PlatoonError
+
+
+def test_unshifted_platoons_diverge_from_the_schedule():
+    # Without _shift_platoons the book keeps the platoons a join moved at
+    # their old times, which the departures then find.
+    params = SimParams(n=3, lam=(0.1,) * 3).with_rho(0.8)
+    config = RunConfig(params=params, pfa="gated", horizon_vehicles=3000, seed=1)
+    with mock.patch.object(_kernels, "_shift_platoons") as shift, \
+            pytest.raises(InconsistentGateBook, match="platoon bookkeeping diverged"):
+        run(config)
+    assert 1.0 in [call.args[3] for call in shift.call_args_list]  # a join's shift, by B
+
+
+def test_binding_cap_runs_batch_on_its_own():
+    # Batch's cap of 4 binds: its schedule is not gated's, and is pfa's.
+    config = RunConfig(params=SimParams().with_rho(0.7), pfa="batch", batch_cap=4,
+                       horizon_vehicles=3000, seed=3)
+    fast = run(config, check=True)
+    assert fast.max_platoon == 4
+    assert not np.array_equal(fast.c, run(replace(config, pfa="gated")).c)
+    assert_same_result(fast, run_reference(config, check=True))
 
 
 # ===================== compaction of departed slots =====================
