@@ -5,8 +5,9 @@ atomically into an output directory. Exit codes: 0 success, 1 internal
 scheduling error, 2 configuration or usage error (a request larger than
 the memory available included: one line naming the command and config,
 no traceback; and an --out that cannot be written: one line naming the
-path), 3 unstable load without --transient. Warnings, such as a
-transient run at rho >= 1, print as one "warning: ..." line on stderr.
+path), 3 unstable load (rho >= 1: Poisson arrivals of run or sweep
+without --transient, and any approx point). Warnings, such as a transient
+run at rho >= 1, print as one "warning: ..." line on stderr.
 """
 from __future__ import annotations
 
@@ -138,7 +139,7 @@ def cmd_run(args: argparse.Namespace) -> int:
     cfg = _with_one_pfa(args, _load(args))
     res = sim.run(cfg, steady_state=not args.transient)
     rho = cfg.params.rho
-    rows = sim.result_rows(res, cfg.params, rho)
+    rows = sim.result_rows(res, rho)
     with write_together():
         _write_csv(os.path.join(args.out, "results.csv"), sim.RUN_CSV_HEADER, rows)
         write_atomic(os.path.join(args.out, "vehicles.jsonl"), res.vehicles_jsonl_chunks())
@@ -196,7 +197,7 @@ def cmd_traj(args: argparse.Namespace) -> int:
     if cfg.arrivals is None:
         raise ConfigError("traj needs a config with a scripted 'arrivals' list")
     cfg = _with_one_pfa(args, cfg)
-    res = sim.run(cfg, check=True, steady_state=not args.transient)
+    res = sim.run(cfg, check=True)
     vehicles = [
         Vehicle(id=i, lane=int(res.lane0[i]) + 1, a=float(res.a[i]), c=float(res.c[i]))
         for i in range(res.a.size)
@@ -257,7 +258,7 @@ def build_parser() -> argparse.ArgumentParser:
     ).set_defaults(fn=cmd_approx)
     p_traj = sub.add_parser(
         "traj",
-        parents=[common, transient],
+        parents=[common],
         help="trajectories for a scripted scenario: traj_segments.csv + traj_sampled.csv",
     )
     planners = tuple(spa.PLANNERS)

@@ -388,8 +388,6 @@ def load_config(path: str) -> RunConfig:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     except (ValueError, RecursionError) as exc:  # not UTF-8, a too long integer, deep nesting
         raise ConfigError(f"config file {path} cannot be read: {exc}") from exc
-    if not isinstance(data, dict):
-        raise ConfigError(f"config file {path} must contain a JSON object")
     return parse_config(data)
 
 

@@ -10,13 +10,17 @@ with one contract: the list-based kernel _kernels.simulate_arrivals and
 the object-level reference pfa.simulate (imported only when called).
 Both take (a, lane0, params, kind, cap, check), return bit-identical
 (final_c, fallback_count, max_platoon) and leave an unscheduled vehicle
-NaN, which _summarize refuses. Every command schedules through the
+NaN, which _summarize refuses. Only Poisson arrivals have their load
+checked: a script never reads the rates. Every command schedules through the
 kernel; no command runs the reference, which is the semantic anchor the
 tests compare against. Sweeps run their grid points serially: the kernel
 is pure Python and holds the interpreter lock.
 
 The kernel and the reference only schedule: _queue_counts reads fairness
-and the largest queue from the final (a, c, lane), their one definition.
+and the largest queue from the final (a, c, lane), their one definition,
+and _lane_stats the mean, CI and count of the "all" group and of each
+lane. A RunResult carries the RunConfig it ran, and result_rows builds
+every row of results.csv and delay_sweep.csv from it with one literal.
 
 RunResult.vehicles_jsonl_chunks prints the vehicle log JSONL_CHUNK
 records at a time with numpy: _cells, imported on the first call,
@@ -33,7 +37,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, Iterator, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -136,29 +140,21 @@ def _arrival_times(gen: np.random.Generator, lam: float, size: int) -> np.ndarra
     return np.cumsum(t, out=t)
 
 
-def _scripted_arrays(config: RunConfig) -> Tuple[np.ndarray, np.ndarray]:
-    arr = config.arrivals or []
-    entry = np.array([t for _, t in arr], np.float64)
-    lanes = np.array([lane - 1 for lane, _ in arr], np.min_scalar_type(config.params.n))
-    return entry, lanes
-
-
 # ===================== results =====================
 
 @dataclass
 class LaneStats:
-    lane: int           # 1-based lane index
-    mean: float         # mean delay over the lane's post-warmup arrivals (s)
-    ci95: float         # batch-means 95% half-width (s); NaN if undersampled
-    n: int              # post-warmup arrivals on the lane
+    lane: Union[int, str]   # 1-based lane index, or "all" for every lane
+    mean: float             # mean post-warmup delay (s); NaN if the group is empty
+    ci95: float             # batch-means 95% half-width (s); NaN if undersampled
+    n: int                  # post-warmup arrivals in the group
 
 
 @dataclass
 class RunResult:
-    """One simulation run: per-vehicle schedule plus summary statistics."""
+    """One simulation run: its config, per-vehicle schedule and summary statistics."""
 
-    discipline: str
-    seed: int
+    config: RunConfig
     warmup: int
     entry: np.ndarray       # control-region entry time per vehicle (s)
     a: np.ndarray           # earliest feasible crossing time (s)
@@ -266,6 +262,12 @@ def _queue_counts(
     return sum_total - inversions, sum_total, most + 1
 
 
+def _lane_stats(lane: Union[int, str], delays: np.ndarray) -> LaneStats:
+    """Mean, batch-means CI and count of one group's post-warmup delays."""
+    mean = float(delays.mean()) if delays.size else float("nan")  # no RuntimeWarning if empty
+    return LaneStats(lane=lane, mean=mean, ci95=batch_means_ci(delays), n=int(delays.size))
+
+
 def _summarize(
     config: RunConfig, warmup: int, entry: np.ndarray, a: np.ndarray, lane0: np.ndarray,
     c: np.ndarray, fallback_count: int, max_platoon: int,
@@ -277,40 +279,19 @@ def _summarize(
     if blur:
         warnings.warn(f"crossing times reach {last:.6g} s, where they are {blur}", stacklevel=4)
     sum_ahead, sum_total, max_queue = _queue_counts(a, c, lane0, config.params.B, warmup)
-    post = c[warmup:] - a[warmup:]  # only the post-warmup delays are held
-    mean = float(post.mean()) if post.size else float("nan")
-    ci = batch_means_ci(post)
-    del post  # freed before any lane's delays are gathered
-    fairness = (sum_ahead / sum_total) if sum_total > 0 else float("nan")
+    # Each group's delays are freed before the next group's are gathered.
+    overall = _lane_stats("all", c[warmup:] - a[warmup:])
     lanes = []
     post_c, post_a, post_lane = c[warmup:], a[warmup:], lane0[warmup:]
     for i in range(config.params.n):
         on = post_lane == i
-        sel = post_c[on] - post_a[on]
-        lanes.append(
-            LaneStats(
-                lane=i + 1,
-                mean=float(sel.mean()) if sel.size else float("nan"),
-                ci95=batch_means_ci(sel),
-                n=int(sel.size),
-            )
-        )
-        del on, sel  # not held while the next lane's delays are gathered
+        lanes.append(_lane_stats(i + 1, post_c[on] - post_a[on]))
+        del on
     return RunResult(
-        discipline=config.pfa,
-        seed=config.seed,
-        warmup=warmup,
-        entry=entry,
-        a=a,
-        lane0=lane0,
-        c=c,
-        mean=mean,
-        ci95=ci,
-        fairness=fairness,
-        lanes=lanes,
-        max_queue=max_queue,
-        fallback_count=fallback_count,
-        max_platoon=max_platoon,
+        config=config, warmup=warmup, entry=entry, a=a, lane0=lane0, c=c,
+        mean=overall.mean, ci95=overall.ci95,
+        fairness=(sum_ahead / sum_total) if sum_total > 0 else float("nan"),
+        lanes=lanes, max_queue=max_queue, fallback_count=fallback_count, max_platoon=max_platoon,
     )
 
 
@@ -339,12 +320,13 @@ def run_reference(config: RunConfig, check: bool = False, steady_state: bool = T
 
 
 def _run(config: RunConfig, simulate: Callable, check: bool, steady_state: bool) -> RunResult:
-    """Validate the load, build the arrivals, schedule them with simulate, summarize."""
+    """Build the arrivals (checking a Poisson load), schedule them with simulate, summarize."""
     params = config.params
-    validate_params(params, steady_state=steady_state)
     if config.arrivals is not None:
-        entry, lane0 = _scripted_arrays(config)
+        entry = np.array([t for _, t in config.arrivals], np.float64)
+        lane0 = np.array([lane - 1 for lane, _ in config.arrivals], np.min_scalar_type(params.n))
     else:
+        validate_params(params, steady_state=steady_state)
         entry, lane0 = make_arrivals(params, config.horizon_vehicles, config.seed)
     a = entry + params.free_flow_offset
     final_c, fallback_count, max_platoon = simulate(
@@ -356,7 +338,7 @@ def _run(config: RunConfig, simulate: Callable, check: bool, steady_state: bool)
 
 # ===================== sweeps =====================
 
-def result_rows(res: RunResult, params: SimParams, rho: float) -> List[Dict[str, object]]:
+def result_rows(res: RunResult, rho: float) -> List[Dict[str, object]]:
     """Run-CSV rows of one run: the aggregate row, then one row per lane.
 
     approx_delay is the lane's interpolated mean delay, and on the aggregate
@@ -364,48 +346,32 @@ def result_rows(res: RunResult, params: SimParams, rho: float) -> List[Dict[str,
     approximation exists: polling.check_analytic refuses the discipline
     (batch) or core.validate_params the load (rho >= 1).
     """
-    approx: List[Optional[float]] = [None] * params.n
-    overall: Optional[float] = None
+    config = res.config
+    params = config.params
+    approx: List[Optional[float]] = [None] * (params.n + 1)  # the aggregate's, then each lane's
     try:
-        check_analytic(res.discipline)
+        check_analytic(config.pfa)
         validate_params(params)
     except (UnsupportedDiscipline, UnstableLoad):
         pass
     else:
-        approx = [approx_mean_delay(params, res.discipline, i + 1) for i in range(params.n)]
-        overall = sum(lam * x for lam, x in zip(params.lam, approx)) / sum(params.lam)
-    rows: List[Dict[str, object]] = [
+        approx[1:] = [approx_mean_delay(params, config.pfa, i + 1) for i in range(params.n)]
+        approx[0] = sum(lam * x for lam, x in zip(params.lam, approx[1:])) / sum(params.lam)
+    groups = [LaneStats("all", res.mean, res.ci95, res.a.size - res.warmup)] + res.lanes
+    return [
         {
             "rho": rho,
-            "discipline": res.discipline,
-            "lane": "all",
-            "sim_delay_mean": res.mean,
-            "ci95": res.ci95,
-            "approx_delay": overall,
-            "fairness": res.fairness,
-            "n_vehicles": res.a.size - res.warmup,
-            "seed": res.seed,
+            "discipline": config.pfa,
+            "lane": group.lane,
+            "sim_delay_mean": group.mean,
+            "ci95": group.ci95,
+            "approx_delay": approx_delay,
+            "fairness": res.fairness if group.lane == "all" else None,
+            "n_vehicles": group.n,
+            "seed": config.seed,
         }
+        for group, approx_delay in zip(groups, approx)
     ]
-    for ls in res.lanes:
-        rows.append(
-            {
-                "rho": rho,
-                "discipline": res.discipline,
-                "lane": ls.lane,
-                "sim_delay_mean": ls.mean,
-                "ci95": ls.ci95,
-                "approx_delay": approx[ls.lane - 1],
-                "fairness": None,
-                "n_vehicles": ls.n,
-                "seed": res.seed,
-            }
-        )
-    return rows
-
-
-def _lane_sort_key(value: object) -> int:
-    return -1 if value == "all" else int(value)  # aggregate row leads its group
 
 
 def sweep_rows(
@@ -421,6 +387,7 @@ def sweep_rows(
     seed base.seed + i, and all disciplines at a point see exactly the same
     arrivals. Gated runs before batch, and where gated's largest platoon
     is within the cap, batch's result is gated's: the cap never bound.
+    No result is held while the next discipline or point runs.
     """
     for d in disciplines:
         replace(base, pfa=d)  # RunConfig refuses an unknown discipline before any point runs
@@ -428,28 +395,16 @@ def sweep_rows(
     rows: List[Dict[str, object]] = []
     for i, rho in enumerate(rhos):
         point = replace(base, params=base.params.with_rho(rho), seed=base.seed + i, arrivals=None)
-        rows += _point_rows(point, rho, order, steady_state)
-    rows.sort(key=lambda r: (r["rho"], r["discipline"], _lane_sort_key(r["lane"])))
-    return rows
-
-
-def _point_rows(
-    point: RunConfig, rho: float, disciplines: Sequence[str], steady_state: bool
-) -> List[Dict[str, object]]:
-    """Run-CSV rows of every discipline at one sweep point.
-
-    Its results go out of scope on return, so none is held while the next
-    point runs.
-    """
-    rows: List[Dict[str, object]] = []
-    gated: Optional[RunResult] = None  # a gated result batch can take
-    for disc in disciplines:
-        if disc == "batch" and gated is not None:
-            res = replace(gated, discipline="batch")
-        else:
-            res = run(replace(point, pfa=disc), steady_state=steady_state)
-            if disc == "gated" and res.max_platoon <= point.batch_cap:
-                gated = res
-        rows += result_rows(res, point.params, rho)
-        del res  # not held while the next discipline runs
+        gated: Optional[RunResult] = None  # this point's gated result, where batch can take it
+        for disc in order:
+            if disc == "batch" and gated is not None:
+                res = replace(gated, config=replace(gated.config, pfa="batch"))
+            else:
+                res = run(replace(point, pfa=disc), steady_state=steady_state)
+                if disc == "gated" and res.max_platoon <= point.batch_cap:
+                    gated = res
+            rows += result_rows(res, rho)
+            del res
+    # The aggregate row leads its (rho, discipline) group.
+    rows.sort(key=lambda r: (r["rho"], r["discipline"], -1 if r["lane"] == "all" else r["lane"]))
     return rows

@@ -401,7 +401,7 @@ def test_planner_refusals_name_the_planner_table(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [["approx", "--transient"], ["approx", "--seed", "1"], ["traj", "--seed", "1"],
-     ["sweep", "--asymmetric"]],
+     ["traj", "--transient"], ["sweep", "--asymmetric"]],
 )
 def test_flag_of_another_command_is_usage_error(tmp_path, argv):
     # Each command takes only the flags it reads; argparse exits 2.
@@ -471,6 +471,42 @@ def test_transient_warning_is_one_line_per_point(tmp_path):
             assert done.stderr.splitlines() == [
                 f"warning: rho={rho} >= 1: transient run, no steady state exists" for rho in rhos
             ]
+
+
+@pytest.mark.parametrize("command", ["run", "traj"])
+def test_scripted_run_ignores_the_load_of_its_rates(tmp_path, command):
+    # A script never reads lambda, so a rate pair at rho 1.2 is neither
+    # refused (exit 3) nor warned about as a transient run.
+    with open(TRAJ) as fh:
+        cfg = json.load(fh)
+    cfg.update({"lambda": [0.6, 0.6]})
+    path = tmp_path / "scripted.json"
+    path.write_text(json.dumps(cfg))
+    done = run_python("-m", "platoonsim.cli", command, "--config", str(path),
+                      "--out", str(tmp_path / "out"))
+    assert done.returncode == 0, done.stderr
+    assert "warning:" not in done.stderr
+
+
+def test_scripted_run_with_an_empty_lane_leaves_its_statistics_blank(tmp_path):
+    # Lane 2's only arrival falls inside the warm-up: its row has no mean
+    # and no CI, and the aggregate counts lane 1's vehicles only.
+    path = tmp_path / "empty_lane.json"
+    path.write_text(json.dumps({"arrivals": [[2, 0.0], [1, 1.0], [1, 2.0]],
+                                "warmup_vehicles": 1}))
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    with open(tmp_path / "results.csv", newline="") as fh:
+        rows = {row["lane"]: row for row in csv.DictReader(fh)}
+    assert (rows["2"]["sim_delay_mean"], rows["2"]["ci95"], rows["2"]["n_vehicles"]) == ("", "", "0")
+    assert rows["1"]["n_vehicles"] == rows["all"]["n_vehicles"] == "2"
+    assert rows["1"]["sim_delay_mean"] == rows["all"]["sim_delay_mean"] != ""
+
+
+def test_config_that_is_not_an_object_is_one_line(tmp_path, capsys):
+    path = tmp_path / "list.json"
+    path.write_text("[1, 2]")
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: config must be a JSON object, got list\n"
 
 
 def test_crossing_times_past_the_tie_grid_print_one_warning(tmp_path):

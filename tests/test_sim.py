@@ -347,7 +347,29 @@ def test_batch_is_gated_when_the_cap_never_binds(case, cap):
     batch = run(dataclasses.replace(config, pfa="batch"))
     assert batch.max_platoon <= cap
     if gated.max_platoon <= cap:
-        assert_same_run(gated, batch, skip=("discipline",))
+        assert_same_run(gated, batch, skip=("config",))
+
+
+@pytest.mark.parametrize(
+    "arrivals, exhaustive, gated, gated_fallbacks",
+    [
+        # Alone on the intersection, a second lane-1 vehicle follows the
+        # running platoon at headway B: gated opens it a new platoon.
+        ([(1, 0.0), (1, 0.5)], [0.0, 1.0], [0.0, 1.0], 1),
+        # With lane 2 live, gated's lane-1 vehicle waits for the next
+        # cycle, where exhaustive joins it to the running platoon.
+        ([(1, 0.0), (2, 0.3), (1, 0.5)], [0.0, 4.375, 1.0], [0.0, 3.375, 6.75], 0),
+    ],
+)
+def test_gated_closes_the_platoon_but_follows_it_when_alone(arrivals, exhaustive, gated,
+                                                            gated_fallbacks):
+    config = RunConfig(arrivals=[list(x) for x in arrivals])
+    offset = config.params.free_flow_offset
+    ex = run(config)
+    ga = run(dataclasses.replace(config, pfa="gated"))
+    assert ex.c - offset == pytest.approx(exhaustive, abs=1e-12)
+    assert ga.c - offset == pytest.approx(gated, abs=1e-12)
+    assert ga.fallback_count == gated_fallbacks
 
 
 def test_unstable_load_raises_steady_state():
@@ -443,7 +465,7 @@ def per_discipline_rows(base, rhos, disciplines):
         params = base.params.with_rho(rho)
         for disc in disciplines:
             config = dataclasses.replace(base, params=params, pfa=disc, seed=base.seed + i)
-            rows += result_rows(run(config), params, rho)
+            rows += result_rows(run(config), rho)
     rows.sort(key=lambda r: (r["rho"], r["discipline"], -1 if r["lane"] == "all" else r["lane"]))
     return rows
 
