@@ -138,13 +138,14 @@ def _with_one_pfa(args: argparse.Namespace, cfg: RunConfig) -> RunConfig:
 def cmd_run(args: argparse.Namespace) -> int:
     cfg = _with_one_pfa(args, _load(args))
     res = sim.run(cfg, steady_state=not args.transient)
-    rho = cfg.params.rho
-    rows = sim.result_rows(res, rho)
+    rows = sim.result_rows(res)
     with write_together():
         _write_csv(os.path.join(args.out, "results.csv"), sim.RUN_CSV_HEADER, rows)
         write_atomic(os.path.join(args.out, "vehicles.jsonl"), res.vehicles_jsonl_chunks())
+    rho = rows[0]["rho"]  # the "all" row's load; a script has none
+    load = "" if rho is None else f" rho={rho:.6g}"
     print(
-        f"run: {cfg.pfa} rho={rho:.6g} mean_delay={res.mean:.6g} "
+        f"run: {cfg.pfa}{load} mean_delay={res.mean:.6g} "
         f"fairness={res.fairness:.6g} -> {args.out}/results.csv, vehicles.jsonl"
     )
     return EXIT_OK

@@ -243,19 +243,17 @@ class SimParams:
         return replace(self, lam=tuple(l * scale for l in self.lam))
 
 
-def validate_params(params: SimParams, steady_state: bool = True) -> SimParams:
-    """Check the load of valid params; return them unchanged if it is allowed.
+def validate_params(params: SimParams, steady_state: bool = True) -> None:
+    """Check the load of valid params; every other rule holds from construction.
 
-    Every other rule holds from construction. A load rho >= 1 raises
-    UnstableLoad when steady_state is True and only warns otherwise
-    (transient runs are allowed to be overloaded).
+    A load rho >= 1 raises UnstableLoad when steady_state is True and only
+    warns otherwise (transient runs are allowed to be overloaded).
     """
     rho = params.rho
     if rho >= 1.0:
         if steady_state:
             raise UnstableLoad(f"rho={rho:.4f} >= 1")
         warnings.warn(f"rho={rho:.4f} >= 1: transient run, no steady state exists", stacklevel=2)
-    return params
 
 
 # ===================== run configuration =====================

@@ -19,8 +19,9 @@ is pure Python and holds the interpreter lock.
 The kernel and the reference only schedule: _queue_counts reads fairness
 and the largest queue from the final (a, c, lane), their one definition,
 and _lane_stats the mean, CI and count of the "all" group and of each
-lane. A RunResult carries the RunConfig it ran, and result_rows builds
-every row of results.csv and delay_sweep.csv from it with one literal.
+lane. A RunResult carries the RunConfig it ran, the one home of its
+warm-up and load, and result_rows builds every row of results.csv and
+delay_sweep.csv from it with one literal: a script has no load.
 
 RunResult.vehicles_jsonl_chunks prints the vehicle log JSONL_CHUNK
 records at a time with numpy: _cells, imported on the first call,
@@ -155,7 +156,6 @@ class RunResult:
     """One simulation run: its config, per-vehicle schedule and summary statistics."""
 
     config: RunConfig
-    warmup: int
     entry: np.ndarray       # control-region entry time per vehicle (s)
     a: np.ndarray           # earliest feasible crossing time (s)
     lane0: np.ndarray       # 0-based lane per vehicle, of np.min_scalar_type(n)
@@ -183,29 +183,23 @@ class RunResult:
         (RunConfig refuses non-finite entry times, _summarize non-finite
         crossing times).
         """
+        from . import _cells  # here: run is the only command that writes the log
+
         for lo in range(0, self.c.size, JSONL_CHUNK):
             part = slice(lo, lo + JSONL_CHUNK)
-            yield _vehicle_rows(lo, self.lane0[part], self.entry[part], self.a[part], self.c[part])
-
-
-def _vehicle_rows(lo: int, lane0: np.ndarray, entry: np.ndarray, a: np.ndarray,
-                  c: np.ndarray) -> str:
-    """The vehicles.jsonl lines of vehicles lo, lo + 1, ... of one block."""
-    from . import _cells  # here: run is the only command that writes the log
-
-    n = c.size
-    floats = np.empty((4, n))
-    floats[0], floats[1], floats[2] = entry, a, c
-    np.subtract(c, a, out=floats[3])
-    texts = _cells._repr_cells(floats.ravel())
-    del floats
-    pieces = [b'{"id": ', (_cells._int_cells(np.arange(lo, lo + n)), None),
-              b', "lane": ', (_cells._int_cells(lane0.astype(np.int64) + 1), None)]
-    for i, name in enumerate((b"entry_t", b"a", b"c", b"delay")):
-        pieces += [b', "' + name + b'": ', (texts[i * n:(i + 1) * n], None)]
-    del texts
-    pieces.append(b"}\n")
-    return _cells._rows(n, pieces)
+            n = self.c[part].size
+            floats = np.empty((4, n))
+            floats[0], floats[1], floats[2] = self.entry[part], self.a[part], self.c[part]
+            np.subtract(floats[2], floats[1], out=floats[3])
+            texts = _cells._repr_cells(floats.ravel())
+            del floats
+            pieces = [b'{"id": ', (_cells._int_cells(np.arange(lo, lo + n)), None),
+                      b', "lane": ', (_cells._int_cells(self.lane0[part].astype(np.int64) + 1), None)]
+            for i, name in enumerate((b"entry_t", b"a", b"c", b"delay")):
+                pieces += [b', "' + name + b'": ', (texts[i * n:(i + 1) * n], None)]
+            del texts
+            pieces.append(b"}\n")
+            yield _cells._rows(n, pieces)  # _rows empties pieces
 
 
 def batch_means_ci(x: np.ndarray) -> float:
@@ -269,8 +263,8 @@ def _lane_stats(lane: Union[int, str], delays: np.ndarray) -> LaneStats:
 
 
 def _summarize(
-    config: RunConfig, warmup: int, entry: np.ndarray, a: np.ndarray, lane0: np.ndarray,
-    c: np.ndarray, fallback_count: int, max_platoon: int,
+    config: RunConfig, entry: np.ndarray, a: np.ndarray, lane0: np.ndarray, c: np.ndarray,
+    fallback_count: int, max_platoon: int,
 ) -> RunResult:
     if not np.isfinite(c).all():
         raise PlatoonError("internal error: some vehicles were never scheduled")
@@ -278,6 +272,7 @@ def _summarize(
     blur = beyond_tie_tolerance(last)  # RunConfig's rule for scripted times, here only a warning
     if blur:
         warnings.warn(f"crossing times reach {last:.6g} s, where they are {blur}", stacklevel=4)
+    warmup = config.resolved_warmup()
     sum_ahead, sum_total, max_queue = _queue_counts(a, c, lane0, config.params.B, warmup)
     # Each group's delays are freed before the next group's are gathered.
     overall = _lane_stats("all", c[warmup:] - a[warmup:])
@@ -288,7 +283,7 @@ def _summarize(
         lanes.append(_lane_stats(i + 1, post_c[on] - post_a[on]))
         del on
     return RunResult(
-        config=config, warmup=warmup, entry=entry, a=a, lane0=lane0, c=c,
+        config=config, entry=entry, a=a, lane0=lane0, c=c,
         mean=overall.mean, ci95=overall.ci95,
         fairness=(sum_ahead / sum_total) if sum_total > 0 else float("nan"),
         lanes=lanes, max_queue=max_queue, fallback_count=fallback_count, max_platoon=max_platoon,
@@ -332,32 +327,36 @@ def _run(config: RunConfig, simulate: Callable, check: bool, steady_state: bool)
     final_c, fallback_count, max_platoon = simulate(
         a, lane0, params, config.pfa, config.batch_cap, check
     )
-    return _summarize(config, config.resolved_warmup(), entry, a, lane0, final_c,
-                      fallback_count, max_platoon)
+    return _summarize(config, entry, a, lane0, final_c, fallback_count, max_platoon)
 
 
 # ===================== sweeps =====================
 
-def result_rows(res: RunResult, rho: float) -> List[Dict[str, object]]:
+def result_rows(res: RunResult) -> List[Dict[str, object]]:
     """Run-CSV rows of one run: the aggregate row, then one row per lane.
 
-    approx_delay is the lane's interpolated mean delay, and on the aggregate
-    row the arrival-weighted mean of those; it is empty where no
-    approximation exists: polling.check_analytic refuses the discipline
-    (batch) or core.validate_params the load (rho >= 1).
+    rho is the load of the config's Poisson arrivals; a script never reads
+    the rates, so it has no load and its rows leave rho and approx_delay
+    empty. approx_delay is the lane's interpolated mean delay, and on the
+    aggregate row the arrival-weighted mean of those; it is also empty
+    where polling.check_analytic refuses the discipline (batch) or
+    core.validate_params the load (rho >= 1).
     """
     config = res.config
     params = config.params
+    rho = params.rho if config.arrivals is None else None
     approx: List[Optional[float]] = [None] * (params.n + 1)  # the aggregate's, then each lane's
-    try:
-        check_analytic(config.pfa)
-        validate_params(params)
-    except (UnsupportedDiscipline, UnstableLoad):
-        pass
-    else:
-        approx[1:] = [approx_mean_delay(params, config.pfa, i + 1) for i in range(params.n)]
-        approx[0] = sum(lam * x for lam, x in zip(params.lam, approx[1:])) / sum(params.lam)
-    groups = [LaneStats("all", res.mean, res.ci95, res.a.size - res.warmup)] + res.lanes
+    if rho is not None:
+        try:
+            check_analytic(config.pfa)
+            validate_params(params)
+        except (UnsupportedDiscipline, UnstableLoad):
+            pass
+        else:
+            approx[1:] = [approx_mean_delay(params, config.pfa, i + 1) for i in range(params.n)]
+            approx[0] = sum(lam * x for lam, x in zip(params.lam, approx[1:])) / sum(params.lam)
+    post_warmup = res.a.size - config.resolved_warmup()
+    groups = [LaneStats("all", res.mean, res.ci95, post_warmup)] + res.lanes
     return [
         {
             "rho": rho,
@@ -403,7 +402,7 @@ def sweep_rows(
                 res = run(replace(point, pfa=disc), steady_state=steady_state)
                 if disc == "gated" and res.max_platoon <= point.batch_cap:
                     gated = res
-            rows += result_rows(res, rho)
+            rows += result_rows(res)
             del res
     # The aggregate row leads its (rho, discipline) group.
     rows.sort(key=lambda r: (r["rho"], r["discipline"], -1 if r["lane"] == "all" else r["lane"]))

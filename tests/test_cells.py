@@ -187,7 +187,7 @@ def test_vehicle_log_prints_crafted_values_as_the_per_record_writer():
     c = a + np.where(rng.random(n) < 0.3, 0.0, rng.exponential(5.0, n))
     c[:odd.size] = odd[::-1]
     lane0 = rng.integers(0, 300, n).astype(np.uint16)
-    res = RunResult(config=RunConfig(pfa="gated"), warmup=0, entry=entry, a=a, lane0=lane0, c=c,
+    res = RunResult(config=RunConfig(pfa="gated"), entry=entry, a=a, lane0=lane0, c=c,
                     mean=0.0, ci95=0.0, fairness=0.0, lanes=[], max_queue=0,
                     fallback_count=0, max_platoon=0)
     assert list(res.vehicles_jsonl_chunks()) == list(vehicles_jsonl_reference(res))

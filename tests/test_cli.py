@@ -444,6 +444,10 @@ def test_run_unstable_load_exit_code(tmp_path):
     assert cli.main(["run", "--config", str(path), "--out", out]) == 3
     with pytest.warns(UserWarning):
         assert cli.main(["run", "--config", str(path), "--out", out, "--transient"]) == 0
+    # The transient run has a load but no interpolation: rho >= 1.
+    rows = read_csv(os.path.join(out, "results.csv"))
+    assert [r["lane"] for r in rows] == ["all", "1", "2"]
+    assert {(r["rho"], r["approx_delay"]) for r in rows} == {("1.2", "")}
 
 
 def test_transient_warning_is_one_line_per_point(tmp_path):
@@ -488,18 +492,24 @@ def test_scripted_run_ignores_the_load_of_its_rates(tmp_path, command):
     assert "warning:" not in done.stderr
 
 
-def test_scripted_run_with_an_empty_lane_leaves_its_statistics_blank(tmp_path):
+def test_scripted_run_with_an_empty_lane_leaves_its_statistics_blank(tmp_path, capsys):
     # Lane 2's only arrival falls inside the warm-up: its row has no mean
-    # and no CI, and the aggregate counts lane 1's vehicles only.
+    # and no CI, and the aggregate counts lane 1's vehicles only. A script
+    # never reads lambda, so no row has a load or an interpolation at one,
+    # and the summary line names no rho.
     path = tmp_path / "empty_lane.json"
     path.write_text(json.dumps({"arrivals": [[2, 0.0], [1, 1.0], [1, 2.0]],
                                 "warmup_vehicles": 1}))
-    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path)]) == 0
+    assert cli.main(["run", "--config", str(path), "--out", str(tmp_path), "--pfa", "gated"]) == 0
     with open(tmp_path / "results.csv", newline="") as fh:
         rows = {row["lane"]: row for row in csv.DictReader(fh)}
     assert (rows["2"]["sim_delay_mean"], rows["2"]["ci95"], rows["2"]["n_vehicles"]) == ("", "", "0")
     assert rows["1"]["n_vehicles"] == rows["all"]["n_vehicles"] == "2"
     assert rows["1"]["sim_delay_mean"] == rows["all"]["sim_delay_mean"] != ""
+    assert sorted(rows) == ["1", "2", "all"]
+    assert {(row["rho"], row["approx_delay"]) for row in rows.values()} == {("", "")}
+    out = capsys.readouterr().out
+    assert out.startswith("run: gated mean_delay=") and "rho=" not in out
 
 
 def test_config_that_is_not_an_object_is_one_line(tmp_path, capsys):
@@ -762,6 +772,35 @@ def test_approx_has_no_batch_form(tmp_path, capsys):
         "error: no analytic delay form for 'batch'; choose from ('exhaustive', 'gated')\n")
 
 
+# The approx byte contract: sha256 of approx.csv and stdout (output
+# directory replaced by "OUT") for configs/sym.json and configs/asym.json
+# on the default grid 0.1:0.9:0.1, with both analytic disciplines (the
+# default --pfa).
+APPROX_GOLDEN = {
+    "asym": (
+        "fddbca1a7ba52fd17951ac65b9824d2b917fefe366d06049649d5d0b4cf5a937",
+        "38ac61c47c06ab64ed78c5e4bb6fa18820dc1b880aeacac1a7c8907328e0ef30",
+    ),
+    "sym": (
+        "e0d7fb2160818f732a184371f23617807df6de70232723b1c91dc1898a1f15a4",
+        "38ac61c47c06ab64ed78c5e4bb6fa18820dc1b880aeacac1a7c8907328e0ef30",
+    ),
+}
+
+
+@pytest.mark.parametrize("config", sorted(APPROX_GOLDEN))
+def test_approx_golden_bytes(tmp_path, capsys, config):
+    out = tmp_path / "out"
+    path = {"asym": ASYM, "sym": SYM}[config]
+    assert cli.main(["approx", "--config", path, "--out", str(out)]) == 0
+    digests = tuple(
+        hashlib.sha256(data).hexdigest()
+        for data in ((out / "approx.csv").read_bytes(),
+                     capsys.readouterr().out.replace(str(out), "OUT").encode())
+    )
+    assert digests == APPROX_GOLDEN[config]
+
+
 # ===================== traj =====================
 
 def test_traj_writes_segment_and_sample_files(tmp_path, capsys):
@@ -941,7 +980,9 @@ def scripted_run_config(path):
 # (output directory replaced by "OUT") and stderr, for configs/sym.json,
 # configs/asym.json with --pfa gated, and scripted_run_config. Pinned
 # from the per-record vehicles.jsonl writer, before the block writer
-# replaced it.
+# replaced it. The scripted run's results.csv and stdout were re-pinned
+# when a script stopped reporting the load of its unused rates: its rho
+# and approx_delay cells are blank and its run: line has no rho=.
 RUN_GOLDEN = {
     "asym-gated": (
         "fc21b211a0274b0b09f3ebb3db7687e655fe24c85cfcc300ffe7ae750c2d2336",
@@ -950,9 +991,9 @@ RUN_GOLDEN = {
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "scripted": (
-        "4b168727a40a12270ae3d2d7f8419686ba4712c2d2148ae818dd7d6d296c64fa",
+        "1ef31517c8480aa1afece1a68cbbcbe1078b352c14c5563f3396bece3d94fdfa",
         "09260dbc1e20e2083d96aaad45e3f31e265787cf92a37f7f899718f6760a7d67",
-        "9156b4554ff2b1b73a085b8671d568999b0e7b5697a6419767214d23a705ef6d",
+        "2c28fafaf7dab83e5e9cf1f4242c9365516a0197aadc526f4ca9e4d34f74556f",
         "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855",
     ),
     "sym": (

@@ -71,10 +71,11 @@ def test_counts_equal_replay_under_heavy_load(pfa):
         params=HET.with_rho(0.85), pfa=pfa, batch_cap=3, horizon_vehicles=2000, seed=4
     )
     res = run(config)
-    expect = queue_counts_by_replay(res.a, res.c, res.lane0, HET.B, res.warmup)
+    warmup = res.config.resolved_warmup()
+    expect = queue_counts_by_replay(res.a, res.c, res.lane0, HET.B, warmup)
     assert expect[2] > 10
     with mock.patch.object(_kernels, "BLOCK", 256):
-        assert _queue_counts(res.a, res.c, res.lane0, HET.B, res.warmup) == expect
+        assert _queue_counts(res.a, res.c, res.lane0, HET.B, warmup) == expect
 
 
 # ===================== counts the scheduling loop kept =====================
@@ -167,7 +168,8 @@ def test_counts_equal_the_scheduling_loop(name):
     config = golden_config(name)
     res = run(config)
     sum_ahead, sum_total, max_queue = GOLDEN[name]
-    assert _queue_counts(res.a, res.c, res.lane0, config.params.B, res.warmup) == GOLDEN[name]
+    warmup = res.config.resolved_warmup()
+    assert _queue_counts(res.a, res.c, res.lane0, config.params.B, warmup) == GOLDEN[name]
     assert res.max_queue == max_queue
     assert res.fairness == sum_ahead / sum_total
 
@@ -190,11 +192,10 @@ def test_summary_memory_is_bounded():
     )
     entry, lane0 = make_arrivals(params, config.horizon_vehicles, config.seed)
     a = entry + params.free_flow_offset
-    warmup = config.resolved_warmup()
     c, fallback_count, max_platoon = _kernels.simulate_arrivals(a, lane0, params, "gated", 100, False)
     tracemalloc.start()
     try:
-        _summarize(config, warmup, entry, a, lane0, c, fallback_count, max_platoon)
+        _summarize(config, entry, a, lane0, c, fallback_count, max_platoon)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

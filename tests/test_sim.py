@@ -149,7 +149,7 @@ def test_make_arrivals_holds_only_what_it_returns():
 def test_scripted_trace_delays(params, pfa, expected):
     config = RunConfig(params=params, pfa=pfa, arrivals=SCRIPT, seed=1)
     for res in (run(config, check=True), run_reference(config, check=True)):
-        assert res.warmup == 0
+        assert res.config.resolved_warmup() == 0
         assert res.delay == pytest.approx(expected, abs=1e-9)
 
 
@@ -277,18 +277,22 @@ def test_single_lane_is_lindley_recursion(pfa, rho):
 
 def test_warmup_defaults_to_tenth(params):
     config = RunConfig(params=params, pfa="exhaustive", horizon_vehicles=5000, seed=3)
-    assert run(config).warmup == 500
+    res = run(config)
+    assert res.config.resolved_warmup() == 500
+    assert sum(lane.n for lane in res.lanes) == 4500
     explicit = RunConfig(
         params=params, pfa="exhaustive", horizon_vehicles=5000, seed=3, warmup_vehicles=123
     )
-    assert run(explicit).warmup == 123
+    res = run(explicit)
+    assert res.config.resolved_warmup() == 123
+    assert sum(lane.n for lane in res.lanes) == 4877
     # A script warms up over none of its arrivals unless warmup_vehicles says so.
     script = [(1 + k % 2, 1.5 * k) for k in range(60)]
     for warmup in (None, 20):
         scripted = RunConfig(params=params, pfa="gated", arrivals=script, warmup_vehicles=warmup)
         res = run(scripted)
-        assert res.warmup == scripted.resolved_warmup() == (warmup or 0)
-        assert sum(lane.n for lane in res.lanes) == 60 - res.warmup
+        assert res.config.resolved_warmup() == (warmup or 0)
+        assert sum(lane.n for lane in res.lanes) == 60 - res.config.resolved_warmup()
 
 
 def test_batch_cap_binds_under_load():
@@ -465,7 +469,7 @@ def per_discipline_rows(base, rhos, disciplines):
         params = base.params.with_rho(rho)
         for disc in disciplines:
             config = dataclasses.replace(base, params=params, pfa=disc, seed=base.seed + i)
-            rows += result_rows(run(config), rho)
+            rows += result_rows(run(config))
     rows.sort(key=lambda r: (r["rho"], r["discipline"], -1 if r["lane"] == "all" else r["lane"]))
     return rows
 
